@@ -15,11 +15,6 @@ class KColoring:
         self.k = k
         self.assignment = assignment
 
-    @classmethod
-    def from_list(cls, k: int, colors: list) -> "KColoring":
-        """Build from a list where colors[v] is the color of vertex v (index 0 ignored)."""
-        return cls(k, {v: colors[v] for v in range(1, len(colors))})
-
     def color(self, v: int) -> int:
         return self.assignment[v]
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import re
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -193,64 +195,122 @@ def _path3_colors(order: Sequence[int], constraint: Optional[tuple]) -> dict:
     return colors
 
 
-def _seq_feasible(rem: dict, p_forb: Optional[int], q_forb: Optional[int]) -> bool:
-    """Can the count multiset ``rem`` fill a row with no two adjacent colors
-    equal, first color != p_forb and last color != q_forb?"""
-    total = rem[1] + rem[2] + rem[3]
-    if total == 0:
-        return True
-    m = max(rem.values())
-    if m > (total + 1) // 2:
-        return False
-    tops = [c for c in (1, 2, 3) if rem[c] == m]
-    if total % 2 == 1 and m == (total + 1) // 2:
-        x = tops[0]  # x must occupy both ends: x _ x _ ... _ x
-        return x != p_forb and x != q_forb
-    if total % 2 == 0 and m == total // 2:
-        if len(tops) == 2:
-            x, y = tops  # strict alternation, ends are {x, y} in some order
-            return (x != p_forb and y != q_forb) or (y != p_forb and x != q_forb)
-        x = tops[0]  # x must occupy at least one end
-        return x != p_forb or x != q_forb
-    return True
+# ---------------------------------------------------------------------------
+# Exact coloring of a spine skeleton: a tree DP over the per-color counts.
 
 
-def _exact_path_colors(length: int, quota: dict, first: int, last: int) -> Optional[list]:
-    """Proper 3-coloring of a path hitting exact per-color counts with both
-    endpoint colors prescribed; None when infeasible."""
-    if length == 1:
-        if first == last and quota.get(first, 0) == 1 and sum(quota.values()) == 1:
-            return [first]
-        return None
-    if first == last:
-        return None
-    rem = {c: quota.get(c, 0) for c in (1, 2, 3)}
-    rem[first] -= 1
-    rem[last] -= 1
-    if rem[first] < 0 or rem[last] < 0 or sum(rem.values()) != length - 2:
-        return None
-    if not _seq_feasible(rem, first, last):
-        return None
-    out = [first]
-    prev = first
-    for _ in range(length - 2):
-        choice = None
-        for c in sorted((1, 2, 3), key=lambda c: (-rem[c], c)):
-            if c == prev or rem[c] == 0:
-                continue
-            rem[c] -= 1
-            if _seq_feasible(rem, c, last):
-                choice = c
+def _bundle_split(cnt: Sequence[int], a: int, b: int, targets: Sequence[int], A: int, B: int) -> Optional[tuple]:
+    """How many of u's A pendant leaves take v's color b, and how many of v's
+    B pendant leaves take u's color a, so that the skeleton counts ``cnt``
+    (indexed by color) plus the leaves hit a permutation of ``targets``; the
+    other leaves take the third color.  None when no permutation fits."""
+    g = 6 - a - b
+    for T in sorted(set(itertools.permutations(targets))):
+        tm = (0,) + T  # color -> target
+        if 0 <= tm[b] - cnt[b] <= A and 0 <= tm[a] - cnt[a] <= B and tm[g] >= cnt[g]:
+            return tm[b] - cnt[b], tm[a] - cnt[a]
+    return None
+
+
+def _bits(x: int):
+    """Positions of the set bits of x, ascending."""
+    return (m.start() for m in re.finditer("1", bin(x)[:1:-1]))
+
+
+def _skeleton_colors(
+    order: Sequence[int], parent: dict, constraints: Sequence[tuple], cap: int, fits: Callable[[dict, tuple], bool]
+) -> Optional[dict]:
+    """Proper 3-coloring of a tree (``order`` lists it root first, each
+    vertex after its ``parent``) that separates every constraint pair and
+    whose class counts pass ``fits(pins, (0, n1, n2, n3))``; None if none.
+
+    The count pairs (n1, n2) that x's subtree reaches with x colored c are
+    packed into one int, bit n1*W + n2, dropping counts above ``cap``.  The
+    root is pinned to color 1, since colors are interchangeable; the other
+    constrained vertices are enumerated.  A root count that ``fits`` is
+    unfolded top-down.  Along a chain only every K-th vertex (K ~ sqrt of
+    the size) keeps its sets; the unfold recomputes the rest by segment."""
+    W = 2 * cap + 2  # a sum of two rows stays below the next row
+    mask = int(("0" * (cap + 1) + "1" * (cap + 1)) * (cap + 1), 2)  # n1, n2 <= cap
+    step = (0, W, 1, 0)  # bit offset of one vertex of each color
+    kids: dict = {x: [] for x in order}
+    depth = {order[0]: 0}
+    for x in order[1:]:
+        kids[parent[x]].append(x)
+        depth[x] = depth[parent[x]] + 1
+    K = math.isqrt(len(order)) + 1
+    keep = {x for x in order if depth[x] % K == 0 or len(kids[x]) != 1}
+
+    def plus(a: int, b: int) -> int:
+        """Sums of one count from a and one from b."""
+        if a == 1:  # the sums over no children yet
+            return b
+        out = 0
+        for run in re.finditer("1+", bin(a)[:1:-1]):  # a run never crosses a row
+            i, j = run.span()
+            wide, span = b, 1  # wide = OR of b << t over t < span
+            while 2 * span <= j - i:
+                wide |= wide << span
+                span *= 2
+            out |= (wide | wide << (j - i - span)) << i
+        return out & mask
+
+    def other(sets: list, c: int) -> int:
+        return sets[c % 3 + 1] | sets[(c + 1) % 3 + 1]
+
+    root = order[0]
+    pinned = sorted({x for pair in constraints for x in pair} - {root})
+    for combo in itertools.product((1, 2, 3), repeat=len(pinned)):
+        pins = {root: 1, **dict(zip(pinned, combo))}
+        if any(pins[a] == pins[b] for a, b in constraints):
+            continue
+        reach: dict = {}
+
+        def fill(x: int) -> bool:
+            sets = [0, 0, 0, 0]
+            for c in (1, 2, 3):
+                if pins.get(x, c) == c:
+                    acc = 1
+                    for y in kids[x]:
+                        acc = plus(acc, other(reach[y], c))
+                    sets[c] = (acc << step[c]) & mask
+            reach[x] = sets
+            return any(sets)
+
+        for x in reversed(order):
+            if not fill(x):
                 break
-            rem[c] += 1
-        if choice is None:
-            return None  # initial predicate should prevent this
-        out.append(choice)
-        prev = choice
-    if prev == last:
-        return None
-    out.append(last)
-    return out
+            for y in set(kids[x]) - keep:
+                del reach[y]
+        else:
+            for s in _bits(reach[root][1]):
+                n1, n2 = divmod(s, W)
+                if not fits(pins, (0, n1, n2, len(order) - n1 - n2)):
+                    continue
+                col = {}
+                stack = [(root, 1, s)]
+                while stack:
+                    x, c, s = stack.pop()
+                    col[x] = c
+                    s -= step[c]
+                    for y in kids[x]:
+                        segment = []
+                        while y not in reach:
+                            segment.append(y)
+                            (y,) = kids[y]
+                        for z in reversed(segment):
+                            fill(z)
+                    vias = [other(reach[y], c) for y in kids[x]]
+                    heads = [1]  # heads[i]: the sums of the first i children
+                    for via in vias[:-1]:
+                        heads.append(plus(heads[-1], via))
+                    for y, via, head in reversed(list(zip(kids[x], vias, heads))):
+                        part = s if head == 1 else next(s - h for h in _bits(head) if h <= s and via >> (s - h) & 1)
+                        stack.append((y, next(d for d in (1, 2, 3) if d != c and reach[y][d] >> part & 1), part))
+                        s -= part
+                    del reach[x]
+                return col
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +445,6 @@ class _Machine:
             order.append(cur)
         return order
 
-    def _bfs_path(self, a: int, b: int) -> list:
-        if a == b:
-            return [a]
-        parent = {a: 0}
-        q = deque([a])
-        while q:
-            u = q.popleft()
-            if u == b:
-                break
-            for w in self.adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    q.append(w)
-        out = [b]
-        while out[-1] != a:
-            out.append(parent[out[-1]])
-        out.reverse()
-        return out
-
     def _dump(self) -> str:
         return format_tree_text(self.source)
 
@@ -457,12 +498,19 @@ class _Machine:
 
     def _spine_terminal(self, u: int, v: int, p: int, q: int) -> None:
         """Direct coloring when every leaf of the active tree crowds u, v, p
-        or q: pendant bundles at the two hubs plus a thin skeleton carrying
-        the pre-leaf pair (a u-v path, hanging tails, or a shared stalk that
-        forks toward p and q)."""
+        or q: pendant bundles at u and v plus a thin skeleton carrying the
+        pre-leaf pair.  u, v get distinct colors, and so do p, q.
+
+        The skeleton is colored first; ``settle`` then gives u's leaves v's
+        color or the third one, and v's leaves u's color or the third one,
+        in the numbers that make the classes equitable.  The skeleton
+        coloring comes from the first of two steps that ``settle`` accepts:
+        a greedy pass from u under each color priority, aiming at a
+        near-equal split of the skeleton; then ``_skeleton_colors``, an
+        exact search that fails only when no coloring exists."""
         targets = balanced_targets(self.n_act, 3)
         for s in {p, q} - {u, v}:
-            if len(sorted(self.leafnbr[s])) != 1 or len(self.adj[s]) != 2:
+            if len(self.leafnbr[s]) != 1 or len(self.adj[s]) != 2:
                 raise self._fail("designated pre-leaf is not a pendant-path end")
         bundle_u = sorted(self.leafnbr[u])
         bundle_v = sorted(self.leafnbr[v])
@@ -492,162 +540,55 @@ class _Machine:
             partners[a].append(b)
             partners[b].append(a)
         A, B = len(bundle_u), len(bundle_v)
-        sk_n = len(order)
 
-        def attempt(priority: tuple, quotas: dict, force_first: Optional[int] = None) -> Optional[dict]:
+        def attempt(priority: tuple, quotas: dict) -> Optional[dict]:
             rem = dict(quotas)
             col: dict = {}
-            for idx, x in enumerate(order):
-                forb = set()
-                par = parent.get(x)
-                if par is not None and par in col:
-                    forb.add(col[par])
-                for y in partners.get(x, ()):
-                    if y in col:
-                        forb.add(col[y])
-                if force_first is not None and idx == 0:
-                    if force_first in forb:
-                        return None
-                    best = force_first
-                else:
-                    best = None
-                    for c in priority:
-                        if c in forb:
-                            continue
-                        if best is None or rem[c] > rem[best]:
-                            best = c
-                    if best is None:
-                        return None
-                col[x] = best
-                rem[best] -= 1
+            for x in order:  # BFS order: the parent is already colored
+                forb = {col[y] for y in partners[x] if y in col}
+                if x != u:
+                    forb.add(col[parent[x]])
+                allowed = [c for c in priority if c not in forb]
+                if not allowed:
+                    return None
+                col[x] = max(allowed, key=rem.__getitem__)  # first of the most left
+                rem[col[x]] -= 1
             return col
 
         def settle(col_sk: dict) -> Optional[dict]:
-            cnt = {1: 0, 2: 0, 3: 0}
+            cnt = [0, 0, 0, 0]
             for c in col_sk.values():
                 cnt[c] += 1
             a_col, b_col = col_sk[u], col_sk[v]
-            if a_col == b_col:
+            split = _bundle_split(cnt, a_col, b_col, targets, A, B) if a_col != b_col else None
+            if split is None:
                 return None
+            xb, ya = split
             g_col = 6 - a_col - b_col
-            for T in sorted(set(itertools.permutations(targets))):
-                tm = {1: T[0], 2: T[1], 3: T[2]}
-                xb = tm[b_col] - cnt[b_col]
-                ya = tm[a_col] - cnt[a_col]
-                if 0 <= xb <= A and 0 <= ya <= B and tm[g_col] >= cnt[g_col]:
-                    colors = dict(col_sk)
-                    for i, leaf in enumerate(bundle_u):
-                        colors[leaf] = b_col if i < xb else g_col
-                    for i, leaf in enumerate(bundle_v):
-                        colors[leaf] = a_col if i < ya else g_col
-                    return colors
-            return None
+            colors = dict(col_sk)
+            for i, leaf in enumerate(bundle_u):
+                colors[leaf] = b_col if i < xb else g_col
+            for i, leaf in enumerate(bundle_v):
+                colors[leaf] = a_col if i < ya else g_col
+            return colors
 
-        near = balanced_targets(sk_n, 3)
+        near = balanced_targets(len(order), 3)
         for priority in itertools.permutations((1, 2, 3)):
-            quotas = {priority[i]: near[i] for i in range(3)}
-            col_sk = attempt(priority, quotas)
-            if col_sk:
-                final = settle(col_sk)
-                if final:
-                    self.trace.append("direct:spine")
-                    self._commit(final)
-                    return
-        skel_deg = {x: sum(1 for y in self.adj[x] if y in skel_set) for x in order}
-        is_u_v_path = (
-            len(order) >= 2
-            and all(d <= 2 for d in skel_deg.values())
-            and skel_deg[u] == 1
-            and skel_deg[v] == 1
-        )
-        if is_u_v_path:
-            # the skeleton is exactly the u..v path (BFS from an end walks it
-            # in order): solve the quota windows exactly
-            for alpha, beta in itertools.permutations((1, 2, 3), 2):
-                gamma = 6 - alpha - beta
-                for T in sorted(set(itertools.permutations(targets))):
-                    tm = {1: T[0], 2: T[1], 3: T[2]}
-                    lo_a, hi_a = max(0, tm[alpha] - B), min(tm[alpha], sk_n)
-                    lo_b, hi_b = max(0, tm[beta] - A), min(tm[beta], sk_n)
-                    if lo_a > hi_a or lo_b > hi_b:
-                        continue
-                    lo_g = max(0, sk_n - hi_a - hi_b)
-                    hi_g = min(tm[gamma], sk_n - lo_a - lo_b)
-                    if lo_g > hi_g:
-                        continue
-                    for qg in sorted({lo_g, hi_g, min(max(sk_n // 3, lo_g), hi_g)}):
-                        s2 = sk_n - qg
-                        lo2, hi2 = max(lo_a, s2 - hi_b), min(hi_a, s2 - lo_b)
-                        if lo2 > hi2:
-                            continue
-                        for qa in sorted({lo2, hi2, min(max(s2 // 2, lo2), hi2)}):
-                            cols = _exact_path_colors(
-                                sk_n, {alpha: qa, beta: s2 - qa, gamma: qg}, alpha, beta
-                            )
-                            if cols is None:
-                                continue
-                            final = settle(dict(zip(order, cols)))
-                            if final:
-                                self.trace.append("direct:spine")
-                                self._commit(final)
-                                return
-        # skewed quota attempts for lopsided leaf bundles
-        for cu, cv in itertools.permutations((1, 2, 3), 2):
-            cg = 6 - cu - cv
-            for T in sorted(set(itertools.permutations(targets))):
-                tm = {1: T[0], 2: T[1], 3: T[2]}
-                lo_u, hi_u = max(0, tm[cu] - B), min(tm[cu], sk_n)
-                lo_v, hi_v = max(0, tm[cv] - A), min(tm[cv], sk_n)
-                if lo_u > hi_u or lo_v > hi_v:
-                    continue
-                qu = min(max(sk_n // 3, lo_u), hi_u)
-                qv = min(max((sk_n - qu) // 2, lo_v), hi_v, sk_n - qu)
-                if qv < lo_v:
-                    continue
-                qg = sk_n - qu - qv
-                if qg < 0 or qg > tm[cg]:
-                    continue
-                col_sk = attempt((cu, cv, cg), {cu: qu, cv: qv, cg: qg}, force_first=cu)
-                if col_sk:
-                    final = settle(col_sk)
-                    if final:
-                        self.trace.append("direct:spine")
-                        self._commit(final)
-                        return
-        if sk_n <= 13:
-            final = self._exhaust_skeleton(order, parent, partners, settle)
+            col_sk = attempt(priority, {priority[i]: near[i] for i in range(3)})
+            final = settle(col_sk) if col_sk else None
             if final:
-                self.trace.append("direct:spine")
-                self._commit(final)
-                return
-        raise self._fail("spine coloring infeasible")
+                break
+        else:
 
-    @staticmethod
-    def _exhaust_skeleton(order, parent, partners, settle) -> Optional[dict]:
-        col: dict = {}
+            def fits(pins: dict, cnt: tuple) -> bool:  # u is the root, pinned to 1
+                return _bundle_split(cnt, 1, pins[v], targets, A, B) is not None
 
-        def rec(i: int) -> Optional[dict]:
-            if i == len(order):
-                return settle(col)
-            x = order[i]
-            forb = set()
-            par = parent.get(x)
-            if par is not None and par in col:
-                forb.add(col[par])
-            for y in partners.get(x, ()):
-                if y in col:
-                    forb.add(col[y])
-            for c in (1, 2, 3):
-                if c in forb:
-                    continue
-                col[x] = c
-                out = rec(i + 1)
-                if out:
-                    return out
-                del col[x]
-            return None
-
-        return rec(0)
+            col_sk = _skeleton_colors(order, parent, constraints, max(targets), fits)
+            final = settle(col_sk) if col_sk else None
+            if not final:
+                raise self._fail("spine coloring infeasible")
+        self.trace.append("direct:spine")
+        self._commit(final)
 
     # -- top-level three-coloring flow --------------------------------------
 
@@ -930,6 +871,17 @@ def _certify(t: Graph, colors: dict, k: int, trace: Iterable[str]) -> EquitableC
     return cert
 
 
+def _three_colors(t: Tree, constraint: Optional[tuple] = None) -> tuple:
+    """Equitable 3-coloring of t and its construction trace, unverified."""
+    if t.n == 1:
+        return {1: 1}, ("direct:trivial",)
+    if is_path_graph(t):
+        return _path3_colors(path_order(t), constraint), ("direct:path",)
+    m = _Machine(t)
+    m.run3(constraint)
+    return {v: m.col[v] for v in range(1, t.n + 1)}, tuple(m.trace)
+
+
 def equitable_three(t: Tree, constraint: Optional[tuple] = None) -> EquitableCertificate:
     """Equitable 3-coloring of a tree with max degree at most n/3.
 
@@ -943,15 +895,8 @@ def equitable_three(t: Tree, constraint: Optional[tuple] = None) -> EquitableCer
         p, q = constraint
         if p == q or not (1 <= p <= n and 1 <= q <= n) or not (is_pre_leaf(t, p) and is_pre_leaf(t, q)):
             raise NoTwoPreLeaves(f"({p}, {q}) is not a pair of distinct pre-leaf vertices")
-    if n == 1:
-        return _certify(t, {1: 1}, 3, ("direct:trivial",))
-    if is_path_graph(t):
-        colors = _path3_colors(path_order(t), constraint)
-        cert = _certify(t, colors, 3, ("direct:path",))
-    else:
-        m = _Machine(t)
-        m.run3(constraint)
-        cert = _certify(t, {v: m.col[v] for v in range(1, n + 1)}, 3, tuple(m.trace))
+    colors, trace = _three_colors(t, constraint)
+    cert = _certify(t, colors, 3, trace)
     if constraint is not None:
         p, q = constraint
         if cert.coloring.color(p) == cert.coloring.color(q):
@@ -980,55 +925,29 @@ def hub_pair_coloring(t: Tree, u: int, v: int, p: int, q: int) -> EquitableCerti
 
 
 def _independent_low_degree(t: Graph, m: int) -> list:
-    """m pairwise non-adjacent vertices of degree <= 2, smallest-id greedy
-    with an exact forest fallback."""
-    n = t.n
-    low = [v for v in range(1, n + 1) if len(t.adj[v]) <= 2]
-    blocked = bytearray(n + 1)
+    """m pairwise non-adjacent vertices of degree <= 2, smallest id first.
+
+    This never runs short for m <= floor(n/k), k >= 4.  The greedy builds a
+    maximal independent set of the forest of degree-<=2 vertices, a union
+    of paths on s_1, s_2, ... vertices, so it gets at least
+    sum ceil(s_j/3) >= sum (s_j + 1)/4 vertices.  In a path that is
+    ceil(n/3) > n/4.  Otherwise each of these paths holds at most one leaf
+    (one with two would be the whole tree), so there are at least
+    l >= h + 2 of them, where l counts the leaves and h the vertices of
+    degree >= 3.  Hence the greedy gets >= (n - h + h + 2)/4 > floor(n/k).
+    """
+    blocked = bytearray(t.n + 1)
     chosen = []
-    for v in low:
-        if not blocked[v]:
+    for v in range(1, t.n + 1):
+        if len(chosen) == m:
+            return chosen
+        if len(t.adj[v]) <= 2 and not blocked[v]:
             chosen.append(v)
-            if len(chosen) == m:
-                return chosen
             for w in t.adj[v]:
                 blocked[w] = 1
-    # exact maximum independent set on the forest induced by low vertices
-    low_set = set(low)
-    sub = {v: [w for w in t.adj[v] if w in low_set] for v in low}
-    take_flag: dict = {}
-    visited = set()
-    for root in low:
-        if root in visited:
-            continue
-        order = []
-        parent = {root: 0}
-        stack = [root]
-        visited.add(root)
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for y in sub[x]:
-                if y not in visited:
-                    visited.add(y)
-                    parent[y] = x
-                    stack.append(y)
-        dp_in = {}
-        dp_out = {}
-        for x in reversed(order):
-            kids = [y for y in sub[x] if parent.get(y) == x]
-            dp_in[x] = 1 + sum(dp_out[y] for y in kids)
-            dp_out[x] = sum(max(dp_in[y], dp_out[y]) for y in kids)
-        for x in order:
-            if x == root:
-                take_flag[x] = dp_in[x] >= dp_out[x]
-            else:
-                par = parent[x]
-                take_flag[x] = (not take_flag[par]) and dp_in[x] >= dp_out[x]
-    exact = sorted(v for v in low if take_flag[v])
-    if len(exact) >= m:
-        return exact[:m]
-    raise IndependentSetNotFound(f"needed {m}, found {len(exact)} among degree-<=2 vertices")
+    if len(chosen) == m:
+        return chosen
+    raise IndependentSetNotFound(f"needed {m}, found {len(chosen)} among degree-<=2 vertices")
 
 
 def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
@@ -1047,8 +966,7 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
     if n == 1:
         return _certify(t, {1: 1}, k, ("direct:trivial",))
     if k == 3:
-        cert3 = equitable_three(t)
-        return cert3
+        return equitable_three(t)
     if is_path_graph(t):
         return _certify(t, _round_robin_colors(path_order(t), k), k, ("direct:path",))
     trace: list = []
@@ -1067,15 +985,12 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
         cur_map = tuple([0] + [cur_map[old] for old in sub.new_to_old[1:]])
         cur = completed
         trace.append(f"reduce:k{k_level}")
-    cert3 = equitable_three(cur)
+    colors3, trace3 = _three_colors(cur)
     colors = {}
     for new_v in range(1, cur.n + 1):
-        colors[cur_map[new_v]] = cert3.coloring.color(new_v)
+        colors[cur_map[new_v]] = colors3[new_v]
     for k_level, removed in layers:
         for v in removed:
             colors[v] = k_level
-    trace.extend(cert3.trace)
-    cert = _certify(t, colors, k, tuple(trace))
-    if tuple(sorted(cert.coloring.class_sizes, reverse=True)) != balanced_targets(n, k):
-        raise InternalInvariant("class sizes missed the exact equitable split", dump=format_tree_text(t))
-    return cert
+    trace.extend(trace3)
+    return _certify(t, colors, k, tuple(trace))

@@ -8,7 +8,6 @@ that every derived object is reproducible byte for byte.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapInfeasible, NotAdjacent, NotATree, PreconditionViolated
@@ -122,13 +121,6 @@ def build_tree(edges: Iterable[tuple[int, int]], n: int) -> Tree:
     if g.edge_count < n - 1 or not g.is_connected():
         raise NotATree("disconnected", f"{g.edge_count} edges on {n} vertices")
     return Tree(g.n, g.adj, g.edge_count)
-
-
-def as_tree(g: Graph) -> Tree:
-    """Re-tag a graph already known to satisfy the tree invariants."""
-    if isinstance(g, Tree):
-        return g
-    return build_tree(g.edges(), g.n)
 
 
 def classify_vertex(t: Graph, v: int) -> VertexClass:
@@ -333,6 +325,9 @@ def parse_tree_text(text: str) -> Tree:
 
         entries = [int(x) for x in body[0][2:].split()]
         return prufer_decode(entries, n)
+    if len(body) < n - 1:
+        # checked before anything of size n is allocated
+        raise NotATree("disconnected", f"{len(body)} edge lines for {n} vertices")
     edges = []
     for ln in body:
         parts = ln.split()
@@ -376,25 +371,3 @@ def double_star(p: int, q: int) -> Tree:
 def complete_graph(n: int) -> Graph:
     return build_graph([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)], n)
 
-
-def bfs_path(t: Graph, a: int, b: int) -> list[int]:
-    """Unique path from a to b in a tree, endpoints included."""
-    if a == b:
-        return [a]
-    parent = {a: 0}
-    q = deque([a])
-    while q:
-        u = q.popleft()
-        if u == b:
-            break
-        for w in t.adj[u]:
-            if w not in parent:
-                parent[w] = u
-                q.append(w)
-    if b not in parent:
-        raise NotAdjacent(f"{a} and {b} are not connected")
-    out = [b]
-    while out[-1] != a:
-        out.append(parent[out[-1]])
-    out.reverse()
-    return out

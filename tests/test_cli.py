@@ -3,6 +3,11 @@ import json
 import pytest
 
 from arbor.cli import main
+from arbor.colorings import KColoring
+from arbor.equitable import verify_equitable
+from arbor.trees import parse_tree_text
+
+from test_equitable import CROWDED_39, CROWDED_56
 
 
 def run(capsys, *argv):
@@ -89,6 +94,35 @@ class TestColorCommand:
         c.write_text("1 1\n2 1\n3 2\n")
         code, out, _ = run(capsys, "color", "--k", "3", "--in", str(f), "--verify", str(c))
         assert code == 0 and json.loads(out)["valid"] is False
+
+    @pytest.mark.parametrize(
+        "text,extra",
+        [
+            (CROWDED_56, []),
+            (CROWDED_39, ["--constrain", "32", "33"]),
+        ],
+        ids=["n56", "n39-constrained"],
+    )
+    def test_crowded_spine_trees(self, capsys, tmp_path, text, extra):
+        # every leaf crowds the hubs or the pre-leaf pair, so the coloring
+        # comes from the exact skeleton search
+        f = tmp_path / "crowded.tree"
+        f.write_text(text)
+        code, out, err = run(capsys, "color", "--k", "3", "--in", str(f), *extra)
+        assert code == 0, err
+        payload = json.loads(out)
+        t = parse_tree_text(text)
+        coloring = KColoring(3, {int(v): c for v, c in payload["assignment"].items()})
+        assert verify_equitable(t, coloring).valid
+        assert "direct:spine" in payload["trace"]
+        if extra:
+            assert payload["assignment"]["32"] != payload["assignment"]["33"]
+
+    def test_header_only_file(self, capsys, tmp_path):
+        f = tmp_path / "huge.tree"
+        f.write_text("1000000000\n")
+        code, _, err = run(capsys, "color", "--k", "3", "--in", str(f))
+        assert code == 2 and "disconnected" in err
 
 
 class TestSampleCommand:

@@ -1,29 +1,34 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import arbor.equitable as equitable_module
 from arbor.colorings import KColoring
 from arbor.equitable import (
+    _bundle_split,
+    _independent_low_degree,
+    _search_colors,
+    _skeleton_colors,
     balanced_targets,
     brute_force_equitable,
     equitable_coloring,
     equitable_three,
     hub_pair_coloring,
     verify_equitable,
-    _exact_path_colors,
-    _seq_feasible,
 )
 from arbor.errors import (
     DegreeTooHigh,
+    IndependentSetNotFound,
     NoTwoPreLeaves,
     PartialColoring,
     PreconditionViolated,
     TooLarge,
 )
 from arbor.random_trees import enumerate_unlabeled_trees, sample_labeled_tree
-from arbor.trees import Tree, build_tree, double_star, path, pre_leaves, star
+from arbor.trees import Tree, build_tree, double_star, parse_tree_text, path, pre_leaves, star
 
 
 def assert_good(t, cert, k, constraint=None):
@@ -308,43 +313,245 @@ class TestBruteForceEquitable:
                     assert verify_equitable(t, w).valid
 
 
-class TestExactPathColors:
-    def test_feasibility_predicate_matches_brute(self):
-        def brute(counts, p, q):
-            colors = []
-            for c, k in counts.items():
-                colors += [c] * k
-            if not colors:
-                return True
-            for perm in set(itertools.permutations(colors)):
-                if any(perm[i] == perm[i + 1] for i in range(len(perm) - 1)):
-                    continue
-                if p is not None and perm[0] == p:
-                    continue
-                if q is not None and perm[-1] == q:
-                    continue
-                return True
-            return False
+# ---------------------------------------------------------------------------
+# The spine terminal: every leaf crowds the hubs or the pre-leaf pair.
 
-        for total in range(0, 8):
-            for a in range(total + 1):
-                for b in range(total + 1 - a):
-                    counts = {1: a, 2: b, 3: total - a - b}
-                    for p in (None, 1, 2, 3):
-                        for q in (None, 1, 2, 3):
-                            assert _seq_feasible(counts, p, q) == brute(counts, p, q), (counts, p, q)
+# max degree 18 <= 56/3; plain equitable_coloring(t, 3) reaches the exact search
+CROWDED_56 = (
+    "56\nP: 34 3 3 34 3 3 34 3 3 34 3 3 3 3 34 34 3 34 34 3 34 34 34 34 33 51 34 34 56 3 3 3 "
+    "34 21 9 44 27 34 34 25 41 31 15 17 8 53 27 52 32 40 36 19 29 3\n"
+)
+# constraint (32, 33) reaches the exact search
+CROWDED_39 = "39\nP: 1 1 1 33 33 33 1 33 1 33 1 1 33 1 32 33 33 1 1 1 33 26 3 30 1 5 38 33 33 30 29 14 35 31 19 6 33\n"
+# hub delegation with hubs 1 and 11 and pre-leaves 8 and 11
+HUBS_15 = [
+    "1-2 1-3 1-4 1-5 1-6 6-7 6-10 7-8 8-9 10-11 11-12 11-13 11-14 11-15",
+    "1-2 1-3 1-4 1-5 1-6 6-7 7-8 7-10 8-9 10-11 11-12 11-13 11-14 11-15",
+]
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(2, 40), st.data())
-    def test_constructor_output_is_valid(self, length, data):
-        a = data.draw(st.integers(0, length))
-        b = data.draw(st.integers(0, length - a))
-        quota = {1: a, 2: b, 3: length - a - b}
-        first = data.draw(st.sampled_from((1, 2, 3)))
-        last = data.draw(st.sampled_from([c for c in (1, 2, 3) if c != first]))
-        cols = _exact_path_colors(length, quota, first, last)
-        if cols is None:
-            return
-        assert cols[0] == first and cols[-1] == last
-        assert all(cols[i] != cols[i + 1] for i in range(length - 1))
-        assert all(cols.count(c) == quota[c] for c in (1, 2, 3))
+
+def every_coloring(t):
+    """Run every construction whose precondition t meets and check each
+    result; returns how many ran."""
+    n = t.n
+    runs = 0
+    for k in (3, 4, 5):
+        if t.max_degree * k <= n:
+            assert_good(t, equitable_coloring(t, k), k)
+            runs += 1
+    if t.max_degree * 3 > n:
+        return runs
+    pls = pre_leaves(t)
+    for pair in itertools.combinations(pls, 2):
+        assert_good(t, equitable_three(t, constraint=pair), 3, constraint=pair)
+        runs += 1
+    hubs = [x for x in range(1, n + 1) if 3 * t.degree(x) >= n]
+    for u, v in itertools.combinations(hubs, 2):
+        for pair in itertools.combinations(pls, 2):
+            cert = hub_pair_coloring(t, u, v, *pair)
+            assert_good(t, cert, 3, constraint=pair)
+            assert cert.coloring.color(u) != cert.coloring.color(v)
+            runs += 1
+    return runs
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return _skeleton_colors(*args)
+
+    monkeypatch.setattr(equitable_module, "_skeleton_colors", counted)
+    return calls
+
+
+class TestSpineRegressions:
+    def test_crowded_56_plain(self, exact_calls):
+        t = parse_tree_text(CROWDED_56)
+        assert_good(t, equitable_coloring(t, 3), 3)
+        assert exact_calls
+
+    def test_crowded_39_constrained(self, exact_calls):
+        t = parse_tree_text(CROWDED_39)
+        assert_good(t, equitable_three(t, constraint=(32, 33)), 3, constraint=(32, 33))
+        assert exact_calls
+
+    @pytest.mark.parametrize("text", [CROWDED_56, CROWDED_39], ids=["n56", "n39"])
+    def test_every_construction(self, text):
+        assert every_coloring(parse_tree_text(text)) > 0
+
+    @pytest.mark.parametrize("edges", HUBS_15, ids=["fork-at-6", "fork-at-7"])
+    def test_hub_delegation_n15(self, edges, exact_calls):
+        t = build_tree([tuple(map(int, e.split("-"))) for e in edges.split()], 15)
+        assert every_coloring(t) > 0
+        cert = hub_pair_coloring(t, 1, 11, 8, 11)
+        assert_good(t, cert, 3, constraint=(8, 11))
+        assert exact_calls
+
+
+def _skeleton(kind, legs):
+    """Edges of a path, spider or H-shaped skeleton on 1..s, and s."""
+    edges = []
+    top = 1
+
+    def leg(frm, length):
+        nonlocal top
+        for _ in range(length):
+            top += 1
+            edges.append((frm, top))
+            frm = top
+        return frm
+
+    if kind == "path":
+        leg(1, legs[0])
+    elif kind == "spider":
+        for length in legs:
+            leg(1, length)
+    else:  # H: two forks joined by a bar
+        leg(1, legs[0])
+        leg(1, legs[1])
+        joint = leg(1, legs[2])
+        leg(joint, legs[3])
+        leg(joint, legs[0])
+    return edges, top
+
+
+def crowded_tree(rng, hubs):
+    """A skeleton with at most four leaves plus leaf bundles on at most four
+    of its vertices, randomly labelled.  With ``hubs`` two bundles are sized
+    so that two vertices have degree exactly n/3; None when that breaks the
+    degree cap."""
+    kind = rng.choice(["path", "spider", "H"])
+    legs = [rng.randint(1, 8) for _ in range(4)]
+    edges, s = _skeleton(kind, legs[: rng.choice([3, 4])] if kind == "spider" else legs)
+    deg = [0] * (s + 1)
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    hosts = rng.sample(range(1, s + 1), min(s, rng.randint(1, 4)))
+    bundles = {x: rng.randint(0, s) for x in hosts}
+    if hubs:
+        if len(hosts) < 2:
+            return None
+        h1, h2 = hosts[:2]
+        for x in hosts[2:]:
+            bundles[x] = rng.randint(0, 4)
+        third = s - deg[h1] - deg[h2] + sum(bundles[x] for x in hosts[2:])  # n/3
+        bundles[h1], bundles[h2] = third - deg[h1], third - deg[h2]
+        if min(bundles.values()) < 0:
+            return None
+    n = s
+    for x, size in bundles.items():
+        for _ in range(size):
+            n += 1
+            edges.append((x, n))
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    t = build_tree([(labels[a - 1], labels[b - 1]) for a, b in edges], n)
+    if hubs and t.max_degree * 3 > n:
+        return None
+    return t
+
+
+class TestCrowdedLeaves:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**31), st.booleans())
+    def test_every_construction_succeeds(self, seed, hubs):
+        t = crowded_tree(random.Random(seed), hubs)
+        if t is not None:
+            every_coloring(t)
+
+
+def _spine_instance(rng):
+    """A skeleton tree on at most ten vertices, BFS-ordered from u, with a
+    second hub v, a constraint pair and bundle sizes A, B."""
+    s = rng.randint(2, 10)
+    adj = {x: [] for x in range(1, s + 1)}
+    for x in range(2, s + 1):
+        y = rng.randint(1, x - 1)
+        adj[x].append(y)
+        adj[y].append(x)
+    u, v = rng.sample(range(1, s + 1), 2)
+    order, parent = [u], {u: None}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        for y in sorted(adj[x]):
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+                queue.append(y)
+    constraints = [(u, v)]
+    if s >= 3 and rng.random() < 0.7:
+        constraints.append(tuple(rng.sample(range(1, s + 1), 2)))
+    return adj, order, parent, u, v, constraints, rng.randint(0, 4), rng.randint(0, 4)
+
+
+class TestSkeletonSearch:
+    def test_complete_against_exhaustive_search(self):
+        found = 0
+        for seed in range(400):
+            adj, order, parent, u, v, constraints, A, B = _spine_instance(random.Random(seed))
+            s = len(order)
+            full = {x: list(ys) for x, ys in adj.items()}
+            for hub, size in ((u, A), (v, B)):
+                for _ in range(size):
+                    leaf = len(full) + 1
+                    full[leaf] = [hub]
+                    full[hub].append(leaf)
+            targets = balanced_targets(len(full), 3)
+            col = _skeleton_colors(
+                order,
+                parent,
+                constraints,
+                max(targets),
+                lambda pins, cnt: _bundle_split(cnt, 1, pins[v], targets, A, B) is not None,
+            )
+            brute = _search_colors(list(full), lambda x: full[x], 3, targets, constraints)
+            assert (col is None) == (brute is None), seed
+            if col is None:
+                continue
+            found += 1
+            assert sorted(col) == sorted(order) and col[u] == 1
+            assert all(col[x] != col[parent[x]] for x in order[1:])
+            assert all(col[a] != col[b] for a, b in constraints)
+            cnt = [0, 0, 0, 0]
+            for c in col.values():
+                cnt[c] += 1
+            assert _bundle_split(cnt, 1, col[v], targets, A, B) is not None
+        assert 0 < found < 400
+
+
+def adversarial_labels(t):
+    """Relabel t so that degree-<=2 vertices with two degree-<=2 neighbours
+    get the smallest ids: the greedy then picks path interiors first."""
+    low = [len(t.adj[x]) <= 2 for x in range(t.n + 1)]
+
+    def rank(x):
+        if not low[x]:
+            return (2, x)
+        return (0 if sum(low[y] for y in t.adj[x]) == 2 else 1, x)
+
+    new = {x: i + 1 for i, x in enumerate(sorted(range(1, t.n + 1), key=rank))}
+    return build_tree([(new[a], new[b]) for a, b in t.edges()], t.n)
+
+
+class TestIndependentLowDegree:
+    def test_greedy_beats_quarter_under_adversarial_labels(self):
+        rng = random.Random(5)
+        trees = [sample_labeled_tree(n, seed=11, trial=n) for n in range(4, 200)]
+        trees += [t for t in (crowded_tree(rng, False) for _ in range(200)) if t is not None]
+        trees += [path(n) for n in range(2, 30)]
+        for t in trees:
+            t = adversarial_labels(t)
+            m = t.n // 4 + 1
+            chosen = _independent_low_degree(t, m)
+            assert len(chosen) == m
+            assert all(t.degree(x) <= 2 for x in chosen)
+            assert not any(y in chosen for x in chosen for y in t.adj[x])
+
+    def test_guard_raises_when_short(self):
+        with pytest.raises(IndependentSetNotFound):
+            _independent_low_degree(star(5), 5)

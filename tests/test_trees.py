@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -226,3 +228,22 @@ class TestTextFormat:
     def test_bad_header(self):
         with pytest.raises(NotATree):
             parse_tree_text("x y\n1 2\n")
+
+    def test_too_few_edge_lines_rejected_before_allocating(self):
+        # a declared n far above the edge lines is refused before anything
+        # of size n is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotATree) as exc:
+                parse_tree_text("200000\n1 2\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.reason == "disconnected"
+        assert peak < 1 << 20
+
+    def test_header_only_rejected(self):
+        with pytest.raises(NotATree) as exc:
+            parse_tree_text("1000000000\n")
+        assert exc.value.reason == "disconnected"
+
