@@ -551,7 +551,7 @@ class _Machine:
                 allowed = [c for c in priority if c not in forb]
                 if not allowed:
                     return None
-                col[x] = max(allowed, key=rem.__getitem__)  # first of the most left
+                col[x] = max(allowed, key=rem.__getitem__)  # ties go to the earlier priority
                 rem[col[x]] -= 1
             return col
 
@@ -930,9 +930,9 @@ def _independent_low_degree(t: Graph, m: int) -> list:
     This never runs short for m <= floor(n/k), k >= 4.  The greedy builds a
     maximal independent set of the forest of degree-<=2 vertices, a union
     of paths on s_1, s_2, ... vertices, so it gets at least
-    sum ceil(s_j/3) >= sum (s_j + 1)/4 vertices.  In a path that is
-    ceil(n/3) > n/4.  Otherwise each of these paths holds at most one leaf
-    (one with two would be the whole tree), so there are at least
+    sum ceil(s_j/3) >= sum (s_j + 1)/4 vertices.  If the tree is a path,
+    that is ceil(n/3) > n/4.  Otherwise each of these paths holds at most
+    one leaf (one with two would be the whole tree), so there are at least
     l >= h + 2 of them, where l counts the leaves and h the vertices of
     degree >= 3.  Hence the greedy gets >= (n - h + h + 2)/4 > floor(n/k).
     """
