@@ -29,6 +29,7 @@ from arbor.errors import (
 )
 from arbor.random_trees import enumerate_unlabeled_trees, sample_labeled_tree
 from arbor.trees import Tree, build_tree, double_star, parse_tree_text, path, pre_leaves, star
+from test_golden import planted_hub_tree
 
 
 def assert_good(t, cert, k, constraint=None):
@@ -187,22 +188,8 @@ class TestHubPair:
     @given(st.integers(0, 2**31))
     def test_planted_hubs(self, seed):
         rng = random.Random(seed)
-        n = rng.randrange(13, 60)
-        need = -(-n // 3)
-        edges = [(1, 2)]
-        nxt = 3
-        for _ in range(need - 1):
-            edges.append((1, nxt))
-            nxt += 1
-        for _ in range(need - 1):
-            edges.append((2, nxt))
-            nxt += 1
-        verts = list(range(1, nxt))
-        while nxt <= n:
-            edges.append((rng.choice(verts), nxt))
-            verts.append(nxt)
-            nxt += 1
-        t = build_tree(edges, n)
+        t = planted_hub_tree(rng)
+        n = t.n
         if t.degree(1) * 3 < n or t.degree(2) * 3 < n:
             return
         pls = pre_leaves(t)

@@ -5,18 +5,26 @@ simplification of the constructions must leave every coloring and every
 trace unchanged.  The digest below is the SHA-256 of the (input, coloring,
 trace) lines over a fixed corpus; it was computed before the spine search
 was rewritten and must not move.
+
+That corpus never reaches the hub-peel records of ``hub_pair_coloring``, so
+a second digest covers them: every ordered pre-leaf pair of 80 trees with
+two planted hubs.  It was computed before the peeling machine dropped its
+restore pass and must not move either.
 """
 
 import hashlib
 import itertools
+import random
 
-from arbor.equitable import equitable_coloring, equitable_three
+from arbor.equitable import equitable_coloring, equitable_three, hub_pair_coloring
 from arbor.random_trees import enumerate_unlabeled_trees, sample_labeled_tree
-from arbor.trees import pre_leaves
+from arbor.trees import build_tree, pre_leaves
 
 GOLDEN_SEED = 2014
 GOLDEN_LINES = 4920
 GOLDEN_DIGEST = "5a5611333e52165288aedd3052e09024759272f445832f2d3e42496a8ffa4ff5"
+HUB_LINES = 4756
+HUB_DIGEST = "b29d17946fc44327035430c702aff1cfc0bebc02648edbcf0bc7a14afcd14ad6"
 
 
 def _line(tag, t, cert):
@@ -44,10 +52,42 @@ def _corpus():
         yield _line(f"r10000.k{k}", big, equitable_coloring(big, k))
 
 
-def corpus_digest():
+def planted_hub_tree(rng):
+    """A tree on 13..59 vertices whose vertices 1 and 2 carry n/3 - 1 leaves
+    each, with the rest attached at random; vertices 1 and 2 may end up as
+    hubs of degree >= n/3."""
+    n = rng.randrange(13, 60)
+    need = -(-n // 3)
+    edges = [(1, 2)]
+    nxt = 3
+    for _ in range(need - 1):
+        edges.append((1, nxt))
+        nxt += 1
+    for _ in range(need - 1):
+        edges.append((2, nxt))
+        nxt += 1
+    verts = list(range(1, nxt))
+    while nxt <= n:
+        edges.append((rng.choice(verts), nxt))
+        verts.append(nxt)
+        nxt += 1
+    return build_tree(edges, n)
+
+
+def _hub_corpus():
+    """Yield one line per hub-pair coloring of the planted-hub corpus."""
+    for seed in range(80):
+        t = planted_hub_tree(random.Random(seed))
+        if t.degree(1) * 3 < t.n or t.degree(2) * 3 < t.n:
+            continue
+        for p, q in itertools.permutations(pre_leaves(t), 2):
+            yield _line(f"h{seed}.c{p},{q}", t, hub_pair_coloring(t, 1, 2, p, q))
+
+
+def corpus_digest(corpus=_corpus):
     h = hashlib.sha256()
     lines = 0
-    for line in _corpus():
+    for line in corpus():
         h.update(line)
         lines += 1
     return lines, h.hexdigest()
@@ -56,4 +96,9 @@ def corpus_digest():
 def test_golden_digest():
     lines, digest = corpus_digest()
     assert (lines, digest) == (GOLDEN_LINES, GOLDEN_DIGEST)
+
+
+def test_hub_peel_digest():
+    lines, digest = corpus_digest(_hub_corpus)
+    assert (lines, digest) == (HUB_LINES, HUB_DIGEST)
 
