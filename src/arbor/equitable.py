@@ -41,6 +41,7 @@ from .trees import (
     is_path_graph,
     is_pre_leaf,
     path_order,
+    pre_leaves,
 )
 
 EQUITABLE_BRUTE_DEFAULT_LIMIT = 3**12
@@ -315,22 +316,20 @@ def _skeleton_colors(
 
 # ---------------------------------------------------------------------------
 # The peeling machine.  Holds the active subtree with incrementally
-# maintained degrees, leaf sets, per-vertex leaf-neighbor sets and the
-# pre-leaf set; peeling pushes extension records, then the base coloring is
-# extended back up through them.
+# maintained degree buckets, per-vertex leaf-neighbor sets and the pre-leaf
+# set; a vertex is deleted exactly when its adjacency row is empty.  Peeling
+# pushes extension records, then the base coloring is extended back up
+# through them.
 
 
 class _Machine:
     __slots__ = (
-        "n0",
         "adj",
-        "alive",
         "n_act",
         "leafnbr",
         "bucket",
         "leaf_heap",
         "preleaf",
-        "big_count",
         "records",
         "trace",
         "col",
@@ -340,28 +339,19 @@ class _Machine:
 
     def __init__(self, t: Graph):
         n = t.n
-        self.n0 = n
         self.source = t
         self.adj = [set(t.adj[v]) for v in range(n + 1)]
-        self.alive = bytearray(n + 1)
-        for v in range(1, n + 1):
-            self.alive[v] = 1
         self.n_act = n
         self.leafnbr = [set() for _ in range(n + 1)]
         self.bucket: dict = defaultdict(set)
-        leaves = []
+        self.leaf_heap = []  # filled in ascending order, so already a heap
         for v in range(1, n + 1):
             d = len(self.adj[v])
             self.bucket[d].add(v)
             if d == 1:
-                leaves.append(v)
+                self.leaf_heap.append(v)
                 self.leafnbr[t.adj[v][0]].add(v)
-        self.leaf_heap = leaves[:]
-        heapq.heapify(self.leaf_heap)
-        self.preleaf = set()
-        for v in range(1, n + 1):
-            self._refresh_preleaf(v)
-        self.big_count = sum(1 for v in range(1, n + 1) if len(self.adj[v]) >= 3)
+        self.preleaf = set(pre_leaves(t))
         self.records: list = []
         self.trace: list = []
         self.col = [0] * (n + 1)
@@ -370,19 +360,17 @@ class _Machine:
     # -- incremental maintenance ------------------------------------------
 
     def _refresh_preleaf(self, v: int) -> None:
-        if self.alive[v]:
-            d = len(self.adj[v])
-            if d >= 2 and len(self.leafnbr[v]) >= d - 1:
-                self.preleaf.add(v)
-                return
-        self.preleaf.discard(v)
+        d = len(self.adj[v])
+        if d >= 2 and len(self.leafnbr[v]) >= d - 1:
+            self.preleaf.add(v)
+        else:
+            self.preleaf.discard(v)
 
     def delete_leaf(self, w: int) -> int:
         """Remove an active leaf; returns its (former) neighbor."""
         (z,) = self.adj[w]
         self.bucket[1].discard(w)
         self.preleaf.discard(w)
-        self.alive[w] = 0
         self.n_act -= 1
         self.adj[w] = set()
         self.leafnbr[z].discard(w)
@@ -390,8 +378,6 @@ class _Machine:
         self.adj[z].discard(w)
         self.bucket[dz].discard(z)
         self.bucket[dz - 1].add(z)
-        if dz == 3:
-            self.big_count -= 1
         if dz - 1 == 1:
             heapq.heappush(self.leaf_heap, z)
             (y,) = self.adj[z]
@@ -400,23 +386,14 @@ class _Machine:
         self._refresh_preleaf(z)
         return z
 
-    def restore(self, w: int, nbrs: tuple) -> None:
-        """Re-add a deleted vertex for the unwind; only adj/alive are kept
-        consistent past this point."""
-        self.alive[w] = 1
-        self.n_act += 1
-        self.adj[w] = set(nbrs)
-        for z in nbrs:
-            self.adj[z].add(w)
-
     def _min_leaf(self, nbr_not_in: frozenset | set = frozenset(), exclude: frozenset | set = frozenset()) -> Optional[int]:
         """Smallest active leaf whose neighbor avoids ``nbr_not_in``."""
         stash = []
         found = None
         while self.leaf_heap:
             w = heapq.heappop(self.leaf_heap)
-            if not self.alive[w] or len(self.adj[w]) != 1:
-                continue  # stale entry
+            if len(self.adj[w]) != 1:
+                continue  # stale entry: deleted, or no longer a leaf
             (z,) = self.adj[w]
             if w in exclude or z in nbr_not_in:
                 stash.append(w)
@@ -429,27 +406,20 @@ class _Machine:
         return found
 
     def active_vertices(self) -> list:
-        return [v for v in range(1, self.n0 + 1) if self.alive[v]]
+        return [v for v in range(1, self.source.n + 1) if self.adj[v]]
 
     def _active_path_order(self) -> list:
-        ends = sorted(self.bucket[1])
-        if self.n_act == 1:
-            return [next(iter(self.active_vertices()))]
-        start = ends[0]
-        order = [start]
+        cur = min(self.bucket[1])
+        order = [cur]
         prev = 0
-        cur = start
         while len(order) < self.n_act:
             nxt = min(x for x in self.adj[cur] if x != prev)
             prev, cur = cur, nxt
             order.append(cur)
         return order
 
-    def _dump(self) -> str:
-        return format_tree_text(self.source)
-
     def _fail(self, message: str) -> InternalInvariant:
-        return InternalInvariant(message, dump=self._dump())
+        return InternalInvariant(message, dump=format_tree_text(self.source))
 
     # -- base colorings ----------------------------------------------------
 
@@ -492,7 +462,7 @@ class _Machine:
                 self._spine_terminal(u, v, p, q)
                 return
             (z,) = self.adj[w]
-            self.records.append(("hub-peel", w, z, u, v, p, q, ((w, (z,)),)))
+            self.records.append(("hub-peel", w, z, u, v, p, q))
             self.trace.append("peel:hub-safe")
             self.delete_leaf(w)
 
@@ -600,7 +570,7 @@ class _Machine:
             if done:
                 break
         while not done:
-            if self.big_count == 0:
+            if len(self.bucket[1]) == 2:  # two leaves: no vertex of degree >= 3
                 self._base_path(pair)
                 break
             if self.n_act <= 9:
@@ -631,7 +601,7 @@ class _Machine:
         if w is None:
             raise self._fail("no leaf available to peel")
         (z,) = self.adj[w]
-        self.records.append(("leaf", w, z, ((w, (z,)),)))
+        self.records.append(("leaf", w, z))
         self.trace.append("ext:leaf")
         self.delete_leaf(w)
         return False
@@ -688,7 +658,7 @@ class _Machine:
                 self._spine_terminal(p, q, p, q)
                 return "done"
             (w,) = self.adj[v3]
-        self.records.append(("ext3", p, q, v1, v2, v3, w, ((v1, (p,)), (v2, (q,)), (v3, (w,)))))
+        self.records.append(("ext3", p, q, v1, v2, v3, w))
         self.trace.append("ext:triple" if cap_vertex is None else "ext:triple-capped")
         self.delete_leaf(v1)
         self.delete_leaf(v2)
@@ -710,7 +680,7 @@ class _Machine:
                 self._spine_terminal(p, u, p, q)
                 return "done"
         (w,) = self.adj[v2]
-        self.records.append(("pend3", p, q, u, v1, v2, w, ((v1, (p,)), (p, (u,)), (v2, (w,)))))
+        self.records.append(("pend3", p, q, u, v1, v2, w))
         self.trace.append("ext:pendant" if cap_vertex is None else "ext:pendant-capped")
         self.delete_leaf(v1)
         self.delete_leaf(p)
@@ -732,14 +702,13 @@ class _Machine:
         if v2 is None:
             raise self._fail("no leaf clear of the constraint pair and the special vertex")
         (w,) = self.adj[v2]
-        deleted = ((v1, (v,)), (v, (v0,)), (v2, (w,)))
         if v in (p, q):
             other = q if v == p else p
-            self.records.append(("special-swap", v, v1, v2, w, v0, other, deleted))
+            self.records.append(("special-swap", v, v1, v2, w, v0, other))
             self.trace.append("ext:special-swap")
             nxt = None
         else:
-            self.records.append(("special", v, v1, v2, w, v0, deleted))
+            self.records.append(("special", v, v1, v2, w, v0))
             self.trace.append("ext:special")
             nxt = (p, q)
         self.delete_leaf(v1)
@@ -766,14 +735,18 @@ class _Machine:
         self.sizes[c] += 1
 
     def _unwind(self) -> None:
+        """Extend the base coloring back up through the records, newest
+        first.  Only a hub-peel reads the adjacency; hub-peels are the
+        newest records, so re-adding just their own leaves keeps the
+        adjacency exact wherever it is read."""
         col = self.col
         for rec in reversed(self.records):
             kind = rec[0]
             if kind == "leaf":
-                _, w, z, deleted = rec
+                _, w, z = rec
                 self._assign(w, self._pick_lightest([col[z]]))
             elif kind == "ext3":
-                _, p, q, v1, v2, v3, w, deleted = rec
+                _, p, q, v1, v2, v3, w = rec
                 cp, cq = col[p], col[q]
                 if cp == cq:
                     raise self._fail("constraint pair shares a color during unwind")
@@ -787,33 +760,33 @@ class _Machine:
                     self._assign(v2, cp)
                     self._assign(v3, cq)
             elif kind == "pend3":
-                _, p, q, u, v1, v2, w, deleted = rec
+                _, p, q, u, v1, v2, w = rec
                 cp = self._pick([col[u], col[q]])
                 self._assign(p, cp)
                 cv2 = self._pick([col[w], cp])
                 self._assign(v2, cv2)
                 self._assign(v1, self._pick([cp, cv2]))
             elif kind == "special":
-                _, v, v1, v2, w, v0, deleted = rec
+                _, v, v1, v2, w, v0 = rec
                 cv2 = self._pick([col[w]])
                 self._assign(v2, cv2)
                 cv = self._pick([col[v0], cv2])
                 self._assign(v, cv)
                 self._assign(v1, self._pick([cv, cv2]))
             elif kind == "special-swap":
-                _, v, v1, v2, w, v0, other, deleted = rec
+                _, v, v1, v2, w, v0, other = rec
                 cv = self._pick([col[v0], col[other]])
                 self._assign(v, cv)
                 cv2 = self._pick([col[w], cv])
                 self._assign(v2, cv2)
                 self._assign(v1, self._pick([cv, cv2]))
             elif kind == "hub-peel":
-                _, w, z, u, v, p, q, deleted = rec
+                _, w, z, u, v, p, q = rec
                 self._extend_hub_peel(w, z, u, v, p, q)
+                self.adj[w] = {z}
+                self.adj[z].add(w)
             else:
                 raise self._fail(f"unknown record {kind}")
-            for vtx, nbrs in reversed(deleted):
-                self.restore(vtx, nbrs)
 
     def _extend_hub_peel(self, w: int, z: int, u: int, v: int, p: int, q: int) -> None:
         col = self.col
@@ -970,27 +943,21 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
     if is_path_graph(t):
         return _certify(t, _round_robin_colors(path_order(t), k), k, ("direct:path",))
     trace: list = []
-    layers: list = []  # (k_level, removed original ids)
+    colors = {}
     cur = t
-    cur_map = tuple(range(0, n + 1))  # new id -> original id
+    cur_map = tuple(range(0, n + 1))  # id in cur -> original id; 0 -> 0
     for k_level in range(k, 3, -1):
-        m = cur.n // k_level
-        v0 = _independent_low_degree(cur, m)
-        removed_orig = [cur_map[x] for x in v0]
+        v0 = _independent_low_degree(cur, cur.n // k_level)
+        for x in v0:
+            colors[cur_map[x]] = k_level
         sub = induced_subtree(cur, v0)
         completed = complete_forest_to_tree(sub.graph, max(cur.max_degree, 2))
         if completed.max_degree * (k_level - 1) > completed.n:
             raise InternalInvariant("degree cap lost during forest completion", dump=format_tree_text(t))
-        layers.append((k_level, removed_orig))
-        cur_map = tuple([0] + [cur_map[old] for old in sub.new_to_old[1:]])
+        cur_map = tuple(cur_map[old] for old in sub.new_to_old)
         cur = completed
         trace.append(f"reduce:k{k_level}")
     colors3, trace3 = _three_colors(cur)
-    colors = {}
-    for new_v in range(1, cur.n + 1):
-        colors[cur_map[new_v]] = colors3[new_v]
-    for k_level, removed in layers:
-        for v in removed:
-            colors[v] = k_level
-    trace.extend(trace3)
-    return _certify(t, colors, k, tuple(trace))
+    for v, c in colors3.items():
+        colors[cur_map[v]] = c
+    return _certify(t, colors, k, (*trace, *trace3))
