@@ -158,16 +158,14 @@ def stats_from_prufer(entries: Sequence[int], n: int) -> TreeStats:
 # corpora up to isomorphism.
 
 
-def _centroids(t: Graph) -> list[int]:
-    n = t.n
-    if n == 1:
-        return [1]
-    size = [0] * (n + 1)
+def _dfs(t: Graph, root: int) -> tuple:
+    """Iterative DFS from root, safe on long paths: the visit order (each
+    vertex after its parent) and the parent array (0 at the root)."""
+    parent = [0] * (t.n + 1)
     order = []
-    parent = [0] * (n + 1)
-    seen = bytearray(n + 1)
-    stack = [1]
-    seen[1] = 1
+    seen = bytearray(t.n + 1)
+    stack = [root]
+    seen[root] = 1
     while stack:
         u = stack.pop()
         order.append(u)
@@ -176,6 +174,13 @@ def _centroids(t: Graph) -> list[int]:
                 seen[w] = 1
                 parent[w] = u
                 stack.append(w)
+    return order, parent
+
+
+def _centroids(t: Graph) -> list[int]:
+    n = t.n
+    order, parent = _dfs(t, 1)
+    size = [0] * (n + 1)
     best: list[int] = []
     best_weight = n + 1
     for u in reversed(order):
@@ -190,22 +195,8 @@ def _centroids(t: Graph) -> list[int]:
 
 
 def _rooted_encoding(t: Graph, root: int) -> tuple:
-    # iterative post-order to stay safe on long paths
-    n = t.n
-    parent = [0] * (n + 1)
-    order = []
-    seen = bytearray(n + 1)
-    stack = [root]
-    seen[root] = 1
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in t.adj[u]:
-            if not seen[w]:
-                seen[w] = 1
-                parent[w] = u
-                stack.append(w)
-    enc: list[tuple] = [()] * (n + 1)
+    order, parent = _dfs(t, root)
+    enc: list[tuple] = [()] * (t.n + 1)
     for u in reversed(order):
         enc[u] = tuple(sorted(enc[w] for w in t.adj[u] if parent[w] == u))
     return enc[root]
