@@ -133,10 +133,9 @@ def _cmd_color(args) -> int:
         _emit(_json(payload), args.out)
         return 0
     if args.constrain:
-        p, q = args.constrain
-        cert = equitable_three(t, constraint=(p, q)) if args.k == 3 else None
-        if cert is None:
+        if args.k != 3:
             raise ArborError("--constrain is only available for k=3")
+        cert = equitable_three(t, constraint=tuple(args.constrain))
     else:
         cert = equitable_coloring(t, args.k)
     payload = {

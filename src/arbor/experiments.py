@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -53,6 +54,8 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.k is not None and self.k < 3:
             raise ValueError("k must be at least 3")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
     def as_dict(self) -> dict:
         # workers are an execution detail: parallel and serial runs of the
@@ -92,6 +95,7 @@ class ExperimentSummary:
 
 
 def _map_trials(fn: Callable, args: Sequence, workers: int):
+    workers = min(workers, os.cpu_count() or 1)  # the fork start method forks them all at once
     if workers <= 1:
         return [fn(a) for a in args]
     chunk = max(1, len(args) // (workers * 8))

@@ -118,6 +118,12 @@ class TestColorCommand:
         if extra:
             assert payload["assignment"]["32"] != payload["assignment"]["33"]
 
+    def test_constrain_needs_k3(self, capsys, tmp_path):
+        f = tmp_path / "p12.tree"
+        f.write_text("12\n" + "\n".join(f"{i} {i+1}" for i in range(1, 12)) + "\n")
+        code, out, err = run(capsys, "color", "--k", "4", "--in", str(f), "--constrain", "2", "11")
+        assert code == 2 and "--constrain" in err and out == ""
+
     def test_header_only_file(self, capsys, tmp_path):
         f = tmp_path / "huge.tree"
         f.write_text("1000000000\n")
@@ -191,6 +197,12 @@ class TestExperimentCommand:
         _, a, _ = run(capsys, *args)
         _, b, _ = run(capsys, *args)
         assert a == b
+
+    def test_zero_workers(self, capsys):
+        code, out, err = run(
+            capsys, "experiment", "--kind", "balanced-fraction", "--n", "10", "--trials", "5", "--workers", "0"
+        )
+        assert code == 2 and "workers" in err and out == ""
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "summary.json"

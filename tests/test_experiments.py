@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import arbor.experiments as experiments_module
 from arbor.experiments import (
     ExperimentConfig,
     balanced_fraction_profile,
@@ -23,6 +24,42 @@ class TestConfig:
             ExperimentConfig(n=5, trials=0)
         with pytest.raises(ValueError):
             ExperimentConfig(n=5, trials=1, k=2)
+        for workers in (0, -3):
+            with pytest.raises(ValueError):
+                ExperimentConfig(n=5, trials=1, workers=workers)
+
+
+class TestWorkerCap:
+    """The pool never gets more workers than there are cores.  The pool is
+    replaced by an in-process stand-in, so no process is ever started."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize=1):
+                return map(fn, args)
+
+        monkeypatch.setattr(experiments_module, "ProcessPoolExecutor", InProcessPool)
+        return sizes
+
+    @pytest.mark.parametrize("cores,workers,expected", [(4, 100_000, [4]), (4, 3, [3]), (1, 100_000, []), (None, 8, [])])
+    def test_capped_at_cpu_count(self, pools, monkeypatch, cores, workers, expected):
+        monkeypatch.setattr(experiments_module.os, "cpu_count", lambda: cores)
+        serial = run_balanced_fraction(ExperimentConfig(n=25, trials=30, seed=7)).to_json()
+        capped = run_balanced_fraction(ExperimentConfig(n=25, trials=30, seed=7, workers=workers)).to_json()
+        assert pools == expected
+        assert capped == serial
 
 
 class TestWilson:
