@@ -95,7 +95,8 @@ class ExperimentSummary:
 
 
 def _map_trials(fn: Callable, args: Sequence, workers: int):
-    workers = min(workers, os.cpu_count() or 1)  # the fork start method forks them all at once
+    # never more processes than cores: under fork the pool starts them all at the first submit
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(a) for a in args]
     chunk = max(1, len(args) // (workers * 8))
