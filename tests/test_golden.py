@@ -10,12 +10,19 @@ That corpus never reaches the hub-peel records of ``hub_pair_coloring``, so
 a second digest covers them: every ordered pre-leaf pair of 80 trees with
 two planted hubs.  It was computed before the peeling machine dropped its
 restore pass and must not move either.
+
+A third digest covers the exact balance DP: the value F and the traced
+side I of ``balance_exact`` over seeded sequences of every length up to
+400, and the balanced colorings of seeded trees that the ones/twos
+shortcut cannot decide.  It was computed before the DP learned to skip
+rows off the witness path and must not move.
 """
 
 import hashlib
 import itertools
 import random
 
+from arbor.balance import balance_exact, is_balanced_graph
 from arbor.equitable import equitable_coloring, equitable_three, hub_pair_coloring
 from arbor.random_trees import enumerate_unlabeled_trees, sample_labeled_tree
 from arbor.trees import build_tree, pre_leaves
@@ -25,6 +32,9 @@ GOLDEN_LINES = 4920
 GOLDEN_DIGEST = "5a5611333e52165288aedd3052e09024759272f445832f2d3e42496a8ffa4ff5"
 HUB_LINES = 4756
 HUB_DIGEST = "b29d17946fc44327035430c702aff1cfc0bebc02648edbcf0bc7a14afcd14ad6"
+BALANCE_LINES = 1324
+BALANCE_DIGEST = "afc032955f7c8c67618f0875ac28ff8dc94ecf839e0854e1373ed88b3da96a74"
+BALANCE_RANGES = ((0, 3), (1, 3), (3, 8), (3, 39))
 
 
 def _line(tag, t, cert):
@@ -84,6 +94,34 @@ def _hub_corpus():
             yield _line(f"h{seed}.c{p},{q}", t, hub_pair_coloring(t, 1, 2, p, q))
 
 
+def _balance_corpus():
+    """Yield one line per balance witness of the sequence and tree corpus."""
+    rng = random.Random(GOLDEN_SEED)
+    for n in range(1, 401):
+        # below 17 the memoized small path answers; above, the checkpointed DP
+        reps = 10 if n <= 16 else 1
+        for r, (lo, hi) in enumerate(BALANCE_RANGES):
+            if n > 16 and r != n % len(BALANCE_RANGES):
+                continue
+            for rep in range(reps):
+                values = [rng.randint(lo, hi) for _ in range(n)]
+                f, part = balance_exact(values)
+                yield f"s{n}.{lo}-{hi}.{rep}|{f}|{' '.join(map(str, part.I))}\n".encode()
+    trees = 0
+    for trial in itertools.count():
+        t = sample_labeled_tree(5 + trial % 56, GOLDEN_SEED, trial)
+        degrees = t.degree_sequence()
+        m = max(degrees)
+        if degrees.count(1) >= m and degrees.count(2) >= m:
+            continue
+        coloring = is_balanced_graph(t)
+        colors = "-" if coloring is None else " ".join(str(coloring.color(v)) for v in range(1, t.n + 1))
+        yield f"t{t.n}.{trial}|{colors}\n".encode()
+        trees += 1
+        if trees == 300:
+            return
+
+
 def corpus_digest(corpus=_corpus):
     h = hashlib.sha256()
     lines = 0
@@ -102,3 +140,8 @@ def test_hub_peel_digest():
     lines, digest = corpus_digest(_hub_corpus)
     assert (lines, digest) == (HUB_LINES, HUB_DIGEST)
 
+
+
+def test_balance_digest():
+    lines, digest = corpus_digest(_balance_corpus)
+    assert (lines, digest) == (BALANCE_LINES, BALANCE_DIGEST)
