@@ -20,6 +20,9 @@ from .errors import HypothesisViolated, InternalInvariant, TooLarge
 from .trees import Graph
 
 BRUTE_FORCE_VERTEX_LIMIT = 24
+# Bits of DP state, n // 2 + 1 rows of sum + 1 bits, that balance_exact will
+# allocate; the checkpoints hold up to about sqrt(n) / 5 times as much again.
+BALANCE_DP_BIT_LIMIT = 1 << 28
 K_BRUTE_DEFAULT_LIMIT = 3**15
 
 
@@ -99,22 +102,30 @@ class BalanceReport:
 # ---------------------------------------------------------------------------
 # Exact balance via subset-sum DP over (chosen count, chosen sum) states.
 # Rows are big-int bitsets (bit s of rows[c] marks an achievable c-subset of
-# sum s); the witness is recovered by re-running blocks between checkpoints,
-# which keeps memory near sqrt(n) row snapshots.
+# sum s); the witness is recovered by re-running blocks between checkpoints
+# (Hirschberg, CACM 1975), which keeps memory near sqrt(n) row snapshots.
+# Both passes skip the rows from which the witness path cannot reach c_max.
 
 
-def _dp_rows(items: Sequence[int], c_max: int, block: int | None = None):
+def _push(rows: list, a: int, hi: int, stop: int, lo: int = 0) -> None:
+    """Add an item of value a to rows hi down to stop + 1 (row c is rows[c - lo])."""
+    for c in range(hi - lo, stop - lo, -1):
+        prev = rows[c - 1]
+        if prev:
+            rows[c] |= prev << a
+
+
+def _dp_rows(items: Sequence[int], c_max: int, block: int):
+    n = len(items)
     rows = [0] * (c_max + 1)
     rows[0] = 1
     checkpoints = []
     for i, a in enumerate(items):
-        if block is not None and i % block == 0:
+        if i % block == 0:
             checkpoints.append(list(rows))
-        hi = min(i + 1, c_max)
-        for c in range(hi, 0, -1):
-            prev = rows[c - 1]
-            if prev:
-                rows[c] |= prev << a
+        # Row c still reaches c_max with the n - i - 1 items left only when
+        # c > c_max - n + i; lower rows go stale and nothing reads them.
+        _push(rows, a, min(i + 1, c_max), max(0, c_max - n + i))
     return rows, checkpoints
 
 
@@ -125,24 +136,27 @@ def _trace_subset(items: Sequence[int], c_target: int, s_target: int, checkpoint
     for b in reversed(range(len(checkpoints))):
         start = b * block
         end = min(n, start + block)
-        rows = list(checkpoints[b])
+        # The traced count is top at end and falls by at most one per item
+        # walked back, so the block replays the forward pass with top for
+        # c_max and end for n: only rows lo..top of the checkpoint are read,
+        # and at item i only rows above top - end + i must be exact for the
+        # trace.  Those rows of the checkpoint are exact because the count can
+        # still reach c_target there, which is the forward pass's condition.
+        top = c
+        lo = max(0, top - (end - start))
+        rows = checkpoints[b][lo : top + 1]
         before = []
         for i in range(start, end):
             before.append(list(rows))
-            hi = min(i + 1, c_target)
-            a = items[i]
-            for c2 in range(hi, 0, -1):
-                prev = rows[c2 - 1]
-                if prev:
-                    rows[c2] |= prev << a
+            _push(rows, items[i], min(i + 1, top), max(0, top - end + i), lo)
         for i in reversed(range(start, end)):
             prev_rows = before[i - start]
             a = items[i]
-            if c >= 1 and s >= a and (prev_rows[c - 1] >> (s - a)) & 1:
+            if c >= 1 and s >= a and (prev_rows[c - 1 - lo] >> (s - a)) & 1:
                 chosen.append(i)
                 c -= 1
                 s -= a
-            elif not (prev_rows[c] >> s) & 1:
+            elif not (prev_rows[c - lo] >> s) & 1:
                 raise InternalInvariant("balance DP trace lost its state")
     if c != 0 or s != 0:
         raise InternalInvariant("balance DP trace did not empty")
@@ -151,15 +165,19 @@ def _trace_subset(items: Sequence[int], c_target: int, s_target: int, checkpoint
 
 
 def _best_split_sum(row: int, total: int) -> tuple[int, int]:
-    """Smallest |2s - total| over set bits s of row, with a witnessing s."""
-    for d in range(total % 2, total + 1, 2):
-        lo = (total - d) // 2
-        if lo >= 0 and (row >> lo) & 1:
-            return d, lo
-        hi = (total + d) // 2
-        if (row >> hi) & 1:
-            return d, hi
-    raise InternalInvariant("empty DP row")
+    """Smallest |2s - total| over set bits s of row, with a witnessing s: the
+    highest set bit <= total // 2 or the lowest >= ceil(total / 2), the low
+    one on a tie."""
+    up = (total + 1) // 2
+    low = row & ((2 << (total // 2)) - 1)
+    high = row >> up
+    if not low and not high:
+        raise InternalInvariant("empty DP row")
+    s_lo = low.bit_length() - 1
+    s_hi = up + (high & -high).bit_length() - 1
+    if not high or (low and total - 2 * s_lo <= 2 * s_hi - total):
+        return total - 2 * s_lo, s_lo
+    return 2 * s_hi - total, s_hi
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -183,6 +201,8 @@ def balance_exact(seq: DegreeSequence | Sequence[int]) -> tuple[int, Partition]:
     n = len(values)
     total = sum(values)
     c_target = n // 2
+    if (c_target + 1) * (total + 1) > BALANCE_DP_BIT_LIMIT:
+        raise TooLarge(f"balance DP needs {c_target + 1} rows of {total + 1} bits; limit {BALANCE_DP_BIT_LIMIT}")
     if n <= 16:
         f, chosen_values = _small_exact(values)
         pools: dict[int, list[int]] = {}

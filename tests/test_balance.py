@@ -1,11 +1,16 @@
 import itertools
 import random
+import time
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arbor.balance import (
     DegreeSequence,
+    _best_split_sum,
+    _dp_rows,
+    _trace_subset,
     balance_exact,
     brute_force_balanced,
     brute_force_k_balanced,
@@ -77,6 +82,51 @@ class TestBalanceExact:
         values = [rng.randrange(1, 50) for _ in range(900)]
         f, part = balance_exact(values)
         assert part.diff == f and part.card_diff <= 1
+
+    def test_far_apart_values(self):
+        # the best split sum is found with a few bit operations, not by
+        # probing every distance from the middle of a million-bit row
+        t0 = time.perf_counter()
+        f, part = balance_exact([1, 10**6])
+        assert time.perf_counter() - t0 < 1
+        assert f == 999_999 and part.diff == f
+
+    def test_oversized_table_refused(self):
+        with pytest.raises(TooLarge):
+            balance_exact([1, 10**12])
+
+
+class CountedShift(int):
+    """An item value that counts the DP row updates it takes part in.
+
+    ``prev << item`` with a plain int ``prev`` calls this subclass's reflected
+    method first."""
+
+    shifts = 0
+
+    def __rlshift__(self, other):
+        CountedShift.shifts += 1
+        return int.__rlshift__(self, other)
+
+
+class TestDpOperationCount:
+    def test_only_rows_on_the_witness_path(self):
+        rng = random.Random(5)
+        n = 400
+        items = [CountedShift(rng.randint(3, 39)) for _ in range(n)]
+        c_max = n // 2
+        block = max(16, isqrt(n))
+        CountedShift.shifts = 0
+        rows, checkpoints = _dp_rows(items, c_max, block)
+        # rows that cannot reach c_max with the items left are skipped
+        windows = sum(max(0, min(i + 1, c_max) - max(1, c_max - n + i + 1) + 1) for i in range(n))
+        assert CountedShift.shifts <= windows
+        f, s = _best_split_sum(rows[c_max], sum(items))
+        CountedShift.shifts = 0
+        chosen = _trace_subset(items, c_max, s, checkpoints, block)
+        # each block replays a window of about block rows, not all c_max
+        assert CountedShift.shifts <= n * (block + 2)
+        assert len(chosen) == c_max and abs(2 * sum(items[i] for i in chosen) - sum(items)) == f
 
 
 class TestGreedyPairs:

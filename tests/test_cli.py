@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -40,6 +42,19 @@ class TestBalanceCommand:
     def test_missing_args(self, capsys):
         code, _, err = run(capsys, "balance")
         assert code == 2 and "error" in err
+
+    def test_oversized_table_refused_before_allocating(self, capsys):
+        # 15 bytes of input would ask for a 10^12-bit DP row
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "balance", "--seq", "1,1000000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "limit" in err
+        assert time.perf_counter() - t0 < 1
+        assert peak < 1 << 20
 
 
 class TestEnumerateCommand:
