@@ -136,12 +136,13 @@ def _trace_subset(items: Sequence[int], c_target: int, s_target: int, checkpoint
     for b in reversed(range(len(checkpoints))):
         start = b * block
         end = min(n, start + block)
-        # The traced count is top at end and falls by at most one per item
-        # walked back, so the block replays the forward pass with top for
-        # c_max and end for n: only rows lo..top of the checkpoint are read,
-        # and at item i only rows above top - end + i must be exact for the
-        # trace.  Those rows of the checkpoint are exact because the count can
-        # still reach c_target there, which is the forward pass's condition.
+        # Walking back, the traced count falls from top (its value at end) by
+        # at most one per item, so the block replays the forward pass with
+        # top for c_max and end for n.  Rows at or below top - end + i go
+        # stale after item i, and the trace never reads them: it reads rows
+        # c - 1 and c there, with c >= top - (end - 1 - i).  Only rows
+        # lo..top of the checkpoint are used, and they are exact because the
+        # count can still reach c_target from them, the forward pass's rule.
         top = c
         lo = max(0, top - (end - start))
         rows = checkpoints[b][lo : top + 1]
