@@ -234,12 +234,12 @@ def balance_exact(seq: DegreeSequence | Sequence[int]) -> tuple[int, Partition]:
 # Constructive bounds.
 
 
-def _greedy_pairs(items: list[tuple[int, Optional[int]]]) -> tuple[list, list, int, int]:
+def _greedy_pairs(items: list[tuple[int, int]]) -> tuple[list, list, int, int]:
     """Pairing construction: sort ascending, walk pairs from the top, give the
     smaller element of each pair to the side whose running sum is larger
     (ties send the larger element to I).  Items are (value, original index);
     a virtual (0, None) is prepended when the length is odd."""
-    items = sorted(items, key=lambda t: (t[0], t[1] if t[1] is not None else -1))
+    items = sorted(items)  # every index is an int: (0, None) is prepended after
     if len(items) % 2 == 1:
         items = [(0, None)] + items
     m = len(items) // 2

@@ -35,11 +35,11 @@ from .errors import (
 from .trees import (
     Graph,
     Tree,
-    complete_forest_to_tree,
+    forest_components,
     format_tree_text,
-    induced_subtree,
     is_path_graph,
     is_pre_leaf,
+    join_forest,
     path_order,
     pre_leaves,
 )
@@ -897,8 +897,9 @@ def hub_pair_coloring(t: Tree, u: int, v: int, p: int, q: int) -> EquitableCerti
     return cert
 
 
-def _independent_low_degree(t: Graph, m: int) -> list:
-    """m pairwise non-adjacent vertices of degree <= 2, smallest id first.
+def _independent_low_degree(adj: Sequence, vertices: Iterable[int], m: int) -> list:
+    """m pairwise non-adjacent vertices of degree <= 2 among ``vertices``
+    (ascending) of the tree that ``adj`` spans on them, smallest id first.
 
     This never runs short for m <= floor(n/k), k >= 4.  The greedy builds a
     maximal independent set of the forest of degree-<=2 vertices, a union
@@ -909,14 +910,14 @@ def _independent_low_degree(t: Graph, m: int) -> list:
     l >= h + 2 of them, where l counts the leaves and h the vertices of
     degree >= 3.  Hence the greedy gets >= (n - h + h + 2)/4 > floor(n/k).
     """
-    blocked = bytearray(t.n + 1)
+    blocked = bytearray(len(adj))
     chosen = []
-    for v in range(1, t.n + 1):
+    for v in vertices:
         if len(chosen) == m:
             return chosen
-        if len(t.adj[v]) <= 2 and not blocked[v]:
+        if len(adj[v]) <= 2 and not blocked[v]:
             chosen.append(v)
-            for w in t.adj[v]:
+            for w in adj[v]:
                 blocked[w] = 1
     if len(chosen) == m:
         return chosen
@@ -929,7 +930,10 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
     For k >= 4 the tree sheds floor(n/k) pairwise non-adjacent low-degree
     vertices (they become color k), the remaining forest is completed to a
     tree under the same degree cap, and the completion is colored with k-1
-    colors; class sizes come out exactly equitable by arithmetic.
+    colors; class sizes come out exactly equitable by arithmetic.  Every
+    layer is shed on one adjacency over t's own ids, and the tree left for
+    the 3-coloring is relabeled 1..m once.  Relabeling keeps the id order,
+    so this makes the same choices as relabeling after every layer.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
@@ -943,21 +947,28 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
     if is_path_graph(t):
         return _certify(t, _round_robin_colors(path_order(t), k), k, ("direct:path",))
     trace: list = []
-    colors = {}
-    cur = t
-    cur_map = tuple(range(0, n + 1))  # id in cur -> original id; 0 -> 0
+    colors = {}  # exactly the shed vertices, until the 3-coloring
+    adj = [set(row) for row in t.adj]
+    kept = list(range(1, n + 1))
+    top = t.max_degree
     for k_level in range(k, 3, -1):
-        v0 = _independent_low_degree(cur, cur.n // k_level)
-        for x in v0:
-            colors[cur_map[x]] = k_level
-        sub = induced_subtree(cur, v0)
-        completed = complete_forest_to_tree(sub.graph, max(cur.max_degree, 2))
-        if completed.max_degree * (k_level - 1) > completed.n:
+        for x in _independent_low_degree(adj, kept, len(kept) // k_level):
+            colors[x] = k_level
+            for w in adj[x]:
+                adj[w].discard(x)
+        kept = [v for v in kept if v not in colors]
+        join_forest(adj, forest_components(adj, kept), max(top, 2))
+        top = max(map(len, map(adj.__getitem__, kept)))
+        if top * (k_level - 1) > len(kept):
             raise InternalInvariant("degree cap lost during forest completion", dump=format_tree_text(t))
-        cur_map = tuple(cur_map[old] for old in sub.new_to_old)
-        cur = completed
         trace.append(f"reduce:k{k_level}")
+    new_id = [0] * (n + 1)
+    for i, v in enumerate(kept, 1):
+        new_id[v] = i
+    rows = [()] + [tuple(sorted(map(new_id.__getitem__, adj[v]))) for v in kept]
+    cur = Tree(len(kept), tuple(rows), len(kept) - 1)
+    cur._max_deg = top
     colors3, trace3 = _three_colors(cur)
     for v, c in colors3.items():
-        colors[cur_map[v]] = c
+        colors[kept[v - 1]] = c
     return _certify(t, colors, k, (*trace, *trace3))

@@ -9,7 +9,8 @@ class NotATree(ArborError):
     """Edge input failed validation.
 
     ``reason`` is one of ``cycle``, ``disconnected``, ``self-loop``,
-    ``duplicate-edge``, ``bad-vertex-id``.
+    ``duplicate-edge``, ``bad-vertex-id``, and for malformed tree text
+    ``empty``, ``bad-header``, ``bad-edge-line``, ``not-an-integer``.
     """
 
     def __init__(self, reason: str, detail: str = ""):

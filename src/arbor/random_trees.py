@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -27,35 +28,42 @@ def prufer_decode(entries: Sequence[int], n: int) -> Tree:
     """Decode a length-(n-2) code into the unique labeled tree on 1..n.
 
     Repeatedly joins the smallest current leaf to the next code entry; the
-    final edge joins the last two survivors.
+    final edge joins the last leaf to n.  Linear time (Wang, Wang & Wu, "An
+    optimal algorithm for Prüfer codes", 2009): ``ptr`` moves up the ids
+    once and stops at each unused leaf, and an entry that becomes a leaf
+    below ``ptr`` is the smallest leaf, so it is joined next.  Each edge
+    hangs a leaf under its parent; a vertex's sorted row is its children,
+    met in ascending order, with its parent put in place.
     """
     if n < 2:
         raise BadEntry(f"need n >= 2, got {n}")
     if len(entries) != n - 2:
         raise BadEntry(f"code length {len(entries)} != n-2 = {n - 2}")
+    if entries and not (1 <= min(entries) and max(entries) <= n):
+        bad = next(a for a in entries if not 1 <= a <= n)
+        raise BadEntry(f"entry {bad} outside 1..{n}")
     deg = [1] * (n + 1)
     for a in entries:
-        if not (1 <= a <= n):
-            raise BadEntry(f"entry {a} outside 1..{n}")
         deg[a] += 1
-    leaves = [v for v in range(1, n + 1) if deg[v] == 1]
-    heapq.heapify(leaves)
-    nbr: list = [[] for _ in range(n + 1)]
+    top = max(deg)
+    parent = [0] * (n + 1)
+    ptr = leaf = deg.index(1, 1)
     for a in entries:
-        v = heapq.heappop(leaves)
-        nbr[v].append(a)
-        nbr[a].append(v)
+        parent[leaf] = a
         deg[a] -= 1
-        if deg[a] == 1:
-            heapq.heappush(leaves, a)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    nbr[u].append(v)
-    nbr[v].append(u)
+        if deg[a] == 1 and a < ptr:
+            leaf = a
+        else:
+            ptr = leaf = deg.index(1, ptr + 1)
+    parent[leaf] = n
+    rows: list = [[] for _ in range(n + 1)]
+    for v in range(1, n):
+        rows[parent[v]].append(v)
+    for v in range(1, n):
+        insort(rows[v], parent[v])
     # the decoding always yields a tree, so skip re-validation
-    adj = tuple([()] + [tuple(sorted(nbr[x])) for x in range(1, n + 1)])
-    t = Tree(n, adj, n - 1)
-    t._max_deg = max(len(a) for a in adj[1:])
+    t = Tree(n, tuple(map(tuple, rows)), n - 1)
+    t._max_deg = top
     return t
 
 

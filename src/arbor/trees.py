@@ -8,6 +8,7 @@ that every derived object is reproducible byte for byte.
 from __future__ import annotations
 
 import enum
+import heapq
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapInfeasible, NotAdjacent, NotATree, PreconditionViolated
@@ -229,26 +230,60 @@ def induced_subtree(t: Graph, removed: Iterable[int]) -> InducedSubgraph:
     return InducedSubgraph(g, old_to_new, tuple([0] + kept))
 
 
-def components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by minimum vertex."""
-    seen = bytearray(g.n + 1)
+def forest_components(adj: Sequence, vertices: Iterable[int]) -> list[list[int]]:
+    """Components of the graph that ``adj`` spans on ``vertices`` (given in
+    ascending order), ordered by minimum vertex; each lists its minimum
+    first."""
+    seen = bytearray(len(adj))
     out = []
-    for s in range(1, g.n + 1):
+    for s in vertices:
         if seen[s]:
             continue
         comp = [s]
         seen[s] = 1
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
+        for u in comp:
+            for w in adj[u]:
                 if not seen[w]:
                     seen[w] = 1
                     comp.append(w)
-                    stack.append(w)
-        comp.sort()
         out.append(comp)
     return out
+
+
+def join_forest(adj: list, comps: list, degree_cap: int) -> None:
+    """Join the components of a forest into one tree, in place, without
+    exceeding the cap.
+
+    ``adj`` holds one set of neighbors per vertex, and ``comps`` lists the
+    components as ``forest_components`` does.  They are merged in ascending
+    min-vertex order; each new edge joins the (degree, id)-minimal
+    attachable vertex (degree below the cap) of the tree built so far with
+    that of the next component.  A part of two or more vertices is a tree,
+    so its minimal degree is 1 and its (degree, id)-minimal vertex is its
+    smallest-id leaf; a lone vertex has degree 0.  So a heap of the joined
+    part's leaves (or its lone vertex) gives one end of every edge, and the
+    smallest leaf of the component the other; if either has no room under
+    the cap, no vertex of its part has.
+    """
+    first = comps[0]
+    heap = [first[0]] if len(first) == 1 else sorted(v for v in first if len(adj[v]) == 1)
+    for comp in comps[1:]:
+        if len(comp) == 1:
+            leaves = comp
+            b = comp[0]
+        else:
+            leaves = [v for v in comp if len(adj[v]) == 1]
+            b = min(leaves)
+            leaves.remove(b)  # it stops being a leaf
+        if len(adj[heap[0]]) >= degree_cap or len(adj[b]) >= degree_cap:
+            raise CapInfeasible(f"no attachment point under cap {degree_cap}")
+        a = heapq.heappop(heap)
+        if not adj[a]:  # the lone vertex of the joined part becomes a leaf
+            heapq.heappush(heap, a)
+        adj[a].add(b)
+        adj[b].add(a)
+        for v in leaves:
+            heapq.heappush(heap, v)
 
 
 def complete_forest_to_tree(f: Graph, degree_cap: int) -> Tree:
@@ -256,52 +291,18 @@ def complete_forest_to_tree(f: Graph, degree_cap: int) -> Tree:
 
     Components are merged in ascending min-vertex order; each new edge joins
     the (degree, id)-minimal attachable vertex of the tree built so far with
-    the (degree, id)-minimal attachable vertex of the next component.
+    the (degree, id)-minimal attachable vertex of the next component (see
+    ``join_forest``).
     """
     if degree_cap < f.max_degree:
         raise CapInfeasible(f"cap {degree_cap} below forest max degree {f.max_degree}")
-    comps = components(f)
+    comps = forest_components(f.adj, range(1, f.n + 1))
     if f.edge_count != f.n - len(comps):
         raise NotATree("cycle", "forest completion needs acyclic input")
-    deg = [len(f.adj[v]) for v in range(0, f.n + 1)]
-    nbr = [list(f.adj[v]) for v in range(0, f.n + 1)]
-
-    import heapq
-
-    def best(vertices: Sequence[int]) -> int | None:
-        cand = None
-        for v in vertices:
-            if deg[v] < degree_cap and (cand is None or (deg[v], v) < (deg[cand], cand)):
-                cand = v
-        return cand
-
-    # lazy heap of (degree, id) over the growing tree; degrees only grow, so
-    # stale or over-cap entries can be dropped for good
-    heap = [(deg[v], v) for v in comps[0]]
-    heapq.heapify(heap)
-    for comp in comps[1:]:
-        a = None
-        while heap:
-            d, v = heap[0]
-            if d != deg[v] or d >= degree_cap:
-                heapq.heappop(heap)
-                continue
-            a = v
-            break
-        b = best(comp)
-        if a is None or b is None:
-            raise CapInfeasible(f"no attachment point under cap {degree_cap}")
-        nbr[a].append(b)
-        nbr[b].append(a)
-        deg[a] += 1
-        deg[b] += 1
-        heapq.heappush(heap, (deg[a], a))
-        for v in comp:
-            if deg[v] < degree_cap:
-                heapq.heappush(heap, (deg[v], v))
-    adj = tuple([()] + [tuple(sorted(nbr[v])) for v in range(1, f.n + 1)])
-    t = Tree(f.n, adj, f.n - 1)
-    t._max_deg = max(deg[1:], default=0)
+    adj = [set(row) for row in f.adj]
+    join_forest(adj, comps, degree_cap)
+    t = Tree(f.n, tuple(tuple(sorted(row)) for row in adj), f.n - 1)
+    t._max_deg = max(map(len, adj), default=0)
     return t
 
 
@@ -311,19 +312,34 @@ def complete_forest_to_tree(f: Graph, degree_cap: int) -> Tree:
 
 
 def parse_tree_text(text: str) -> Tree:
+    """Tree from the text format; blank lines and ``#`` comments are skipped.
+
+    Malformed text raises ``NotATree`` with one of these reasons:
+    ``empty`` (no line left), ``bad-header`` (the first line is not a
+    vertex count of at least 1), ``bad-edge-line`` (an edge line without
+    exactly two fields), ``not-an-integer`` (an edge or code token that is
+    not an integer), ``disconnected`` (fewer than n-1 edge lines), and the
+    reasons of ``build_tree``.  A code line with an entry outside 1..n
+    raises ``BadEntry``.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
-        raise NotATree("bad-vertex-id", "empty input")
+        raise NotATree("empty", "no vertex count line")
     try:
         n = int(lines[0])
     except ValueError:
-        raise NotATree("bad-vertex-id", f"first line must be the vertex count, got {lines[0]!r}")
+        n = 0
+    if n < 1:
+        raise NotATree("bad-header", f"first line must be the vertex count, got {lines[0]!r}")
     body = lines[1:]
     if body and body[0].startswith("P:"):
         from .random_trees import prufer_decode
 
-        entries = [int(x) for x in body[0][2:].split()]
+        try:
+            entries = [int(x) for x in body[0][2:].split()]
+        except ValueError:
+            raise NotATree("not-an-integer", f"bad code line {body[0]!r}") from None
         return prufer_decode(entries, n)
     if len(body) < n - 1:
         # checked before anything of size n is allocated
@@ -332,8 +348,11 @@ def parse_tree_text(text: str) -> Tree:
     for ln in body:
         parts = ln.split()
         if len(parts) != 2:
-            raise NotATree("bad-vertex-id", f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+            raise NotATree("bad-edge-line", f"an edge line holds two vertex ids, got {ln!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise NotATree("not-an-integer", f"bad edge line {ln!r}") from None
     return build_tree(edges, n)
 
 

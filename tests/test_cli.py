@@ -184,6 +184,25 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "--in", str(f))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("", "empty"),
+            ("four\n1 2\n", "bad-header"),
+            ("3\n1 2\n2\n", "bad-edge-line"),
+            ("2\na b\n", "not-an-integer"),
+            ("5\nP: 1 x 2\n", "not-an-integer"),
+        ],
+    )
+    def test_malformed_text(self, capsys, tmp_path, text, reason):
+        # the typed error names its reason; exit 2 does not come from a
+        # stray ValueError
+        f = tmp_path / "bad.tree"
+        f.write_text(text)
+        for argv in (("check", "--in", str(f)), ("color", "--k", "3", "--in", str(f))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith(f"error: {reason}"), (argv, err)
+
 
 class TestExperimentCommand:
     def test_json_output(self, capsys):

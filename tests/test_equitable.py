@@ -534,11 +534,11 @@ class TestIndependentLowDegree:
         for t in trees:
             t = adversarial_labels(t)
             m = t.n // 4 + 1
-            chosen = _independent_low_degree(t, m)
+            chosen = _independent_low_degree(t.adj, range(1, t.n + 1), m)
             assert len(chosen) == m
             assert all(t.degree(x) <= 2 for x in chosen)
             assert not any(y in chosen for x in chosen for y in t.adj[x])
 
     def test_guard_raises_when_short(self):
         with pytest.raises(IndependentSetNotFound):
-            _independent_low_degree(star(5), 5)
+            _independent_low_degree(star(5).adj, range(1, 6), 5)

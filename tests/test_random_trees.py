@@ -1,3 +1,5 @@
+import heapq
+import itertools
 import math
 
 import pytest
@@ -31,6 +33,43 @@ class TestDecode:
             prufer_decode([5], 3)
         with pytest.raises(BadEntry):
             prufer_decode([1, 2], 3)
+
+
+def heap_decode(entries, n):
+    """Edges of the tree with this code, by the textbook leaf-heap decode."""
+    deg = [1] * (n + 1)
+    for a in entries:
+        deg[a] += 1
+    leaves = [v for v in range(1, n + 1) if deg[v] == 1]
+    heapq.heapify(leaves)
+    edges = set()
+    for a in entries:
+        v = heapq.heappop(leaves)
+        edges.add((min(v, a), max(v, a)))
+        deg[a] -= 1
+        if deg[a] == 1:
+            heapq.heappush(leaves, a)
+    u, v = heapq.heappop(leaves), heapq.heappop(leaves)
+    edges.add((min(u, v), max(u, v)))
+    return edges
+
+
+class TestDecodeExhaustive:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_every_code(self, n):
+        for code in itertools.product(range(1, n + 1), repeat=n - 2):
+            code = list(code)
+            t = prufer_decode(code, n)
+            assert t.edge_set() == heap_decode(code, n), code
+            assert prufer_encode(t) == code
+            assert len(t.adj) == n + 1 and t.adj[0] == ()
+            assert all(type(row) is tuple and list(row) == sorted(row) for row in t.adj)
+            assert t.edge_count == n - 1
+            assert t._max_deg == max(len(row) for row in t.adj) == 1 + max(map(code.count, range(1, n + 1)))
+
+    def test_entry_out_of_range_is_named(self):
+        with pytest.raises(BadEntry, match="entry 0 outside"):
+            prufer_decode([2, 0, 9], 5)
 
 
 class TestEncode:

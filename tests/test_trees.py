@@ -205,6 +205,68 @@ class TestForestCompletion:
         assert out.max_degree <= cap
 
 
+def reference_completion(f, cap):
+    """Edge set of the completion by the documented rule, computed directly:
+    components by minimum vertex, each new edge between the (degree,
+    id)-minimal vertex below the cap of the tree so far and of the next
+    component."""
+    if cap < f.max_degree:
+        raise CapInfeasible("cap below forest degree")
+    label = list(range(f.n + 1))  # union-find, for components
+    def find(x):
+        while label[x] != x:
+            x = label[x]
+        return x
+    for u, v in f.edges():
+        label[max(find(u), find(v))] = min(find(u), find(v))
+    comps = {}
+    for v in range(1, f.n + 1):
+        comps.setdefault(find(v), []).append(v)
+    deg = [len(row) for row in f.adj]
+    edges = set(f.edges())
+    groups = [comps[r] for r in sorted(comps)]
+    joined = list(groups[0])
+    for comp in groups[1:]:
+        ends = [min(((deg[v], v) for v in part if deg[v] < cap), default=None) for part in (joined, comp)]
+        if None in ends:
+            raise CapInfeasible("no attachment point")
+        (_, a), (_, b) = ends
+        edges.add((min(a, b), max(a, b)))
+        deg[a] += 1
+        deg[b] += 1
+        joined += comp
+    return edges
+
+
+@st.composite
+def forests_and_caps(draw):
+    """A forest on 1..n (each vertex after the first hangs under an earlier
+    one or starts a component, then the ids are shuffled) and a cap."""
+    n = draw(st.integers(1, 24))
+    parents = [draw(st.integers(0, v - 1)) for v in range(2, n + 1)]
+    ids = draw(st.permutations(range(1, n + 1)))
+    edges = [(ids[v - 1], ids[p - 1]) for v, p in zip(range(2, n + 1), parents) if p]
+    f = build_graph(edges, n)
+    return f, draw(st.integers(0, f.max_degree + 2))
+
+
+class TestForestCompletionRule:
+    @settings(max_examples=300, deadline=None)
+    @given(forests_and_caps())
+    def test_matches_reference(self, case):
+        f, cap = case
+        try:
+            expect = reference_completion(f, cap)
+        except CapInfeasible:
+            with pytest.raises(CapInfeasible):
+                complete_forest_to_tree(f, cap)
+            return
+        out = complete_forest_to_tree(f, cap)
+        assert out.edge_set() == expect
+        assert all(list(row) == sorted(row) for row in out.adj)
+        assert out.edge_count == f.n - 1 and out.max_degree == max(map(len, out.adj))
+
+
 class TestDegreeSum:
     @settings(max_examples=50, deadline=None)
     @given(random_tree_strategy())
@@ -228,6 +290,27 @@ class TestTextFormat:
     def test_bad_header(self):
         with pytest.raises(NotATree):
             parse_tree_text("x y\n1 2\n")
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("", "empty"),
+            ("# only a comment\n\n", "empty"),
+            ("x y\n1 2\n", "bad-header"),
+            ("0\n", "bad-header"),
+            ("-3\n1 2\n", "bad-header"),
+            ("3\n1 2\n2\n", "bad-edge-line"),
+            ("3\n1 2\n2 3 4\n", "bad-edge-line"),
+            ("2\na b\n", "not-an-integer"),
+            ("3\n1 2\n2 3.0\n", "not-an-integer"),
+            ("5\nP: 1 x 2\n", "not-an-integer"),
+            ("3\n1 2\n1 4\n", "bad-vertex-id"),
+        ],
+    )
+    def test_malformed_text_reason(self, text, reason):
+        with pytest.raises(NotATree) as exc:
+            parse_tree_text(text)
+        assert exc.value.reason == reason
 
     def test_too_few_edge_lines_rejected_before_allocating(self):
         # a declared n far above the edge lines is refused before anything
