@@ -965,8 +965,11 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
     new_id = [0] * (n + 1)
     for i, v in enumerate(kept, 1):
         new_id[v] = i
-    rows = [()] + [tuple(sorted(map(new_id.__getitem__, adj[v]))) for v in kept]
-    cur = Tree(len(kept), tuple(rows), len(kept) - 1)
+    rows: list = [[] for _ in range(len(kept) + 1)]
+    for i, v in enumerate(kept, 1):  # ascending, so every row comes out sorted
+        for w in adj[v]:
+            rows[new_id[w]].append(i)
+    cur = Tree(len(kept), tuple(map(tuple, rows)), len(kept) - 1)
     cur._max_deg = top
     colors3, trace3 = _three_colors(cur)
     for v, c in colors3.items():

@@ -265,25 +265,18 @@ def join_forest(adj: list, comps: list, degree_cap: int) -> None:
     smallest leaf of the component the other; if either has no room under
     the cap, no vertex of its part has.
     """
-    first = comps[0]
-    heap = [first[0]] if len(first) == 1 else sorted(v for v in first if len(adj[v]) == 1)
+    heap = [v for v in comps[0] if len(adj[v]) <= 1]  # its leaves, or its lone vertex
+    heapq.heapify(heap)
     for comp in comps[1:]:
-        if len(comp) == 1:
-            leaves = comp
-            b = comp[0]
-        else:
-            leaves = [v for v in comp if len(adj[v]) == 1]
-            b = min(leaves)
-            leaves.remove(b)  # it stops being a leaf
+        b = comp[0] if len(comp) == 1 else min(v for v in comp if len(adj[v]) == 1)
         if len(adj[heap[0]]) >= degree_cap or len(adj[b]) >= degree_cap:
             raise CapInfeasible(f"no attachment point under cap {degree_cap}")
         a = heapq.heappop(heap)
-        if not adj[a]:  # the lone vertex of the joined part becomes a leaf
-            heapq.heappush(heap, a)
         adj[a].add(b)
         adj[b].add(a)
-        for v in leaves:
-            heapq.heappush(heap, v)
+        for v in (a, *comp):
+            if len(adj[v]) == 1:  # a leaf of the joined part from now on
+                heapq.heappush(heap, v)
 
 
 def complete_forest_to_tree(f: Graph, degree_cap: int) -> Tree:
