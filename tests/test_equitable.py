@@ -29,7 +29,7 @@ from arbor.errors import (
 )
 from arbor.random_trees import enumerate_unlabeled_trees, sample_labeled_tree
 from arbor.trees import Tree, build_tree, double_star, parse_tree_text, path, pre_leaves, star
-from test_golden import planted_hub_tree
+from test_golden import crowded_tree, every_construction, planted_hub_tree
 
 
 def assert_good(t, cert, k, constraint=None):
@@ -320,25 +320,13 @@ HUBS_15 = [
 def every_coloring(t):
     """Run every construction whose precondition t meets and check each
     result; returns how many ran."""
-    n = t.n
     runs = 0
-    for k in (3, 4, 5):
-        if t.max_degree * k <= n:
-            assert_good(t, equitable_coloring(t, k), k)
-            runs += 1
-    if t.max_degree * 3 > n:
-        return runs
-    pls = pre_leaves(t)
-    for pair in itertools.combinations(pls, 2):
-        assert_good(t, equitable_three(t, constraint=pair), 3, constraint=pair)
-        runs += 1
-    hubs = [x for x in range(1, n + 1) if 3 * t.degree(x) >= n]
-    for u, v in itertools.combinations(hubs, 2):
-        for pair in itertools.combinations(pls, 2):
-            cert = hub_pair_coloring(t, u, v, *pair)
-            assert_good(t, cert, 3, constraint=pair)
+    for _, k, pair, hubs, cert in every_construction(t):
+        assert_good(t, cert, k, constraint=pair)
+        if hubs:
+            u, v = hubs
             assert cert.coloring.color(u) != cert.coloring.color(v)
-            runs += 1
+        runs += 1
     return runs
 
 
@@ -376,70 +364,6 @@ class TestSpineRegressions:
         cert = hub_pair_coloring(t, 1, 11, 8, 11)
         assert_good(t, cert, 3, constraint=(8, 11))
         assert exact_calls
-
-
-def _skeleton(kind, legs):
-    """Edges of a path, spider or H-shaped skeleton on 1..s, and s."""
-    edges = []
-    top = 1
-
-    def leg(frm, length):
-        nonlocal top
-        for _ in range(length):
-            top += 1
-            edges.append((frm, top))
-            frm = top
-        return frm
-
-    if kind == "path":
-        leg(1, legs[0])
-    elif kind == "spider":
-        for length in legs:
-            leg(1, length)
-    else:  # H: two forks joined by a bar
-        leg(1, legs[0])
-        leg(1, legs[1])
-        joint = leg(1, legs[2])
-        leg(joint, legs[3])
-        leg(joint, legs[0])
-    return edges, top
-
-
-def crowded_tree(rng, hubs):
-    """A skeleton with at most four leaves plus leaf bundles on at most four
-    of its vertices, randomly labelled.  With ``hubs`` two bundles are sized
-    so that two vertices have degree exactly n/3; None when that breaks the
-    degree cap."""
-    kind = rng.choice(["path", "spider", "H"])
-    legs = [rng.randint(1, 8) for _ in range(4)]
-    edges, s = _skeleton(kind, legs[: rng.choice([3, 4])] if kind == "spider" else legs)
-    deg = [0] * (s + 1)
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    hosts = rng.sample(range(1, s + 1), min(s, rng.randint(1, 4)))
-    bundles = {x: rng.randint(0, s) for x in hosts}
-    if hubs:
-        if len(hosts) < 2:
-            return None
-        h1, h2 = hosts[:2]
-        for x in hosts[2:]:
-            bundles[x] = rng.randint(0, 4)
-        third = s - deg[h1] - deg[h2] + sum(bundles[x] for x in hosts[2:])  # n/3
-        bundles[h1], bundles[h2] = third - deg[h1], third - deg[h2]
-        if min(bundles.values()) < 0:
-            return None
-    n = s
-    for x, size in bundles.items():
-        for _ in range(size):
-            n += 1
-            edges.append((x, n))
-    labels = list(range(1, n + 1))
-    rng.shuffle(labels)
-    t = build_tree([(labels[a - 1], labels[b - 1]) for a, b in edges], n)
-    if hubs and t.max_degree * 3 > n:
-        return None
-    return t
 
 
 class TestCrowdedLeaves:

@@ -16,13 +16,22 @@ side I of ``balance_exact`` over seeded sequences of every length up to
 400, and the balanced colorings of seeded trees that the ones/twos
 shortcut cannot decide.  It was computed before the DP learned to skip
 rows off the witness path and must not move.
+
+A fourth digest covers the crowded-leaf trees of ``crowded_tree``, where
+every leaf crowds a hub or the pre-leaf pair: every construction that
+``every_construction`` runs on the trees of 400 seeds, with and without
+planted hubs.  It is the only corpus that reaches the exact skeleton DP
+``_skeleton_colors``.  It was computed before the peeling machine moved to
+flat degree arrays and must not move.
 """
 
 import hashlib
 import itertools
 import random
 
+import arbor.equitable as equitable_module
 from arbor.balance import balance_exact, is_balanced_graph
+from arbor.equitable import _skeleton_colors as skeleton_colors
 from arbor.equitable import equitable_coloring, equitable_three, hub_pair_coloring
 from arbor.random_trees import enumerate_unlabeled_trees, sample_labeled_tree
 from arbor.trees import build_tree, pre_leaves
@@ -32,6 +41,9 @@ GOLDEN_LINES = 4920
 GOLDEN_DIGEST = "5a5611333e52165288aedd3052e09024759272f445832f2d3e42496a8ffa4ff5"
 HUB_LINES = 4756
 HUB_DIGEST = "b29d17946fc44327035430c702aff1cfc0bebc02648edbcf0bc7a14afcd14ad6"
+CROWDED_SEEDS = 400
+CROWDED_LINES = 2699
+CROWDED_DIGEST = "fa837a19648f70c1fc516178d0119609a8f492b10981a694e636ad0c7d8e39a1"
 BALANCE_LINES = 1324
 BALANCE_DIGEST = "afc032955f7c8c67618f0875ac28ff8dc94ecf839e0854e1373ed88b3da96a74"
 BALANCE_RANGES = ((0, 3), (1, 3), (3, 8), (3, 39))
@@ -82,6 +94,100 @@ def planted_hub_tree(rng):
         verts.append(nxt)
         nxt += 1
     return build_tree(edges, n)
+
+
+def _skeleton(kind, legs):
+    """Edges of a path, spider or H-shaped skeleton on 1..s, and s."""
+    edges = []
+    top = 1
+
+    def leg(frm, length):
+        nonlocal top
+        for _ in range(length):
+            top += 1
+            edges.append((frm, top))
+            frm = top
+        return frm
+
+    if kind == "path":
+        leg(1, legs[0])
+    elif kind == "spider":
+        for length in legs:
+            leg(1, length)
+    else:  # H: two forks joined by a bar
+        leg(1, legs[0])
+        leg(1, legs[1])
+        joint = leg(1, legs[2])
+        leg(joint, legs[3])
+        leg(joint, legs[0])
+    return edges, top
+
+
+def crowded_tree(rng, hubs):
+    """A skeleton with at most four leaves plus leaf bundles on at most four
+    of its vertices, randomly labelled.  With ``hubs`` two bundles are sized
+    so that two vertices have degree exactly n/3; None when that breaks the
+    degree cap."""
+    kind = rng.choice(["path", "spider", "H"])
+    legs = [rng.randint(1, 8) for _ in range(4)]
+    edges, s = _skeleton(kind, legs[: rng.choice([3, 4])] if kind == "spider" else legs)
+    deg = [0] * (s + 1)
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    hosts = rng.sample(range(1, s + 1), min(s, rng.randint(1, 4)))
+    bundles = {x: rng.randint(0, s) for x in hosts}
+    if hubs:
+        if len(hosts) < 2:
+            return None
+        h1, h2 = hosts[:2]
+        for x in hosts[2:]:
+            bundles[x] = rng.randint(0, 4)
+        third = s - deg[h1] - deg[h2] + sum(bundles[x] for x in hosts[2:])  # n/3
+        bundles[h1], bundles[h2] = third - deg[h1], third - deg[h2]
+        if min(bundles.values()) < 0:
+            return None
+    n = s
+    for x, size in bundles.items():
+        for _ in range(size):
+            n += 1
+            edges.append((x, n))
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    t = build_tree([(labels[a - 1], labels[b - 1]) for a, b in edges], n)
+    if hubs and t.max_degree * 3 > n:
+        return None
+    return t
+
+
+def every_construction(t):
+    """Yield (tag, k, pre-leaf pair, hub pair, certificate) for every
+    construction whose precondition t meets: ``equitable_coloring`` at
+    k = 3, 4, 5, ``equitable_three`` under every pre-leaf pair, and
+    ``hub_pair_coloring`` for every hub pair and pre-leaf pair."""
+    n = t.n
+    for k in (3, 4, 5):
+        if t.max_degree * k <= n:
+            yield f"k{k}", k, None, None, equitable_coloring(t, k)
+    if t.max_degree * 3 > n:
+        return
+    pls = pre_leaves(t)
+    for pair in itertools.combinations(pls, 2):
+        yield "c{},{}".format(*pair), 3, pair, None, equitable_three(t, constraint=pair)
+    hubs = [x for x in range(1, n + 1) if 3 * t.degree(x) >= n]
+    for u, v in itertools.combinations(hubs, 2):
+        for pair in itertools.combinations(pls, 2):
+            yield "h{},{}.c{},{}".format(u, v, *pair), 3, pair, (u, v), hub_pair_coloring(t, u, v, *pair)
+
+
+def _crowded_corpus():
+    """Yield one line per construction run on the crowded-leaf corpus."""
+    for seed in range(CROWDED_SEEDS):
+        for hubs in (False, True):
+            t = crowded_tree(random.Random(seed), hubs)
+            if t is not None:
+                for tag, _, _, _, cert in every_construction(t):
+                    yield _line(f"x{seed}.{int(hubs)}.{tag}", t, cert)
 
 
 def _hub_corpus():
@@ -140,6 +246,17 @@ def test_hub_peel_digest():
     lines, digest = corpus_digest(_hub_corpus)
     assert (lines, digest) == (HUB_LINES, HUB_DIGEST)
 
+def test_crowded_digest(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return skeleton_colors(*args)
+
+    monkeypatch.setattr(equitable_module, "_skeleton_colors", counted)
+    lines, digest = corpus_digest(_crowded_corpus)
+    assert (lines, digest) == (CROWDED_LINES, CROWDED_DIGEST)
+    assert calls  # the exact skeleton DP is covered
 
 
 def test_balance_digest():
