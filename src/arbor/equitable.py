@@ -21,6 +21,8 @@ import math
 import re
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from typing import Callable, Iterable, Optional, Sequence
 
 from .colorings import KColoring
@@ -41,7 +43,6 @@ from .trees import (
     is_pre_leaf,
     join_forest,
     path_order,
-    pre_leaves,
 )
 
 EQUITABLE_BRUTE_DEFAULT_LIMIT = 3**12
@@ -315,21 +316,27 @@ def _skeleton_colors(
 
 
 # ---------------------------------------------------------------------------
-# The peeling machine.  Holds the active subtree with incrementally
-# maintained degree buckets, per-vertex leaf-neighbor sets and the pre-leaf
-# set; a vertex is deleted exactly when its adjacency row is empty.  Peeling
-# pushes extension records, then the base coloring is extended back up
-# through them.
+# The peeling machine.  It only deletes leaves, and an edge goes only with
+# one of its ends, so the active tree is the source tree on the vertices of
+# active degree ``deg > 0``, and a full row is a source row filtered by it.
+# Per vertex it keeps ``deg``, the XOR ``xr`` of the active neighbors (a
+# leaf's neighbor is ``xr[w]``) and the count ``nleaf`` of leaf neighbors;
+# besides, a leaf count and lazy min-heaps of leaves and pre-leaves.  A
+# pre-leaf stays one until it is a leaf, so it is pushed once, on becoming
+# one.  Peeling pushes extension records; the base coloring is extended
+# back up through them.
 
 
 class _Machine:
     __slots__ = (
-        "adj",
+        "deg",
+        "xr",
+        "nleaf",
         "n_act",
-        "leafnbr",
-        "bucket",
+        "leaves",
         "leaf_heap",
-        "preleaf",
+        "pre_heap",
+        "by_degree",
         "records",
         "trace",
         "col",
@@ -340,18 +347,16 @@ class _Machine:
     def __init__(self, t: Graph):
         n = t.n
         self.source = t
-        self.adj = [set(t.adj[v]) for v in range(n + 1)]
+        self.deg = deg = [len(row) for row in t.adj]
+        self.xr = xr = [reduce(xor, row, 0) for row in t.adj]
+        self.nleaf = nleaf = [0] * (n + 1)
+        self.leaf_heap = [v for v in range(1, n + 1) if deg[v] == 1]  # ascending, so already a heap
+        for w in self.leaf_heap:
+            nleaf[xr[w]] += 1
         self.n_act = n
-        self.leafnbr = [set() for _ in range(n + 1)]
-        self.bucket: dict = defaultdict(set)
-        self.leaf_heap = []  # filled in ascending order, so already a heap
-        for v in range(1, n + 1):
-            d = len(self.adj[v])
-            self.bucket[d].add(v)
-            if d == 1:
-                self.leaf_heap.append(v)
-                self.leafnbr[t.adj[v][0]].add(v)
-        self.preleaf = set(pre_leaves(t))
+        self.leaves = len(self.leaf_heap)
+        self.pre_heap = [v for v in range(1, n + 1) if deg[v] >= 2 and nleaf[v] >= deg[v] - 1]
+        self.by_degree = sorted(range(1, n + 1), key=deg.__getitem__, reverse=True)
         self.records: list = []
         self.trace: list = []
         self.col = [0] * (n + 1)
@@ -359,32 +364,29 @@ class _Machine:
 
     # -- incremental maintenance ------------------------------------------
 
-    def _refresh_preleaf(self, v: int) -> None:
-        d = len(self.adj[v])
-        if d >= 2 and len(self.leafnbr[v]) >= d - 1:
-            self.preleaf.add(v)
-        else:
-            self.preleaf.discard(v)
-
     def delete_leaf(self, w: int) -> int:
         """Remove an active leaf; returns its (former) neighbor."""
-        (z,) = self.adj[w]
-        self.bucket[1].discard(w)
-        self.preleaf.discard(w)
+        deg, xr, nleaf = self.deg, self.xr, self.nleaf
+        z = xr[w]
+        deg[w] = 0
         self.n_act -= 1
-        self.adj[w] = set()
-        self.leafnbr[z].discard(w)
-        dz = len(self.adj[z])
-        self.adj[z].discard(w)
-        self.bucket[dz].discard(z)
-        self.bucket[dz - 1].add(z)
-        if dz - 1 == 1:
+        deg[z] -= 1
+        xr[z] ^= w
+        nleaf[z] -= 1
+        if deg[z] == 1:
             heapq.heappush(self.leaf_heap, z)
-            (y,) = self.adj[z]
-            self.leafnbr[y].add(z)
-            self._refresh_preleaf(y)
-        self._refresh_preleaf(z)
+            y = xr[z]
+            nleaf[y] += 1
+            if nleaf[y] == deg[y] - 1:  # y just became a pre-leaf
+                heapq.heappush(self.pre_heap, y)
+        else:
+            self.leaves -= 1
         return z
+
+    def _leaf_at(self, z: int) -> int:
+        """Smallest active leaf next to z."""
+        deg = self.deg
+        return next(y for y in self.source.adj[z] if deg[y] == 1)
 
     def _min_leaf(self, nbr_not_in: frozenset | set = frozenset(), exclude: frozenset | set = frozenset()) -> Optional[int]:
         """Smallest active leaf whose neighbor avoids ``nbr_not_in``."""
@@ -392,31 +394,25 @@ class _Machine:
         found = None
         while self.leaf_heap:
             w = heapq.heappop(self.leaf_heap)
-            if len(self.adj[w]) != 1:
+            if self.deg[w] != 1:
                 continue  # stale entry: deleted, or no longer a leaf
-            (z,) = self.adj[w]
-            if w in exclude or z in nbr_not_in:
-                stash.append(w)
-                continue
-            found = w
             stash.append(w)
-            break
+            if w not in exclude and self.xr[w] not in nbr_not_in:
+                found = w
+                break
         for w in stash:
             heapq.heappush(self.leaf_heap, w)
         return found
 
     def active_vertices(self) -> list:
-        return [v for v in range(1, self.source.n + 1) if self.adj[v]]
+        deg = self.deg
+        return [v for v in range(1, self.source.n + 1) if deg[v]]
 
     def _active_path_order(self) -> list:
-        cur = min(self.bucket[1])
-        order = [cur]
-        prev = 0
-        while len(order) < self.n_act:
-            nxt = min(x for x in self.adj[cur] if x != prev)
-            prev, cur = cur, nxt
-            order.append(cur)
-        return order
+        order = [0, self._min_leaf()]
+        while len(order) <= self.n_act:  # the next vertex is xr of the last one XOR the one before
+            order.append(self.xr[order[-1]] ^ order[-2])
+        return order[1:]
 
     def _fail(self, message: str) -> InternalInvariant:
         return InternalInvariant(message, dump=format_tree_text(self.source))
@@ -431,7 +427,7 @@ class _Machine:
     def _base_search(self, constraints: Sequence[tuple]) -> None:
         vertices = self.active_vertices()
         targets = balanced_targets(self.n_act, 3)
-        colors = _search_colors(vertices, lambda v: self.adj[v], 3, targets, constraints)
+        colors = _search_colors(vertices, self.source.adj.__getitem__, 3, targets, constraints)
         if colors is None:
             raise self._fail("exhaustive base search found no equitable coloring")
         self.trace.append("direct:search")
@@ -453,16 +449,15 @@ class _Machine:
                 return
             w = None
             for z in (p, q):
-                if z not in (u, v) and len(self.adj[z]) >= 3:
-                    w = min(self.leafnbr[z])
+                if z not in (u, v) and self.deg[z] >= 3:
+                    w = self._leaf_at(z)
                     break
             if w is None:
                 w = self._min_leaf(nbr_not_in={u, v, p, q})
             if w is None:
                 self._spine_terminal(u, v, p, q)
                 return
-            (z,) = self.adj[w]
-            self.records.append(("hub-peel", w, z, u, v, p, q))
+            self.records.append(("hub-peel", w, self.xr[w], u, v, p, q))
             self.trace.append("peel:hub-safe")
             self.delete_leaf(w)
 
@@ -478,12 +473,13 @@ class _Machine:
         a greedy pass from u under each color priority, aiming at a
         near-equal split of the skeleton; then ``_skeleton_colors``, an
         exact search that fails only when no coloring exists."""
+        deg, src = self.deg, self.source.adj
         targets = balanced_targets(self.n_act, 3)
         for s in {p, q} - {u, v}:
-            if len(self.leafnbr[s]) != 1 or len(self.adj[s]) != 2:
+            if self.nleaf[s] != 1 or deg[s] != 2:
                 raise self._fail("designated pre-leaf is not a pendant-path end")
-        bundle_u = sorted(self.leafnbr[u])
-        bundle_v = sorted(self.leafnbr[v])
+        bundle_u = [y for y in src[u] if deg[y] == 1]
+        bundle_v = [y for y in src[v] if deg[y] == 1]
         exclude = set(bundle_u) | set(bundle_v)
         skel = [x for x in self.active_vertices() if x not in exclude]
         skel_set = set(skel)
@@ -493,7 +489,7 @@ class _Machine:
         dq = deque([u])
         while dq:
             x = dq.popleft()
-            for y in sorted(self.adj[x]):
+            for y in src[x]:
                 if y in skel_set and y not in parent:
                     parent[y] = x
                     order.append(y)
@@ -570,7 +566,7 @@ class _Machine:
             if done:
                 break
         while not done:
-            if len(self.bucket[1]) == 2:  # two leaves: no vertex of degree >= 3
+            if self.leaves == 2:  # no vertex of degree >= 3
                 self._base_path(pair)
                 break
             if self.n_act <= 9:
@@ -592,28 +588,34 @@ class _Machine:
             w = self._min_leaf(nbr_not_in={p, q})
             if w is None:
                 for z in sorted(pair):
-                    if len(self.adj[z]) >= 3 and self.leafnbr[z]:
-                        w = min(self.leafnbr[z])
+                    if self.deg[z] >= 3 and self.nleaf[z]:
+                        w = self._leaf_at(z)
                         break
             if w is None:
                 self._spine_terminal(p, q, p, q)
                 return True
         if w is None:
             raise self._fail("no leaf available to peel")
-        (z,) = self.adj[w]
-        self.records.append(("leaf", w, z))
+        self.records.append(("leaf", w, self.xr[w]))
         self.trace.append("ext:leaf")
         self.delete_leaf(w)
         return False
 
     def _select_pair(self) -> tuple:
-        it = iter(sorted(self.preleaf))
-        try:
-            p = next(it)
-            q = next(it)
-        except StopIteration:
+        """The two smallest pre-leaves.  Heap entries that have turned into
+        leaves since their push are stale and dropped; p is popped to reach
+        q and pushed back."""
+        heap, deg = self.pre_heap, self.deg
+        pair = []
+        while heap and len(pair) < 2:
+            if deg[heap[0]] < 2:
+                heapq.heappop(heap)
+            else:
+                pair.append(heap[0] if pair else heapq.heappop(heap))
+        if len(pair) < 2:
             raise self._fail("fewer than two pre-leaves at an inner level")
-        return p, q
+        heapq.heappush(heap, pair[0])
+        return tuple(pair)
 
     def _inner_step(self, pair: Optional[tuple]):
         """One peel of three vertices at n ≡ 0 (mod 3); returns the pair for
@@ -623,33 +625,36 @@ class _Machine:
         if pair is None:
             pair = self._select_pair()
         p, q = pair
-        if p not in self.preleaf or q not in self.preleaf:
+        deg, src = self.deg, self.source.adj
+        if not all(deg[x] >= 2 and self.nleaf[x] >= deg[x] - 1 for x in pair):
             raise self._fail("constraint pair stopped being pre-leaves")
-        if (len(self.adj[p]), p) > (len(self.adj[q]), q):
+        if (deg[p], p) > (deg[q], q):
             p, q = q, p
-        W = self.bucket.get(k, ())
+        # the vertices of degree k, among those of source degree >= k
+        W = [x for x in itertools.takewhile(lambda x: len(src[x]) >= k, self.by_degree) if deg[x] == k]
         if len(W) >= 2:
-            u0, v0 = sorted(W)[:2]
+            u0 = min(W)
+            v0 = min(x for x in W if x != u0)
             self.trace.append("delegate:hubs")
             self.lemma_run(u0, v0, p, q)
             return "done"
         if len(W) == 0:
-            if len(self.adj[p]) >= 3:
+            if deg[p] >= 3:
                 return self._case_triple(p, q, cap_vertex=None)
             return self._case_pendant(p, q, cap_vertex=None)
         (v0,) = W
-        if self.leafnbr[v0]:
-            if len(self.adj[p]) >= 3:
+        if self.nleaf[v0]:
+            if deg[p] >= 3:
                 return self._case_triple(p, q, cap_vertex=v0)
             return self._case_pendant(p, q, cap_vertex=v0)
         return self._case_special(p, q, v0)
 
     def _case_triple(self, p: int, q: int, cap_vertex: Optional[int]):
         """Delete one leaf at each of p, q and one more elsewhere."""
-        v1 = min(self.leafnbr[p])
-        v2 = min(self.leafnbr[q])
+        v1 = self._leaf_at(p)
+        v2 = self._leaf_at(q)
         if cap_vertex is not None and cap_vertex != q:
-            v3 = min(self.leafnbr[cap_vertex])
+            v3 = self._leaf_at(cap_vertex)
             w = cap_vertex
         else:
             v3 = self._min_leaf(nbr_not_in={p, q})
@@ -657,7 +662,7 @@ class _Machine:
                 # every leaf sits on p or q: the tree is a double broom
                 self._spine_terminal(p, q, p, q)
                 return "done"
-            (w,) = self.adj[v3]
+            w = self.xr[v3]
         self.records.append(("ext3", p, q, v1, v2, v3, w))
         self.trace.append("ext:triple" if cap_vertex is None else "ext:triple-capped")
         self.delete_leaf(v1)
@@ -667,10 +672,10 @@ class _Machine:
 
     def _case_pendant(self, p: int, q: int, cap_vertex: Optional[int]):
         """p is a degree-two pre-leaf: delete p with its leaf plus one more."""
-        v1 = min(self.leafnbr[p])
-        (u,) = (x for x in self.adj[p] if x != v1)
+        v1 = self._leaf_at(p)
+        u = self.xr[p] ^ v1
         if cap_vertex is not None:
-            v2 = min(self.leafnbr[cap_vertex])
+            v2 = self._leaf_at(cap_vertex)
         else:
             v2 = self._min_leaf(nbr_not_in={u}, exclude={v1})
             if v2 is None:
@@ -679,7 +684,7 @@ class _Machine:
                     raise self._fail("broom fallback expected the second pre-leaf at the heavy head")
                 self._spine_terminal(p, u, p, q)
                 return "done"
-        (w,) = self.adj[v2]
+        w = self.xr[v2]
         self.records.append(("pend3", p, q, u, v1, v2, w))
         self.trace.append("ext:pendant" if cap_vertex is None else "ext:pendant-capped")
         self.delete_leaf(v1)
@@ -690,18 +695,15 @@ class _Machine:
     def _case_special(self, p: int, q: int, v0: int):
         """The unique maximal-degree vertex has no pendant leaf: remove the
         special vertex next to it (with its leaf) plus one far leaf."""
-        v = None
-        for x in sorted(self.adj[v0]):
-            if len(self.adj[x]) == 2 and self.leafnbr[x]:
-                v = x
-                break
+        deg, nleaf = self.deg, self.nleaf
+        v = next((x for x in self.source.adj[v0] if deg[x] == 2 and nleaf[x]), None)
         if v is None:
             raise self._fail("no special vertex adjacent to the maximal-degree vertex")
-        v1 = min(self.leafnbr[v])
+        v1 = self._leaf_at(v)
         v2 = self._min_leaf(nbr_not_in={p, q, v})
         if v2 is None:
             raise self._fail("no leaf clear of the constraint pair and the special vertex")
-        (w,) = self.adj[v2]
+        w = self.xr[v2]
         if v in (p, q):
             other = q if v == p else p
             self.records.append(("special-swap", v, v1, v2, w, v0, other))
@@ -718,17 +720,14 @@ class _Machine:
 
     # -- unwind --------------------------------------------------------------
 
-    def _pick(self, banned: Iterable[int]) -> int:
-        banned = set(banned)
+    def _pick(self, banned: Sequence[int]) -> int:
         for c in (1, 2, 3):
             if c not in banned:
                 return c
         raise self._fail("no color left for an extension")
 
-    def _pick_lightest(self, banned: Iterable[int]) -> int:
-        banned = set(banned)
-        cands = [c for c in (1, 2, 3) if c not in banned]
-        return min(cands, key=lambda c: (self.sizes[c], c))
+    def _pick_lightest(self, banned: Sequence[int]) -> int:
+        return min((c for c in (1, 2, 3) if c not in banned), key=lambda c: (self.sizes[c], c))
 
     def _assign(self, v: int, c: int) -> None:
         self.col[v] = c
@@ -736,9 +735,9 @@ class _Machine:
 
     def _unwind(self) -> None:
         """Extend the base coloring back up through the records, newest
-        first.  Only a hub-peel reads the adjacency; hub-peels are the
-        newest records, so re-adding just their own leaves keeps the
-        adjacency exact wherever it is read."""
+        first.  Only a hub-peel reads the active tree, and only through
+        ``deg``; hub-peels are the newest records, so restoring just the
+        degrees of their own edges keeps it exact wherever it is read."""
         col = self.col
         for rec in reversed(self.records):
             kind = rec[0]
@@ -783,16 +782,15 @@ class _Machine:
             elif kind == "hub-peel":
                 _, w, z, u, v, p, q = rec
                 self._extend_hub_peel(w, z, u, v, p, q)
-                self.adj[w] = {z}
-                self.adj[z].add(w)
+                self.deg[w] = 1
+                self.deg[z] += 1
             else:
                 raise self._fail(f"unknown record {kind}")
 
     def _extend_hub_peel(self, w: int, z: int, u: int, v: int, p: int, q: int) -> None:
-        col = self.col
+        col, deg, src = self.col, self.deg, self.source.adj
         col1 = col[z]
-        others = sorted((c for c in (1, 2, 3) if c != col1), key=lambda c: (self.sizes[c], c))
-        col2 = others[0]
+        col2 = self._pick_lightest([col1])
         if self.sizes[col1] >= self.sizes[col2]:
             self._assign(w, col2)
             return
@@ -800,15 +798,15 @@ class _Machine:
         # it and give w that leaf's old color
         r = u if col[u] != col1 else v
         comp_found = None
-        for nb in sorted(self.adj[r]):
+        for nb in filter(deg.__getitem__, src[r]):
             comp = [nb]
             seen = {r, nb}
             good = col[nb] != col1
             stack = [nb]
             while stack and good:
                 x = stack.pop()
-                for y in self.adj[x]:
-                    if y not in seen:
+                for y in src[x]:
+                    if deg[y] and y not in seen:
                         if col[y] == col1:
                             good = False
                             break
@@ -820,7 +818,7 @@ class _Machine:
                 break
         if comp_found is None:
             raise self._fail("no branch avoids the deficient color class")
-        leaf_cands = [y for y in comp_found if len(self.adj[y]) == 1]
+        leaf_cands = [y for y in comp_found if deg[y] == 1]
         if not leaf_cands:
             raise self._fail("branch without a leaf")
         x = min(leaf_cands)
