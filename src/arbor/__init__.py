@@ -31,6 +31,7 @@ from .errors import (
     HypothesisViolated,
     IndependentSetNotFound,
     InternalInvariant,
+    MalformedColoring,
     NoTwoPreLeaves,
     NotAdjacent,
     NotATree,

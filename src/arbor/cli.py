@@ -16,7 +16,7 @@ from typing import Optional
 from .balance import DegreeSequence, balance_exact
 from .colorings import KColoring
 from .equitable import equitable_coloring, equitable_three, verify_equitable
-from .errors import ArborError, InternalInvariant
+from .errors import ArborError, InternalInvariant, MalformedColoring
 from .experiments import (
     ExperimentConfig,
     run_balanced_fraction,
@@ -108,14 +108,20 @@ def _cmd_check(args) -> int:
 
 
 def _read_coloring(path: str, k: int) -> KColoring:
+    """One ``vertex color`` line per vertex; blank and ``#`` lines are skipped."""
     assignment = {}
     with open(path) as fh:
-        for ln in fh:
+        for lineno, ln in enumerate(fh, 1):
             ln = ln.strip()
             if not ln or ln.startswith("#"):
                 continue
-            v, c = ln.split()
-            assignment[int(v)] = int(c)
+            try:
+                v, c = map(int, ln.split())
+            except ValueError:
+                raise MalformedColoring(f"line {lineno}: expected two integers, vertex and color") from None
+            if v in assignment:
+                raise MalformedColoring(f"line {lineno}: vertex {v} is colored twice")
+            assignment[v] = c
     return KColoring(k, assignment)
 
 

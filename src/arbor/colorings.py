@@ -26,10 +26,14 @@ class KColoring:
         return tuple(sizes)
 
     def require_total(self, g: Graph) -> None:
+        """Refuse unless exactly the vertices 1..n have colors, each in 1..k."""
         for v in range(1, g.n + 1):
             c = self.assignment.get(v)
             if c is None or not (1 <= c <= self.k):
                 raise PartialColoring(f"vertex {v} has no valid color")
+        if len(self.assignment) != g.n:
+            extra = next(v for v in self.assignment if v not in range(1, g.n + 1))
+            raise PartialColoring(f"vertex {extra} is not a vertex of the graph (1..{g.n})")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KColoring):

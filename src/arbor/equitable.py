@@ -320,11 +320,11 @@ def _skeleton_colors(
 # one of its ends, so the active tree is the source tree on the vertices of
 # active degree ``deg > 0``, and a full row is a source row filtered by it.
 # Per vertex it keeps ``deg``, the XOR ``xr`` of the active neighbors (a
-# leaf's neighbor is ``xr[w]``) and the count ``nleaf`` of leaf neighbors;
-# besides, a leaf count and lazy min-heaps of leaves and pre-leaves.  A
-# pre-leaf stays one until it is a leaf, so it is pushed once, on becoming
-# one.  Peeling pushes extension records; the base coloring is extended
-# back up through them.
+# leaf's neighbor is ``xr[w]``), the count ``nleaf`` of leaf neighbors and a
+# lazy min-heap ``leaves_at`` of them; besides, a leaf count and lazy
+# min-heaps of leaves and pre-leaves.  A pre-leaf stays one until it is a
+# leaf, so it is pushed once, on becoming one.  Peeling pushes extension
+# records; the base coloring is extended back up through them.
 
 
 class _Machine:
@@ -335,6 +335,7 @@ class _Machine:
         "n_act",
         "leaves",
         "leaf_heap",
+        "leaves_at",
         "pre_heap",
         "by_degree",
         "records",
@@ -351,8 +352,10 @@ class _Machine:
         self.xr = xr = [reduce(xor, row, 0) for row in t.adj]
         self.nleaf = nleaf = [0] * (n + 1)
         self.leaf_heap = [v for v in range(1, n + 1) if deg[v] == 1]  # ascending, so already a heap
+        self.leaves_at = [[] for _ in range(n + 1)]
         for w in self.leaf_heap:
             nleaf[xr[w]] += 1
+            self.leaves_at[xr[w]].append(w)
         self.n_act = n
         self.leaves = len(self.leaf_heap)
         self.pre_heap = [v for v in range(1, n + 1) if deg[v] >= 2 and nleaf[v] >= deg[v] - 1]
@@ -374,8 +377,9 @@ class _Machine:
         xr[z] ^= w
         nleaf[z] -= 1
         if deg[z] == 1:
-            heapq.heappush(self.leaf_heap, z)
             y = xr[z]
+            heapq.heappush(self.leaf_heap, z)
+            heapq.heappush(self.leaves_at[y], z)
             nleaf[y] += 1
             if nleaf[y] == deg[y] - 1:  # y just became a pre-leaf
                 heapq.heappush(self.pre_heap, y)
@@ -383,30 +387,41 @@ class _Machine:
             self.leaves -= 1
         return z
 
-    def _leaf_at(self, z: int) -> int:
-        """Smallest active leaf next to z."""
-        deg = self.deg
-        return next(y for y in self.source.adj[z] if deg[y] == 1)
+    def _leaf_at(self, z: int) -> Optional[int]:
+        """Smallest active leaf next to z, or None."""
+        heap = self.leaves_at[z]
+        while heap and self.deg[heap[0]] != 1:
+            heapq.heappop(heap)  # deleted since its push
+        return heap[0] if heap else None
 
-    def _min_leaf(self, nbr_not_in: frozenset | set = frozenset(), exclude: frozenset | set = frozenset()) -> Optional[int]:
-        """Smallest active leaf whose neighbor avoids ``nbr_not_in``."""
-        stash = []
-        found = None
-        while self.leaf_heap:
-            w = heapq.heappop(self.leaf_heap)
-            if self.deg[w] != 1:
-                continue  # stale entry: deleted, or no longer a leaf
-            stash.append(w)
-            if w not in exclude and self.xr[w] not in nbr_not_in:
-                found = w
+    def _min_leaf(self, nbr_not_in: frozenset | set = frozenset()) -> Optional[int]:
+        """Smallest active leaf whose neighbor avoids ``nbr_not_in``.
+
+        ``leaf_heap`` holds, for each z with a leaf, an entry no larger than
+        z's smallest leaf, so a live top is its neighbor's smallest leaf.  A
+        barred neighbor keeps that entry and drops the rest; a deleted one
+        gives way to its neighbor's next leaf."""
+        heap, xr, deg = self.leaf_heap, self.xr, self.deg
+        barred = []
+        while heap:
+            w = heap[0]
+            z = xr[w]  # a deleted leaf keeps its last neighbor here
+            if deg[w] == 1 and z not in nbr_not_in:
                 break
-        for w in stash:
-            heapq.heappush(self.leaf_heap, w)
+            heapq.heappop(heap)
+            if deg[w] != 1:
+                nxt = self._leaf_at(z) if deg[z] > 1 else None  # a leaf z has no leaves
+                if nxt is not None:
+                    heapq.heappush(heap, nxt)
+            elif all(xr[b] != z for b in barred):
+                barred.append(w)
+        found = heap[0] if heap else None
+        for w in barred:
+            heapq.heappush(heap, w)
         return found
 
     def active_vertices(self) -> list:
-        deg = self.deg
-        return [v for v in range(1, self.source.n + 1) if deg[v]]
+        return [v for v in range(1, self.source.n + 1) if self.deg[v]]
 
     def _active_path_order(self) -> list:
         order = [0, self._min_leaf()]
@@ -421,8 +436,7 @@ class _Machine:
 
     def _commit(self, colors: dict) -> None:
         for v, c in colors.items():
-            self.col[v] = c
-            self.sizes[c] += 1
+            self._assign(v, c)
 
     def _base_search(self, constraints: Sequence[tuple]) -> None:
         vertices = self.active_vertices()
@@ -480,9 +494,7 @@ class _Machine:
                 raise self._fail("designated pre-leaf is not a pendant-path end")
         bundle_u = [y for y in src[u] if deg[y] == 1]
         bundle_v = [y for y in src[v] if deg[y] == 1]
-        exclude = set(bundle_u) | set(bundle_v)
-        skel = [x for x in self.active_vertices() if x not in exclude]
-        skel_set = set(skel)
+        skel_set = set(self.active_vertices()).difference(bundle_u, bundle_v)
         # BFS from u; dropping pendant leaves keeps the skeleton connected
         order = [u]
         parent: dict = {u: None}
@@ -494,7 +506,7 @@ class _Machine:
                     parent[y] = x
                     order.append(y)
                     dq.append(y)
-        if len(order) != len(skel) or v not in parent:
+        if len(order) != len(skel_set) or v not in parent:
             raise self._fail("skeleton decomposition does not cover the tree")
         if len(order) + len(bundle_u) + len(bundle_v) != self.n_act:
             raise self._fail("hub bundles and skeleton overlap")
@@ -559,12 +571,7 @@ class _Machine:
     # -- top-level three-coloring flow --------------------------------------
 
     def run3(self, pair: Optional[tuple]) -> None:
-        r = self.n_act % 3
-        done = False
-        for _ in range(r):
-            done = self._peel_one(pair)
-            if done:
-                break
+        done = any(self._peel_one(pair) for _ in range(self.n_act % 3))
         while not done:
             if self.leaves == 2:  # no vertex of degree >= 3
                 self._base_path(pair)
@@ -602,9 +609,8 @@ class _Machine:
         return False
 
     def _select_pair(self) -> tuple:
-        """The two smallest pre-leaves.  Heap entries that have turned into
-        leaves since their push are stale and dropped; p is popped to reach
-        q and pushed back."""
+        """The two smallest pre-leaves.  Entries that have become leaves are
+        stale and dropped; p is popped to reach q and pushed back."""
         heap, deg = self.pre_heap, self.deg
         pair = []
         while heap and len(pair) < 2:
@@ -677,7 +683,7 @@ class _Machine:
         if cap_vertex is not None:
             v2 = self._leaf_at(cap_vertex)
         else:
-            v2 = self._min_leaf(nbr_not_in={u}, exclude={v1})
+            v2 = self._min_leaf(nbr_not_in={u, p})  # v1 is p's only leaf
             if v2 is None:
                 # all leaves hang on u except p's: a broom with heads p and u
                 if q != u:
@@ -721,10 +727,7 @@ class _Machine:
     # -- unwind --------------------------------------------------------------
 
     def _pick(self, banned: Sequence[int]) -> int:
-        for c in (1, 2, 3):
-            if c not in banned:
-                return c
-        raise self._fail("no color left for an extension")
+        return next(c for c in (1, 2, 3) if c not in banned)  # two are banned at most
 
     def _pick_lightest(self, banned: Sequence[int]) -> int:
         return min((c for c in (1, 2, 3) if c not in banned), key=lambda c: (self.sizes[c], c))
@@ -818,10 +821,7 @@ class _Machine:
                 break
         if comp_found is None:
             raise self._fail("no branch avoids the deficient color class")
-        leaf_cands = [y for y in comp_found if deg[y] == 1]
-        if not leaf_cands:
-            raise self._fail("branch without a leaf")
-        x = min(leaf_cands)
+        x = min(y for y in comp_found if deg[y] == 1)  # a branch off r always has a leaf
         if x in (u, v, p, q):
             raise self._fail("swap leaf collides with a constrained vertex")
         cx = col[x]

@@ -31,7 +31,12 @@ class TooLarge(ArborError):
 
 
 class PartialColoring(ArborError):
-    """A coloring does not assign a valid color to every vertex."""
+    """A coloring does not assign a valid color to every vertex, or colors
+    a vertex the graph does not have."""
+
+
+class MalformedColoring(ArborError):
+    """A coloring file line is not two integers, or repeats a vertex."""
 
 
 class BadEntry(ArborError):

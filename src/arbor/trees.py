@@ -287,6 +287,8 @@ def complete_forest_to_tree(f: Graph, degree_cap: int) -> Tree:
     the (degree, id)-minimal attachable vertex of the next component (see
     ``join_forest``).
     """
+    if f.n == 0:
+        raise PreconditionViolated("a forest with no vertices has no tree completion")
     if degree_cap < f.max_degree:
         raise CapInfeasible(f"cap {degree_cap} below forest max degree {f.max_degree}")
     comps = forest_components(f.adj, range(1, f.n + 1))

@@ -255,6 +255,13 @@ class TestVerifyBalanced:
         with pytest.raises(PartialColoring):
             verify_balanced(path(3), KColoring(2, {1: 1, 2: 2}))
 
+    def test_vertex_outside_graph(self):
+        extra = KColoring(2, {1: 1, 2: 2, 3: 1, 4: 2})
+        with pytest.raises(PartialColoring, match="vertex 4"):
+            verify_balanced(path(3), extra)
+        with pytest.raises(PartialColoring, match="vertex 4"):
+            k_balance_report(path(3), extra)
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 25), st.integers(0, 2**31), st.data())
     def test_cross_edge_identity(self, n, seed, data):

@@ -111,6 +111,26 @@ class TestColorCommand:
         assert code == 0 and json.loads(out)["valid"] is False
 
     @pytest.mark.parametrize(
+        "extra,reason",
+        [
+            ("9 1\n", "vertex 9 is not a vertex"),
+            ("9 7\n", "vertex 9 is not a vertex"),
+            ("2 3\n", "line 4: vertex 2 is colored twice"),
+            ("3 3 3\n", "line 4: expected two integers"),
+            ("x 1\n", "line 4: expected two integers"),
+        ],
+        ids=["extra-vertex", "extra-vertex-bad-color", "repeated-vertex", "three-fields", "not-an-integer"],
+    )
+    def test_verify_refuses_bad_coloring_file(self, capsys, tmp_path, extra, reason):
+        f = tmp_path / "p3.tree"
+        f.write_text("3\n1 2\n2 3\n")
+        c = tmp_path / "cols.txt"
+        c.write_text("1 1\n2 2\n3 3\n" + extra)
+        code, out, err = run(capsys, "color", "--k", "3", "--in", str(f), "--verify", str(c))
+        assert (code, out) == (2, "")
+        assert reason in err
+
+    @pytest.mark.parametrize(
         "text,extra",
         [
             (CROWDED_56, []),

@@ -1,5 +1,8 @@
+import collections
+import heapq
 import itertools
 import random
+import types
 from collections import deque
 
 import pytest
@@ -58,6 +61,10 @@ class TestVerify:
     def test_partial(self):
         with pytest.raises(PartialColoring):
             verify_equitable(path(3), KColoring(3, {1: 1, 3: 2}))
+
+    def test_vertex_outside_graph(self):
+        with pytest.raises(PartialColoring, match="vertex 9"):
+            verify_equitable(path(3), KColoring(3, {1: 1, 2: 2, 3: 3, 9: 1}))
 
 
 class TestEquitableThree:
@@ -466,3 +473,95 @@ class TestIndependentLowDegree:
     def test_guard_raises_when_short(self):
         with pytest.raises(IndependentSetNotFound):
             _independent_low_degree(star(5).adj, range(1, 6), 5)
+
+
+# ---------------------------------------------------------------------------
+# Heap work of the k=3 peeling machine, counted rather than timed.
+
+
+def caterpillar(n):
+    """A path on the first half of the ids, each with one pendant leaf."""
+    s = n // 2
+    return build_tree([(i, i + 1) for i in range(1, s)] + [(i, s + i) for i in range(1, n - s + 1)], n)
+
+
+def spider(n, legs):
+    """Legs of near-equal length around vertex 1."""
+    edges = []
+    for leg in range(legs):
+        prev = 1
+        for _ in range((n - 1) // legs + (leg < (n - 1) % legs)):
+            edges.append((prev, len(edges) + 2))
+            prev = len(edges) + 1
+    return build_tree(edges, n)
+
+
+def broom(n):
+    """A path whose last vertex carries n/3 - 1 bristles."""
+    h = n - n // 3 + 1
+    return build_tree([(i, i + 1) for i in range(1, h)] + [(h, x) for x in range(h + 1, n + 1)], n)
+
+
+def two_hub_tree(n):
+    """Adjacent hubs 1 and 2, each carrying (n - 2) // 4 pendant 2-paths,
+    hub 1's first; the last path takes the vertices left over."""
+    edges = [(1, 2)]
+    for hub in (1, 2):
+        for _ in range((n - 2) // 4):
+            mid = len(edges) + 2
+            edges += [(hub, mid), (mid, mid + 1)]
+    edges += [(x - 1, x) for x in range(len(edges) + 2, n + 1)]
+    return build_tree(edges, n)
+
+
+PEEL_SHAPES = {
+    "random": lambda n: sample_labeled_tree(n, 1),
+    "caterpillar": caterpillar,
+    "spider": lambda n: spider(n, 99),
+    "broom": broom,
+    "two-hubs": two_hub_tree,
+}
+
+
+class TestPeelOperationCounts:
+    @pytest.mark.parametrize("shape", sorted(PEEL_SHAPES))
+    def test_heap_operations_are_linear(self, shape, monkeypatch):
+        n = 10_000
+        t = PEEL_SHAPES[shape](n)
+        assert t.n == n and t.max_degree * 3 <= n
+        ops = 0
+        machine = None
+        entries = collections.Counter()  # pre-leaf heap entries by vertex, put-backs left out
+        taken = set()  # live pre-leaves that _select_pair popped and owes back
+        real_init = equitable_module._Machine.__init__
+
+        def init(self, tree):
+            nonlocal machine
+            real_init(self, tree)
+            machine = self
+            entries.update(self.pre_heap)
+
+        def heappush(heap, item):
+            nonlocal ops
+            ops += 1
+            if heap is machine.pre_heap:
+                if item in taken:
+                    taken.remove(item)
+                else:
+                    entries[item] += 1
+            heapq.heappush(heap, item)
+
+        def heappop(heap):
+            nonlocal ops
+            ops += 1
+            item = heapq.heappop(heap)
+            if heap is machine.pre_heap and machine.deg[item] >= 2:
+                taken.add(item)
+            return item
+
+        monkeypatch.setattr(equitable_module._Machine, "__init__", init)
+        monkeypatch.setattr(equitable_module, "heapq", types.SimpleNamespace(heappush=heappush, heappop=heappop))
+        assert_good(t, equitable_coloring(t, 3), 3)
+        assert machine is not None and not taken
+        assert ops <= 8 * n, ops / n
+        assert max(entries.values()) == 1  # a vertex enters the pre-leaf heap once

@@ -187,6 +187,12 @@ class TestForestCompletion:
         with pytest.raises(CapInfeasible):
             complete_forest_to_tree(star(4), 2)
 
+    def test_empty_forest_refused(self):
+        empty = induced_subtree(path(2), {1, 2}).graph
+        assert empty.n == 0
+        with pytest.raises(PreconditionViolated):
+            complete_forest_to_tree(empty, 2)
+
     def test_cap_one_three_singletons(self):
         with pytest.raises(CapInfeasible):
             complete_forest_to_tree(build_graph([], 3), 1)
