@@ -23,6 +23,13 @@ every leaf crowds a hub or the pre-leaf pair: every construction that
 planted hubs.  It is the only corpus that reaches the exact skeleton DP
 ``_skeleton_colors``.  It was computed before the peeling machine moved to
 flat degree arrays and must not move.
+
+A fifth digest covers the ones/twos construction, which the balance digest
+never reaches: the sides I and J and their sums from
+``ones_twos_partition`` over seeded sequences with at least max(seq) ones
+and twos, and the ``is_balanced_graph`` colorings of seeded trees whose
+ones/twos shortcut applies.  It was computed before the construction moved
+to value buckets and must not move.
 """
 
 import hashlib
@@ -30,7 +37,7 @@ import itertools
 import random
 
 import arbor.equitable as equitable_module
-from arbor.balance import balance_exact, is_balanced_graph
+from arbor.balance import balance_exact, is_balanced_graph, ones_twos_partition
 from arbor.equitable import _skeleton_colors as skeleton_colors
 from arbor.equitable import equitable_coloring, equitable_three, hub_pair_coloring
 from arbor.random_trees import enumerate_unlabeled_trees, sample_labeled_tree
@@ -47,6 +54,8 @@ CROWDED_DIGEST = "fa837a19648f70c1fc516178d0119609a8f492b10981a694e636ad0c7d8e39
 BALANCE_LINES = 1324
 BALANCE_DIGEST = "afc032955f7c8c67618f0875ac28ff8dc94ecf839e0854e1373ed88b3da96a74"
 BALANCE_RANGES = ((0, 3), (1, 3), (3, 8), (3, 39))
+ONES_TWOS_LINES = 2106
+ONES_TWOS_DIGEST = "695b1dea89b99c3aa57999727c4ebb4cb3243912bcccfe4fd1034bbd9ddf7eab"
 
 
 def _line(tag, t, cert):
@@ -228,6 +237,36 @@ def _balance_corpus():
             return
 
 
+def _ones_twos_sequence(rng, n):
+    """n values with at least max ones and max twos: a top value m, m ones,
+    m twos, the rest from a few values in lo..m (many ties), shuffled."""
+    m = rng.randint(2, n // 3)
+    lo = rng.choice((0, 1, 1, 2, m))
+    pool = [rng.randint(lo, m) for _ in range(rng.randint(1, 4))]
+    values = [m] + [1] * m + [2] * m + [rng.choice(pool) for _ in range(n - 2 * m - 1)]
+    rng.shuffle(values)
+    return values
+
+
+def _ones_twos_corpus():
+    """Yield one line per ones/twos split of the sequence and tree corpus."""
+    rng = random.Random(GOLDEN_SEED)
+    for n in range(6, 401):
+        for rep in range(6 if n <= 40 else 2):
+            part = ones_twos_partition(_ones_twos_sequence(rng, n))
+            sides = " ".join(map(str, part.I)) + "|" + " ".join(map(str, part.J))
+            yield f"q{n}.{rep}|{sides}|{part.sum_I}|{part.sum_J}\n".encode()
+    for n in range(3, 301):
+        for trial in range(4):
+            t = sample_labeled_tree(n, GOLDEN_SEED, trial)
+            degrees = t.degree_sequence()
+            m = max(degrees)
+            if degrees.count(1) < m or degrees.count(2) < m:
+                continue
+            coloring = is_balanced_graph(t)
+            yield f"t{n}.{trial}|{' '.join(str(coloring.color(v)) for v in range(1, n + 1))}\n".encode()
+
+
 def corpus_digest(corpus=_corpus):
     h = hashlib.sha256()
     lines = 0
@@ -262,3 +301,8 @@ def test_crowded_digest(monkeypatch):
 def test_balance_digest():
     lines, digest = corpus_digest(_balance_corpus)
     assert (lines, digest) == (BALANCE_LINES, BALANCE_DIGEST)
+
+
+def test_ones_twos_digest():
+    lines, digest = corpus_digest(_ones_twos_corpus)
+    assert (lines, digest) == (ONES_TWOS_LINES, ONES_TWOS_DIGEST)
