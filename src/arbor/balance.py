@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -63,10 +64,10 @@ def _values_of(seq) -> tuple:
     """
     if isinstance(seq, DegreeSequence):
         return seq.values
-    vals = tuple(int(v) for v in seq)
+    vals = tuple(map(int, seq))
     if not vals:
         raise ValueError("empty sequence")
-    if any(v < 0 for v in vals):
+    if min(vals) < 0:
         raise ValueError("values must be non-negative")
     return vals
 
@@ -234,88 +235,113 @@ def balance_exact(seq: DegreeSequence | Sequence[int]) -> tuple[int, Partition]:
 # Constructive bounds.
 
 
-def _greedy_pairs(items: list[tuple[int, int]]) -> tuple[list, list, int, int]:
+def _greedy_pairs(buckets, side: bytearray) -> tuple[int, int]:
     """Pairing construction: sort ascending, walk pairs from the top, give the
     smaller element of each pair to the side whose running sum is larger
-    (ties send the larger element to I).  Items are (value, original index);
-    a virtual (0, None) is prepended when the length is odd."""
-    items = sorted(items)  # every index is an int: (0, None) is prepended after
-    if len(items) % 2 == 1:
-        items = [(0, None)] + items
-    m = len(items) // 2
-    if m == 0:
-        return [], [], 0, 0
-    I = [items[-1]]
-    J = [items[-2]]
-    s_i = items[-1][0]
-    s_j = items[-2][0]
-    for k in range(1, m):
-        small = items[2 * m - 2 * k - 2]
-        large = items[2 * m - 2 * k - 1]
-        if s_i > s_j:
-            I.append(small)
-            J.append(large)
-            s_i += small[0]
-            s_j += large[0]
-        else:
-            I.append(large)
-            J.append(small)
-            s_i += large[0]
-            s_j += small[0]
-    return I, J, s_i, s_j
+    (ties send the larger element to I).
+
+    ``buckets`` lists (value, ascending indices) by ascending value, so their
+    concatenation is the (value, index) order; a virtual item of value 0 and
+    index ``len(side) - 1`` goes first when the count is odd.  Sets
+    ``side[i] = 1`` for every index given to I and returns the two sums.
+    Both sums grow alike over the pairs of one value, so such a run of pairs
+    all goes the same way; only a pair that straddles two values is decided
+    on its own.
+    """
+    order: list = []
+    runs = []  # (value, position in order of the run's first index)
+    if sum(len(ix) for _, ix in buckets) % 2 == 1:
+        order.append(len(side) - 1)
+        runs.append((0, 0))
+    for v, ix in buckets:
+        if ix:
+            runs.append((v, len(order)))
+            order.extend(ix)
+    s_i = s_j = 0
+    hi = len(order)  # positions hi and up are dealt out; pairs are (2j, 2j + 1)
+    for r in range(len(runs) - 1, -1, -1):
+        v, start = runs[r]
+        lo = start + (start & 1)
+        if hi > lo:
+            for i in order[lo:hi:2] if s_i > s_j else order[lo + 1 : hi : 2]:
+                side[i] = 1
+            s_i += (hi - lo) // 2 * v
+            s_j += (hi - lo) // 2 * v
+            hi = lo
+        if start & 1:  # the pair (start - 1, start) straddles runs r - 1 and r
+            below = runs[r - 1][0]
+            if s_i > s_j:
+                side[order[start - 1]] = 1
+                s_i += below
+                s_j += v
+            else:
+                side[order[start]] = 1
+                s_i += v
+                s_j += below
+            hi = start - 1
+    return s_i, s_j
 
 
-def _as_partition(I, J, s_i, s_j) -> Partition:
-    i_idx = tuple(sorted(i + 1 for _, i in I if i is not None))
-    j_idx = tuple(sorted(j + 1 for _, j in J if j is not None))
-    return Partition(i_idx, j_idx, s_i, s_j)
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _side_partition(side: bytearray, n: int, s_i: int, s_j: int) -> Partition:
+    """I = the indices i with side[i - 1] set, J the rest (1-based, ascending)."""
+    ids = range(1, n + 1)
+    return Partition(tuple(compress(ids, side)), tuple(compress(ids, side.translate(_FLIP))), s_i, s_j)
 
 
 def greedy_pair_partition(seq: DegreeSequence | Sequence[int]) -> Partition:
     """Near-equicardinal partition with |sum(I) - sum(J)| <= max(seq)."""
-    items = [(v, i) for i, v in enumerate(_values_of(seq))]
-    return _as_partition(*_greedy_pairs(items))
+    values = _values_of(seq)
+    buckets: dict[int, list[int]] = {}
+    for i, v in enumerate(values):
+        buckets.setdefault(v, []).append(i)
+    side = bytearray(len(values) + 1)
+    return _side_partition(side, len(values), *_greedy_pairs(sorted(buckets.items()), side))
 
 
 def ones_twos_partition(seq: DegreeSequence | Sequence[int]) -> Partition:
     """Partition with |sum(I) - sum(J)| <= 2, given enough ones and twos.
 
     Requires at least max(seq) ones and max(seq) twos.  The reserved block of
-    max(seq) ones and twos is split half/half per side, with the number of
-    twos sent to the lighter side chosen so the block imbalance cancels the
-    greedy remainder difference up to parity.
+    max(seq) ones and twos (the first by index) is split half/half per side,
+    with the number of twos sent to the lighter side chosen so the block
+    imbalance cancels the greedy remainder difference up to parity.
     """
     values = _values_of(seq)
+    n = len(values)
     m = max(values)
-    ones_total = sum(1 for v in values if v == 1)
-    twos_total = sum(1 for v in values if v == 2)
+    ones_total = values.count(1)
+    twos_total = values.count(2)
     if ones_total < m or twos_total < m:
         raise HypothesisViolated(
             f"need at least max={m} ones and twos; have {ones_total} and {twos_total}"
         )
-    ones_pool = [i for i, v in enumerate(values) if v == 1][:m]
-    twos_pool = [i for i, v in enumerate(values) if v == 2][:m]
-    reserved = set(ones_pool) | set(twos_pool)
-    rest = [(v, i) for i, v in enumerate(values) if i not in reserved]
-    I, J, s_i, s_j = _greedy_pairs(rest) if rest else ([], [], 0, 0)
+    buckets: list = [[] for _ in range(max(m, 2) + 1)]  # m <= n / 2
+    for i, v in enumerate(values):
+        buckets[v].append(i)
+    ones, twos = buckets[1], buckets[2]
+    rest = list(enumerate(buckets))
+    rest[1] = (1, ones[m:])
+    rest[2] = (2, twos[m:])
+    side = bytearray(n + 1)
+    s_i, s_j = _greedy_pairs(rest, side)
     d = s_i - s_j
-    light_is_i = d < 0
     t = (m + abs(d)) // 2  # twos handed to the lighter side
-    light = [(2, i) for i in twos_pool[:t]] + [(1, i) for i in ones_pool[: m - t]]
-    heavy = [(2, i) for i in twos_pool[t:]] + [(1, i) for i in ones_pool[m - t :]]
     light_sum = 2 * t + (m - t)
     heavy_sum = 3 * m - light_sum
-    if light_is_i:
-        I += light
-        J += heavy
+    if d < 0:  # I is the lighter side
+        to_i = twos[:t] + ones[: m - t]
         s_i += light_sum
         s_j += heavy_sum
     else:
-        I += heavy
-        J += light
+        to_i = twos[t:m] + ones[m - t : m]
         s_i += heavy_sum
         s_j += light_sum
-    part = _as_partition(I, J, s_i, s_j)
+    for i in to_i:
+        side[i] = 1
+    part = _side_partition(side, n, s_i, s_j)
     if part.diff > 2 or part.card_diff > 1:
         raise InternalInvariant("ones/twos construction exceeded its bound")
     return part
@@ -327,8 +353,8 @@ def ones_twos_partition(seq: DegreeSequence | Sequence[int]) -> Partition:
 
 def partition_coloring(part: Partition) -> KColoring:
     """Color class 1 = I, class 2 = J."""
-    assignment = {v: 1 for v in part.I}
-    assignment.update({v: 2 for v in part.J})
+    assignment = dict.fromkeys(part.I, 1)
+    assignment.update(dict.fromkeys(part.J, 2))
     return KColoring(2, assignment)
 
 
@@ -344,9 +370,7 @@ def is_balanced_graph(g: Graph) -> Optional[KColoring]:
         return None
     degrees = g.degree_sequence()
     m = max(degrees)
-    ones = sum(1 for d in degrees if d == 1)
-    twos = sum(1 for d in degrees if d == 2)
-    if m >= 1 and ones >= m and twos >= m:
+    if m >= 1 and degrees.count(1) >= m and degrees.count(2) >= m:
         part = ones_twos_partition(degrees)
         return partition_coloring(part)
     f, part = balance_exact(degrees)

@@ -8,6 +8,7 @@ violation (the offending tree is dumped to stderr for bug reports).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -278,9 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _cached_parser(seed_env: Optional[str]) -> argparse.ArgumentParser:
+    """One parser per process, rebuilt when ``ARBOR_SEED`` (its ``--seed``
+    default) changes value."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _cached_parser(os.environ.get("ARBOR_SEED")).parse_args(argv)
     try:
         return args.fn(args)
     except InternalInvariant as exc:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import PartialColoring
 from .trees import Graph
 
@@ -20,10 +22,14 @@ class KColoring:
 
     @property
     def class_sizes(self) -> tuple:
-        sizes = [0] * self.k
-        for c in self.assignment.values():
-            sizes[c - 1] += 1
-        return tuple(sizes)
+        """Number of vertices of each color 1..k; ``PartialColoring`` when a
+        vertex has a color outside 1..k."""
+        counts = Counter(self.assignment.values())
+        colors = range(1, self.k + 1)
+        if any(c not in colors for c in counts):
+            v, c = next((v, c) for v, c in self.assignment.items() if c not in colors)
+            raise PartialColoring(f"vertex {v} has color {c!r}, outside 1..{self.k}")
+        return tuple(counts[c] for c in colors)
 
     def require_total(self, g: Graph) -> None:
         """Refuse unless exactly the vertices 1..n have colors, each in 1..k."""
@@ -41,4 +47,8 @@ class KColoring:
         return self.k == other.k and self.assignment == other.assignment
 
     def __repr__(self) -> str:
-        return f"KColoring(k={self.k}, sizes={self.class_sizes})"
+        try:
+            sizes = self.class_sizes
+        except (PartialColoring, TypeError):  # a color outside 1..k, or unhashable
+            return f"KColoring(k={self.k}, {len(self.assignment)} vertices, not all colored in 1..{self.k})"
+        return f"KColoring(k={self.k}, sizes={sizes})"

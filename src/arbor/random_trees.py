@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import insort
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -32,39 +31,38 @@ def prufer_decode(entries: Sequence[int], n: int) -> Tree:
     optimal algorithm for Prüfer codes", 2009): ``ptr`` moves up the ids
     once and stops at each unused leaf, and an entry that becomes a leaf
     below ``ptr`` is the smallest leaf, so it is joined next.  Each edge
-    hangs a leaf under its parent; a vertex's sorted row is its children,
-    met in ascending order, with its parent put in place.
+    hangs a leaf under its parent; the tree keeps that parent array and
+    builds its sorted rows only when they are first read.
     """
     if n < 2:
         raise BadEntry(f"need n >= 2, got {n}")
     if len(entries) != n - 2:
         raise BadEntry(f"code length {len(entries)} != n-2 = {n - 2}")
-    if entries and not (1 <= min(entries) and max(entries) <= n):
+    deg = [1] * (n + 1)
+    try:
+        for a in entries:  # an entry above n stops this loop, one below 1 fails min()
+            deg[a] += 1
+        in_range = not entries or min(entries) >= 1
+    except IndexError:
+        in_range = False
+    if not in_range:
         bad = next(a for a in entries if not 1 <= a <= n)
         raise BadEntry(f"entry {bad} outside 1..{n}")
-    deg = [1] * (n + 1)
-    for a in entries:
-        deg[a] += 1
-    top = max(deg)
+    degrees = deg[1:]
     parent = [0] * (n + 1)
-    ptr = leaf = deg.index(1, 1)
+    index = deg.index
+    ptr = leaf = index(1, 1)
     for a in entries:
         parent[leaf] = a
-        deg[a] -= 1
-        if deg[a] == 1 and a < ptr:
+        d = deg[a] - 1
+        deg[a] = d
+        if d == 1 and a < ptr:
             leaf = a
         else:
-            ptr = leaf = deg.index(1, ptr + 1)
+            ptr = leaf = index(1, ptr + 1)
     parent[leaf] = n
-    rows: list = [[] for _ in range(n + 1)]
-    for v in range(1, n):
-        rows[parent[v]].append(v)
-    for v in range(1, n):
-        insort(rows[v], parent[v])
     # the decoding always yields a tree, so skip re-validation
-    t = Tree(n, tuple(map(tuple, rows)), n - 1)
-    t._max_deg = top
-    return t
+    return Tree.from_parents(parent, degrees)
 
 
 def prufer_encode(t: Tree) -> list[int]:

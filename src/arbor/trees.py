@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+from bisect import insort
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapInfeasible, NotAdjacent, NotATree, PreconditionViolated
@@ -69,6 +70,7 @@ class Graph:
         return self._max_deg
 
     def edges(self) -> Iterator[tuple[int, int]]:
+        """Each edge once as (u, v) with u < v, in no promised order."""
         for u in range(1, self.n + 1):
             for v in self.adj[u]:
                 if u < v:
@@ -106,7 +108,60 @@ class Graph:
 
 
 class Tree(Graph):
-    """Connected acyclic graph; invariant edge_count == n - 1."""
+    """Connected acyclic graph; invariant edge_count == n - 1.
+
+    A tree made by ``from_parents`` (as ``prufer_decode`` makes them) keeps
+    a parent array and its degree sequence, and leaves the ``adj`` slot
+    unset: the degree sequence, maximum degree and edges are read off those,
+    and the sorted rows are built once, on first access of ``adj``.
+    """
+
+    __slots__ = ("_parent", "_degrees")
+
+    def __init__(self, n: int, adj: tuple, edge_count: int):
+        super().__init__(n, adj, edge_count)
+        self._parent = None
+
+    @classmethod
+    def from_parents(cls, parent: list, degrees: list) -> "Tree":
+        """Tree on 1..n whose every vertex v < n hangs under ``parent[v]``
+        (``parent[n]`` is unused), with degree sequence ``degrees``; both are
+        kept, not copied, and must describe a tree."""
+        t = cls.__new__(cls)
+        t.n = n = len(parent) - 1
+        t.edge_count = n - 1
+        t._max_deg = max(degrees)
+        t._parent = parent
+        t._degrees = degrees
+        return t
+
+    def __getattr__(self, name: str):
+        # Python calls this only when the normal lookup fails; the one
+        # attribute made here is ``adj`` of a tree from from_parents.
+        if name != "adj" or self._parent is None:
+            raise AttributeError(name)
+        parent = self._parent
+        n = self.n
+        # A vertex's sorted row is its children, met in ascending order,
+        # with its parent put in place.
+        rows: list = [[] for _ in range(n + 1)]
+        for v in range(1, n):
+            rows[parent[v]].append(v)
+        for v in range(1, n):
+            insort(rows[v], parent[v])
+        self.adj = adj = tuple(map(tuple, rows))
+        return adj
+
+    def degree_sequence(self) -> list[int]:
+        if self._parent is None:
+            return super().degree_sequence()
+        return self._degrees[:]
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Each edge once as (u, v) with u < v, in no promised order."""
+        if self._parent is None:
+            return super().edges()
+        return ((v, p) if v < p else (p, v) for v, p in zip(range(1, self.n), self._parent[1:]))
 
 
 def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
@@ -181,7 +236,7 @@ def branch(t: Tree, v: int, u: int) -> frozenset:
 
 def is_path_graph(t: Graph) -> bool:
     """True iff the tree has maximum degree at most two."""
-    return all(len(t.adj[v]) <= 2 for v in range(1, t.n + 1))
+    return t.max_degree <= 2
 
 
 def path_order(t: Graph) -> list[int]:
@@ -352,8 +407,11 @@ def parse_tree_text(text: str) -> Tree:
 
 
 def format_tree_text(t: Graph) -> str:
+    """The text format with edge lines sorted: (u, v), u < v, ascending."""
     lines = [str(t.n)]
-    lines.extend(f"{u} {v}" for u, v in t.edges())
+    adj = t.adj
+    for u in range(1, t.n + 1):
+        lines.extend(f"{u} {v}" for v in adj[u] if u < v)
     return "\n".join(lines) + "\n"
 
 

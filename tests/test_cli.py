@@ -294,3 +294,16 @@ class TestSeedEnvDefault:
         # parser defaults are bound at build time, so rebuild under the env
         args = build_parser().parse_args(["sample", "--n", "6", "--trials", "1"])
         assert args.seed == 31
+
+    def test_main_follows_a_changed_env(self, capsys, monkeypatch):
+        # main keeps one parser per process; a new ARBOR_SEED must still reach --seed
+        argv = ("sample", "--n", "9", "--trials", "2", "--emit", "prufer")
+        outs = []
+        for seed in ("5", "6", "5"):
+            monkeypatch.setenv("ARBOR_SEED", seed)
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[2] != outs[1]
+        assert outs[0] == run(capsys, *argv, "--seed", "5")[1]
+

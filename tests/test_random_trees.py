@@ -1,10 +1,13 @@
 import heapq
 import itertools
 import math
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arbor.balance import is_balanced_graph, verify_balanced
 from arbor.errors import BadEntry, TooLarge
 from arbor.random_trees import (
     canonical_form,
@@ -18,7 +21,7 @@ from arbor.random_trees import (
     tree_stats,
     trial_rng,
 )
-from arbor.trees import build_tree, path, star
+from arbor.trees import Graph, build_tree, format_tree_text, is_path_graph, path, star
 
 
 class TestDecode:
@@ -70,6 +73,74 @@ class TestDecodeExhaustive:
     def test_entry_out_of_range_is_named(self):
         with pytest.raises(BadEntry, match="entry 0 outside"):
             prufer_decode([2, 0, 9], 5)
+
+
+def rows_built(t):
+    """Whether t's ``adj`` slot is set, read without the build on access."""
+    try:
+        Graph.adj.__get__(t, type(t))
+    except AttributeError:
+        return False
+    return True
+
+
+def lazy_codes():
+    """Every code with n <= 7, then seeded codes up to n = 2000 (stars,
+    paths and random codes)."""
+    for n in range(2, 8):
+        for code in itertools.product(range(1, n + 1), repeat=n - 2):
+            yield list(code), n
+    rng = random.Random(7)
+    for n in (8, 9, 50, 401, 2000):
+        yield [1] * (n - 2), n
+        yield [n] * (n - 2), n
+        yield list(range(2, n)), n
+        yield list(range(n - 1, 1, -1)), n
+    for _ in range(120):
+        n = rng.randint(8, 2000)
+        yield [rng.randint(1, rng.choice((3, n))) for _ in range(n - 2)], n
+
+
+class TestLazyDecodedTree:
+    """A decoded tree builds its rows on first access of ``adj`` and must
+    then be indistinguishable from ``build_tree`` on the same edges."""
+
+    def test_matches_built_tree(self):
+        for code, n in lazy_codes():
+            t = prufer_decode(code, n)
+            ref = build_tree(list(t.edges()), n)
+            assert sorted(t.edges()) == sorted(ref.edges()), code
+            assert t.degree_sequence() == ref.degree_sequence()
+            assert t.max_degree == ref.max_degree
+            assert is_path_graph(t) == is_path_graph(ref)
+            assert not rows_built(t)
+            assert format_tree_text(t) == format_tree_text(ref)
+            assert rows_built(t)
+            assert t.adj == ref.adj and all(type(row) is tuple for row in t.adj)
+            assert t == ref and hash(t) == hash(ref)
+            assert prufer_encode(t) == code
+            fresh = prufer_decode(code, n)
+            back = pickle.loads(pickle.dumps(fresh))
+            assert back == ref and back.degree_sequence() == ref.degree_sequence()
+            assert sorted(back.edges()) == sorted(ref.edges())
+
+    def test_rows_built_once(self):
+        t = prufer_decode([4, 4, 1, 5], 6)
+        assert t.adj is t.adj
+
+    def test_balance_leaves_rows_unbuilt(self):
+        # random trees (most take the ones/twos shortcut) and stars (which
+        # the exact DP finds unbalanced from n = 6 on)
+        trees = [sample_labeled_tree(5 + trial % 60, 2014, trial) for trial in range(200)]
+        trees += [prufer_decode([1] * (n - 2), n) for n in range(3, 30)]
+        balanced = set()
+        for t in trees:
+            coloring = is_balanced_graph(t)
+            if coloring is not None:
+                assert verify_balanced(t, coloring).balanced
+            balanced.add(coloring is not None)
+            assert not rows_built(t), t.degree_sequence()
+        assert balanced == {False, True}
 
 
 class TestEncode:
