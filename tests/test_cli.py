@@ -295,6 +295,8 @@ class TestSeedEnvDefault:
         args = build_parser().parse_args(["sample", "--n", "6", "--trials", "1"])
         assert args.seed == 31
 
+
+class TestParserCache:
     def test_main_follows_a_changed_env(self, capsys, monkeypatch):
         # main keeps one parser per process; a new ARBOR_SEED must still reach --seed
         argv = ("sample", "--n", "9", "--trials", "2", "--emit", "prufer")
