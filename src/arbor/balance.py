@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from .colorings import KColoring
-from .errors import HypothesisViolated, InternalInvariant, TooLarge
+from .errors import HypothesisViolated, InternalInvariant, PreconditionViolated, TooLarge
 from .trees import Graph
 
 BRUTE_FORCE_VERTEX_LIMIT = 24
@@ -182,16 +183,26 @@ def _best_split_sum(row: int, total: int) -> tuple[int, int]:
     return 2 * s_hi - total, s_hi
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def _small_exact(values: tuple) -> tuple[int, tuple]:
-    """Memoized value-level answer for short sequences: (F, chosen multiset)."""
-    n = len(values)
-    c_target = n // 2
-    block = max(1, n)
-    rows, checkpoints = _dp_rows(values, c_target, block=block)
+def _split(values: Sequence[int], block: int) -> tuple[int, list]:
+    """(F, traced indices of a floor(n/2)-subset attaining F)."""
+    c_target = len(values) // 2
+    rows, checkpoints = _dp_rows(values, c_target, block)
     f, s_star = _best_split_sum(rows[c_target], sum(values))
-    idx = _trace_subset(values, c_target, s_star, checkpoints, block)
-    return f, tuple(sorted(values[i] for i in idx))
+    return f, _trace_subset(values, c_target, s_star, checkpoints, block)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _small_split(values: tuple) -> tuple[int, tuple]:
+    """Memoized ``_split`` for short sequences, with each traced value taken
+    at its lowest indices instead."""
+    f, idx = _split(values, len(values))
+    want = Counter(values[i] for i in idx)
+    chosen = []
+    for i, v in enumerate(values):
+        if want[v]:
+            want[v] -= 1
+            chosen.append(i)
+    return f, tuple(chosen)
 
 
 def balance_exact(seq: DegreeSequence | Sequence[int]) -> tuple[int, Partition]:
@@ -205,24 +216,9 @@ def balance_exact(seq: DegreeSequence | Sequence[int]) -> tuple[int, Partition]:
     c_target = n // 2
     if (c_target + 1) * (total + 1) > BALANCE_DP_BIT_LIMIT:
         raise TooLarge(f"balance DP needs {c_target + 1} rows of {total + 1} bits; limit {BALANCE_DP_BIT_LIMIT}")
-    if n <= 16:
-        f, chosen_values = _small_exact(values)
-        pools: dict[int, list[int]] = {}
-        for i, v in enumerate(values):
-            pools.setdefault(v, []).append(i)
-        taken = {v: 0 for v in pools}
-        chosen_idx = []
-        for v in chosen_values:
-            chosen_idx.append(pools[v][taken[v]])
-            taken[v] += 1
-        chosen = sorted(chosen_idx)
-    else:
-        block = max(16, isqrt(n))
-        rows, checkpoints = _dp_rows(values, c_target, block=block)
-        f, s_star = _best_split_sum(rows[c_target], total)
-        chosen = _trace_subset(values, c_target, s_star, checkpoints, block)
+    f, chosen = _small_split(values) if n <= 16 else _split(values, max(16, isqrt(n)))
     in_i = set(chosen)
-    I = tuple(i + 1 for i in sorted(in_i))
+    I = tuple(i + 1 for i in chosen)  # chosen ascends
     J = tuple(i + 1 for i in range(n) if i not in in_i)
     sum_i = sum(values[i] for i in in_i)
     part = Partition(I, J, sum_i, total - sum_i)
@@ -381,22 +377,11 @@ def is_balanced_graph(g: Graph) -> Optional[KColoring]:
 
 def verify_balanced(g: Graph, coloring: KColoring) -> BalanceReport:
     """Exact class/edge tallies for a 2-coloring."""
-    coloring.require_total(g)
-    col = coloring.assignment
-    v1 = sum(1 for v in range(1, g.n + 1) if col[v] == 1)
-    v2 = g.n - v1
-    e1 = e2 = cross = 0
-    for u, v in g.edges():
-        cu, cv = col[u], col[v]
-        if cu == cv:
-            if cu == 1:
-                e1 += 1
-            else:
-                e2 += 1
-        else:
-            cross += 1
+    if coloring.k != 2:
+        raise PreconditionViolated(f"verify_balanced takes a 2-coloring, not k={coloring.k}")
+    (v1, v2), (e1, e2) = coloring.tally(g)
     balanced = abs(v1 - v2) <= 1 and abs(e1 - e2) <= 1
-    return BalanceReport(v1, v2, e1, e2, cross, balanced)
+    return BalanceReport(v1, v2, e1, e2, g.edge_count - e1 - e2, balanced)
 
 
 def brute_force_balanced(g: Graph) -> bool:
@@ -493,14 +478,4 @@ def brute_force_k_balanced(g: Graph, k: int, limit: int = K_BRUTE_DEFAULT_LIMIT)
 
 def k_balance_report(g: Graph, coloring: KColoring) -> tuple[tuple, tuple]:
     """(class sizes, per-color monochromatic edge counts) for any k-coloring."""
-    coloring.require_total(g)
-    k = coloring.k
-    sizes = [0] * (k + 1)
-    mono = [0] * (k + 1)
-    col = coloring.assignment
-    for v in range(1, g.n + 1):
-        sizes[col[v]] += 1
-    for u, v in g.edges():
-        if col[u] == col[v]:
-            mono[col[u]] += 1
-    return tuple(sizes[1:]), tuple(mono[1:])
+    return coloring.tally(g)

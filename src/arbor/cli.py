@@ -46,10 +46,6 @@ from .trees import (
 SCHEMA = 1
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("ARBOR_SEED", "0"))
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
@@ -134,7 +130,7 @@ def _cmd_color(args) -> int:
             "schema": SCHEMA,
             "k": args.k,
             "valid": cert.valid,
-            "class_sizes": list(cert.coloring.class_sizes),
+            "class_sizes": list(cert.class_sizes),
             "mono_edges": list(cert.mono_edges),
         }
         _emit(_json(payload), args.out)
@@ -149,7 +145,7 @@ def _cmd_color(args) -> int:
         "schema": SCHEMA,
         "k": args.k,
         "assignment": {str(v): cert.coloring.color(v) for v in range(1, t.n + 1)},
-        "class_sizes": list(cert.coloring.class_sizes),
+        "class_sizes": list(cert.class_sizes),
         "trace": list(cert.trace),
     }
     _emit(_json(payload), args.out)
@@ -230,12 +226,15 @@ def _cmd_experiment(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="arbor", description="Balanced and equitable colorings of random trees")
+    # a string default is converted by ``type`` only when its subcommand
+    # runs, so a bad ARBOR_SEED is a usage error of sample and experiment
+    seed = os.environ.get("ARBOR_SEED", "0")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("sample", help="sample uniform random labeled trees")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--emit", choices=["edges", "prufer", "stats"], default="stats")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_sample)
@@ -270,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")

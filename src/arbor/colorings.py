@@ -31,15 +31,29 @@ class KColoring:
             raise PartialColoring(f"vertex {v} has color {c!r}, outside 1..{self.k}")
         return tuple(counts[c] for c in colors)
 
-    def require_total(self, g: Graph) -> None:
-        """Refuse unless exactly the vertices 1..n have colors, each in 1..k."""
-        for v in range(1, g.n + 1):
-            c = self.assignment.get(v)
-            if c is None or not (1 <= c <= self.k):
-                raise PartialColoring(f"vertex {v} has no valid color")
-        if len(self.assignment) != g.n:
-            extra = next(v for v in self.assignment if v not in range(1, g.n + 1))
-            raise PartialColoring(f"vertex {extra} is not a vertex of the graph (1..{g.n})")
+    def tally(self, g: Graph) -> tuple[tuple, tuple]:
+        """(class sizes, monochromatic edge counts) of each color 1..k on g,
+        from one pass over the vertices and one over the edges.
+
+        Raises ``PartialColoring`` unless exactly the vertices 1..n have
+        colors, each in 1..k.
+        """
+        n, k, assignment = g.n, self.k, self.assignment
+        col = [0, *map(assignment.get, range(1, n + 1))]
+        colors = range(1, k + 1)
+        sizes = tuple(map(col.count, colors))
+        if sum(sizes) != n:  # a vertex whose color is none of 1..k
+            v = next(v for v in range(1, n + 1) if col[v] not in colors)
+            raise PartialColoring(f"vertex {v} has no valid color")
+        if len(assignment) != n:
+            extra = next(v for v in assignment if v not in range(1, n + 1))
+            raise PartialColoring(f"vertex {extra} is not a vertex of the graph (1..{n})")
+        mono = [0] * (k + 1)
+        for u, v in g.edges():
+            c = col[u]
+            if c == col[v]:
+                mono[c] += 1
+        return sizes, tuple(mono[1:])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KColoring):

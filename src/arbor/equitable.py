@@ -59,24 +59,19 @@ class EquitableCertificate:
     """A coloring plus the tallies and construction trace that certify it."""
 
     coloring: KColoring
+    class_sizes: tuple
     mono_edges: tuple
     trace: tuple
 
     @property
     def valid(self) -> bool:
-        sizes = self.coloring.class_sizes
+        sizes = self.class_sizes
         return max(sizes) - min(sizes) <= 1 and all(m == 0 for m in self.mono_edges)
 
 
 def verify_equitable(t: Graph, coloring: KColoring, trace: Iterable[str] = ()) -> EquitableCertificate:
     """Exact per-color monochromatic edge counts and class sizes."""
-    coloring.require_total(t)
-    col = coloring.assignment
-    mono = [0] * coloring.k
-    for u, v in t.edges():
-        if col[u] == col[v]:
-            mono[col[u] - 1] += 1
-    return EquitableCertificate(coloring, tuple(mono), tuple(trace))
+    return EquitableCertificate(coloring, *coloring.tally(t), tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -685,11 +680,8 @@ class _Machine:
         else:
             v2 = self._min_leaf(nbr_not_in={u, p})  # v1 is p's only leaf
             if v2 is None:
-                # all leaves hang on u except p's: a broom with heads p and u
-                if q != u:
-                    raise self._fail("broom fallback expected the second pre-leaf at the heavy head")
-                self._spine_terminal(p, u, p, q)
-                return "done"
+                # only a broom puts every leaf but p's on u, with deg(u) = n - 2 > n/3
+                raise self._fail("no leaf clear of the pendant pre-leaf and its neighbor")
         w = self.xr[v2]
         self.records.append(("pend3", p, q, u, v1, v2, w))
         self.trace.append("ext:pendant" if cap_vertex is None else "ext:pendant-capped")
@@ -835,9 +827,11 @@ class _Machine:
 # Public constructors.
 
 
-def _certify(t: Graph, colors: dict, k: int, trace: Iterable[str]) -> EquitableCertificate:
+def _certify(t: Graph, colors: dict, k: int, trace: Iterable[str], apart: Iterable[tuple] = ()) -> EquitableCertificate:
+    """Verified certificate of ``colors``, which must also give each pair in
+    ``apart`` two colors."""
     cert = verify_equitable(t, KColoring(k, colors), trace)
-    if not cert.valid:
+    if not cert.valid or any(colors[a] == colors[b] for a, b in apart):
         raise InternalInvariant("constructed coloring failed verification", dump=format_tree_text(t))
     return cert
 
@@ -867,12 +861,7 @@ def equitable_three(t: Tree, constraint: Optional[tuple] = None) -> EquitableCer
         if p == q or not (1 <= p <= n and 1 <= q <= n) or not (is_pre_leaf(t, p) and is_pre_leaf(t, q)):
             raise NoTwoPreLeaves(f"({p}, {q}) is not a pair of distinct pre-leaf vertices")
     colors, trace = _three_colors(t, constraint)
-    cert = _certify(t, colors, 3, trace)
-    if constraint is not None:
-        p, q = constraint
-        if cert.coloring.color(p) == cert.coloring.color(q):
-            raise InternalInvariant("constraint pair ended up with one color", dump=format_tree_text(t))
-    return cert
+    return _certify(t, colors, 3, trace, () if constraint is None else (constraint,))
 
 
 def hub_pair_coloring(t: Tree, u: int, v: int, p: int, q: int) -> EquitableCertificate:
@@ -888,11 +877,7 @@ def hub_pair_coloring(t: Tree, u: int, v: int, p: int, q: int) -> EquitableCerti
     m = _Machine(t)
     m.lemma_run(u, v, p, q)
     m._unwind()
-    cert = _certify(t, {x: m.col[x] for x in range(1, n + 1)}, 3, tuple(m.trace))
-    cc = cert.coloring
-    if cc.color(u) == cc.color(v) or cc.color(p) == cc.color(q):
-        raise InternalInvariant("hub or pre-leaf pair shares a color", dump=format_tree_text(t))
-    return cert
+    return _certify(t, {x: m.col[x] for x in range(1, n + 1)}, 3, tuple(m.trace), ((u, v), (p, q)))
 
 
 def _independent_low_degree(adj: Sequence, vertices: Iterable[int], m: int) -> list:

@@ -152,6 +152,12 @@ class Tree(Graph):
         self.adj = adj = tuple(map(tuple, rows))
         return adj
 
+    def __reduce_ex__(self, protocol):
+        # the default slot state would read ``adj`` and so build the rows
+        if self._parent is None:
+            return super().__reduce_ex__(protocol)
+        return type(self).from_parents, (self._parent, self._degrees)
+
     def degree_sequence(self) -> list[int]:
         if self._parent is None:
             return super().degree_sequence()

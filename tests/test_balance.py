@@ -22,7 +22,7 @@ from arbor.balance import (
     verify_balanced,
 )
 from arbor.colorings import KColoring
-from arbor.errors import HypothesisViolated, PartialColoring, TooLarge
+from arbor.errors import HypothesisViolated, PartialColoring, PreconditionViolated, TooLarge
 from arbor.random_trees import enumerate_labeled_trees, enumerate_unlabeled_trees, sample_labeled_tree
 from arbor.trees import build_graph, build_tree, complete_graph, double_star, path, star
 
@@ -254,6 +254,11 @@ class TestVerifyBalanced:
     def test_partial_coloring(self):
         with pytest.raises(PartialColoring):
             verify_balanced(path(3), KColoring(2, {1: 1, 2: 2}))
+
+    def test_refuses_three_colors(self):
+        # a k-coloring with k != 2 has no (v1, v2, e1, e2) to report
+        with pytest.raises(PreconditionViolated, match="k=3"):
+            verify_balanced(path(4), KColoring(3, {1: 3, 2: 3, 3: 1, 4: 2}))
 
     def test_vertex_outside_graph(self):
         extra = KColoring(2, {1: 1, 2: 2, 3: 1, 4: 2})

@@ -7,6 +7,7 @@ import pytest
 from arbor.cli import main
 from arbor.colorings import KColoring
 from arbor.equitable import verify_equitable
+from arbor.random_trees import enumerate_labeled_trees
 from arbor.trees import parse_tree_text
 
 from test_equitable import CROWDED_39, CROWDED_56
@@ -61,6 +62,16 @@ class TestEnumerateCommand:
     def test_count(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "4", "--count-only")
         assert code == 0 and out.strip() == "16"
+
+    def test_lists_every_tree(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "4")
+        blocks = out.split("# tree ")[1:]
+        expected = list(enumerate_labeled_trees(4))
+        assert code == 0 and len(blocks) == len(expected) == 16
+        for i, (block, t) in enumerate(zip(blocks, expected)):
+            head, text = block.split("\n", 1)
+            assert head == str(i)
+            assert parse_tree_text(text) == t
 
     def test_too_large(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "9", "--count-only")
@@ -294,6 +305,23 @@ class TestSeedEnvDefault:
         # parser defaults are bound at build time, so rebuild under the env
         args = build_parser().parse_args(["sample", "--n", "6", "--trials", "1"])
         assert args.seed == 31
+
+
+    def test_bad_env_seed(self, capsys, monkeypatch, tmp_path):
+        # only the subcommands with --seed read ARBOR_SEED, and a bad value
+        # is a usage error there, not a crash
+        monkeypatch.setenv("ARBOR_SEED", "abc")
+        f = tmp_path / "p3.tree"
+        f.write_text("3\n1 2\n2 3\n")
+        code, out, _ = run(capsys, "check", "--in", str(f))
+        assert code == 0 and json.loads(out)["n"] == 3
+        for argv in (["sample", "--n", "5"], ["experiment", "--kind", "max-degree", "--n", "5", "--trials", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "invalid int value: 'abc'" in capsys.readouterr().err
+        code, out, _ = run(capsys, "sample", "--n", "5", "--seed", "3")
+        assert code == 0 and out.startswith("trial,")
 
 
 class TestParserCache:

@@ -124,6 +124,15 @@ class TestLazyDecodedTree:
             assert back == ref and back.degree_sequence() == ref.degree_sequence()
             assert sorted(back.edges()) == sorted(ref.edges())
 
+    def test_pickle_keeps_rows_unbuilt(self):
+        for code, n in ([4, 4, 1, 5], 6), ([1] * 48, 50), (list(range(2, 401)), 401):
+            t = prufer_decode(code, n)
+            data = pickle.dumps(t)
+            assert not rows_built(t)
+            back = pickle.loads(data)
+            assert not rows_built(back)
+            assert back == build_tree(list(t.edges()), n)
+
     def test_rows_built_once(self):
         t = prufer_decode([4, 4, 1, 5], 6)
         assert t.adj is t.adj
