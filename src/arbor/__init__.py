@@ -25,6 +25,7 @@ from .equitable import (
 )
 from .errors import (
     ArborError,
+    BadArgument,
     BadEntry,
     CapInfeasible,
     DegreeTooHigh,

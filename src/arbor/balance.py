@@ -18,7 +18,7 @@ from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from .colorings import KColoring
-from .errors import HypothesisViolated, InternalInvariant, PreconditionViolated, TooLarge
+from .errors import BadArgument, HypothesisViolated, InternalInvariant, PreconditionViolated, TooLarge
 from .trees import Graph
 
 BRUTE_FORCE_VERTEX_LIMIT = 24
@@ -36,9 +36,9 @@ class DegreeSequence:
     def __init__(self, values: Iterable[int]):
         vals = tuple(int(v) for v in values)
         if not vals:
-            raise ValueError("empty sequence")
+            raise BadArgument("empty sequence")
         if any(v < 1 for v in vals):
-            raise ValueError("values must be positive")
+            raise BadArgument("values must be positive")
         self.values = vals
         self.max_value = max(vals)
         self.total = sum(vals)
@@ -56,6 +56,13 @@ class DegreeSequence:
         return f"DegreeSequence({list(self.values)})"
 
 
+class _Degrees(tuple):
+    """A graph's own degree list, which holds non-negative ints by
+    construction; ``_values_of`` returns it without converting or checking."""
+
+    __slots__ = ()
+
+
 def _values_of(seq) -> tuple:
     """Plain non-negative value tuple from a DegreeSequence or any iterable.
 
@@ -65,11 +72,13 @@ def _values_of(seq) -> tuple:
     """
     if isinstance(seq, DegreeSequence):
         return seq.values
+    if type(seq) is _Degrees:
+        return seq
     vals = tuple(map(int, seq))
     if not vals:
-        raise ValueError("empty sequence")
+        raise BadArgument("empty sequence")
     if min(vals) < 0:
-        raise ValueError("values must be non-negative")
+        raise BadArgument("values must be non-negative")
     return vals
 
 
@@ -364,7 +373,7 @@ def is_balanced_graph(g: Graph) -> Optional[KColoring]:
     """
     if g.n == 0:
         return None
-    degrees = g.degree_sequence()
+    degrees = _Degrees(g.degree_sequence())
     m = max(degrees)
     if m >= 1 and degrees.count(1) >= m and degrees.count(2) >= m:
         part = ones_twos_partition(degrees)
@@ -418,7 +427,7 @@ def brute_force_k_balanced(g: Graph, k: int, limit: int = K_BRUTE_DEFAULT_LIMIT)
     """
     n = g.n
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise BadArgument("k must be at least 2")
     if k**n > limit:
         raise TooLarge(f"{k}^{n} exceeds search limit {limit}")
     cap_hi = -(-n // k)

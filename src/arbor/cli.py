@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: sample, check, color, balance, experiment, enumerate.
-Exit codes: 0 success, 2 precondition or usage error, 1 internal invariant
-violation (the offending tree is dumped to stderr for bug reports).
+Exit codes: 0 success, 2 precondition or usage error (an ``ArborError``),
+1 internal invariant violation (the offending tree is dumped to stderr for
+bug reports).  Any other exception is a bug and propagates with its
+traceback, which exits 1 too.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 from .balance import DegreeSequence, balance_exact
 from .colorings import KColoring
 from .equitable import equitable_coloring, equitable_three, verify_equitable
-from .errors import ArborError, InternalInvariant, MalformedColoring
+from .errors import ArborError, BadArgument, InternalInvariant, MalformedColoring
 from .experiments import (
     ExperimentConfig,
     run_balanced_fraction,
@@ -30,10 +32,9 @@ from .random_trees import (
     enumerate_labeled_trees,
     prufer_decode,
     prufer_encode,
-    random_prufer,
     stats_from_prufer,
     tree_stats,
-    trial_rng,
+    trial_code,
 )
 from .trees import (
     classify_vertex,
@@ -58,15 +59,26 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _read_text(path: str) -> str:
+    """The file's text, newlines translated; a file that cannot be read or
+    does not decode is a user error, not a crash."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise BadArgument(f"{path} is not text: {exc.reason} at byte {exc.start}") from None
+    except OSError as exc:
+        raise BadArgument(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _read_tree(path: str):
-    with open(path) as fh:
-        return parse_tree_text(fh.read())
+    return parse_tree_text(_read_text(path))
 
 
 def _cmd_sample(args) -> int:
     lines = []
     for trial in range(args.trials):
-        entries = random_prufer(args.n, trial_rng(args.seed, trial))
+        entries = trial_code(args.n, args.seed, trial)
         if args.emit == "prufer":
             lines.append("P: " + " ".join(map(str, entries)))
         elif args.emit == "edges":
@@ -107,18 +119,17 @@ def _cmd_check(args) -> int:
 def _read_coloring(path: str, k: int) -> KColoring:
     """One ``vertex color`` line per vertex; blank and ``#`` lines are skipped."""
     assignment = {}
-    with open(path) as fh:
-        for lineno, ln in enumerate(fh, 1):
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            try:
-                v, c = map(int, ln.split())
-            except ValueError:
-                raise MalformedColoring(f"line {lineno}: expected two integers, vertex and color") from None
-            if v in assignment:
-                raise MalformedColoring(f"line {lineno}: vertex {v} is colored twice")
-            assignment[v] = c
+    for lineno, ln in enumerate(_read_text(path).split("\n"), 1):
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        try:
+            v, c = map(int, ln.split())
+        except ValueError:
+            raise MalformedColoring(f"line {lineno}: expected two integers, vertex and color") from None
+        if v in assignment:
+            raise MalformedColoring(f"line {lineno}: vertex {v} is colored twice")
+        assignment[v] = c
     return KColoring(k, assignment)
 
 
@@ -154,7 +165,10 @@ def _cmd_color(args) -> int:
 
 def _cmd_balance(args) -> int:
     if args.seq:
-        values = [int(x) for x in args.seq.replace(",", " ").split()]
+        try:
+            values = [int(x) for x in args.seq.replace(",", " ").split()]
+        except ValueError:
+            raise BadArgument(f"--seq takes integers, got {args.seq!r}") from None
         seq = DegreeSequence(values)
     elif args.infile:
         seq = DegreeSequence.from_graph(_read_tree(args.infile))
@@ -296,9 +310,6 @@ def main(argv=None) -> int:
             print(exc.dump, file=sys.stderr)
         return 1
     except ArborError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

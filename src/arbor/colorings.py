@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
+from operator import eq, itemgetter
 
 from .errors import PartialColoring
 from .trees import Graph
@@ -33,7 +35,8 @@ class KColoring:
 
     def tally(self, g: Graph) -> tuple[tuple, tuple]:
         """(class sizes, monochromatic edge counts) of each color 1..k on g,
-        from one pass over the vertices and one over the edges.
+        from one pass over the vertices and C-level gathers of the colors at
+        both ends of every edge (``g.edge_ends()``).
 
         Raises ``PartialColoring`` unless exactly the vertices 1..n have
         colors, each in 1..k.
@@ -48,12 +51,13 @@ class KColoring:
         if len(assignment) != n:
             extra = next(v for v in assignment if v not in range(1, n + 1))
             raise PartialColoring(f"vertex {extra} is not a vertex of the graph (1..{n})")
-        mono = [0] * (k + 1)
-        for u, v in g.edges():
-            c = col[u]
-            if c == col[v]:
-                mono[c] += 1
-        return sizes, tuple(mono[1:])
+        us, vs = g.edge_ends()
+        if len(us) > 1:
+            cu, cv = itemgetter(*us)(col), itemgetter(*vs)(col)
+        else:  # itemgetter of one index returns a bare item, of none fails
+            cu, cv = [col[u] for u in us], [col[v] for v in vs]
+        mono = list(compress(cu, map(eq, cu, cv)))  # the color of each monochromatic edge
+        return sizes, tuple(map(mono.count, colors))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KColoring):

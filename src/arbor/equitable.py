@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .colorings import KColoring
 from .errors import (
+    BadArgument,
     DegreeTooHigh,
     IndependentSetNotFound,
     InternalInvariant,
@@ -148,7 +149,7 @@ def _search_colors(
 def brute_force_equitable(t: Graph, k: int, limit: int = EQUITABLE_BRUTE_DEFAULT_LIMIT) -> Optional[KColoring]:
     """Witness equitable k-coloring by pruned exhaustive search, or None."""
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise BadArgument("k must be at least 2")
     n = t.n
     if n >= 1 and k**n > limit:
         raise TooLarge(f"{k}^{n} exceeds search limit {limit}")
@@ -919,7 +920,7 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
     so this makes the same choices as relabeling after every layer.
     """
     if k < 3:
-        raise ValueError("k must be at least 3")
+        raise BadArgument("k must be at least 3")
     n = t.n
     if n >= 2 and t.max_degree * k > n:
         raise DegreeTooHigh(f"max degree {t.max_degree} exceeds n/k = {n / k:.2f}")

@@ -63,6 +63,14 @@ class IndependentSetNotFound(ArborError):
     """Could not select enough pairwise non-adjacent low-degree vertices."""
 
 
+class BadArgument(ArborError, ValueError):
+    """A caller passed an argument outside its documented range: a bad
+    experiment configuration, color count or sequence value, or an input
+    file that is not text.  It is
+    also a ``ValueError``, so a caller that catches ``ValueError`` still
+    catches it."""
+
+
 class InternalInvariant(ArborError):
     """An internal consistency check failed.
 

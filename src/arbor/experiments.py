@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 
 from .balance import is_balanced_graph, verify_balanced
 from .equitable import brute_force_equitable, equitable_coloring
-from .errors import ArborError, InternalInvariant
-from .random_trees import prufer_decode, random_prufer, stats_from_prufer, trial_rng
+from .errors import ArborError, BadArgument, InternalInvariant
+from .random_trees import prufer_decode, stats_from_prufer, trial_code
 from .trees import format_tree_text
 
 Z95 = 1.959963984540054
@@ -49,13 +49,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("n must be at least 2")
+            raise BadArgument("n must be at least 2")
         if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            raise BadArgument("trials must be at least 1")
         if self.k is not None and self.k < 3:
-            raise ValueError("k must be at least 3")
+            raise BadArgument("k must be at least 3")
         if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+            raise BadArgument("workers must be at least 1")
 
     def as_dict(self) -> dict:
         # workers are an execution detail: parallel and serial runs of the
@@ -109,7 +109,7 @@ def _map_trials(fn: Callable, args: Sequence, workers: int):
 
 def _balanced_trial(args: tuple) -> tuple:
     n, seed, trial = args
-    t = prufer_decode(random_prufer(n, trial_rng(seed, trial)), n)
+    t = prufer_decode(trial_code(n, seed, trial), n)
     coloring = is_balanced_graph(t)
     if coloring is None:
         return (0, format_tree_text(t))
@@ -121,7 +121,7 @@ def _balanced_trial(args: tuple) -> tuple:
 
 def _equitable_trial(args: tuple) -> tuple:
     n, k, seed, trial = args
-    t = prufer_decode(random_prufer(n, trial_rng(seed, trial)), n)
+    t = prufer_decode(trial_code(n, seed, trial), n)
     if t.max_degree * k > n:
         if n <= 12:
             witness = brute_force_equitable(t, k)
@@ -136,7 +136,7 @@ def _equitable_trial(args: tuple) -> tuple:
 
 def _stats_trial(args: tuple) -> tuple:
     n, seed, trial = args
-    entries = random_prufer(n, trial_rng(seed, trial))
+    entries = trial_code(n, seed, trial)
     s = stats_from_prufer(entries, n)
     return (s.max_degree, s.x1, s.x2)
 
@@ -175,7 +175,7 @@ def run_equitable_fraction(cfg: ExperimentConfig) -> ExperimentSummary:
     rate among precondition hits is the quantity expected to be exactly one.
     """
     if cfg.k is None:
-        raise ValueError("equitable runs need k")
+        raise BadArgument("equitable runs need k")
     args = [(cfg.n, cfg.k, cfg.seed, i) for i in range(cfg.trials)]
     results = _map_trials(_equitable_trial, args, cfg.workers)
     counts = {"hit_ok": 0, "hit_fail": 0, "miss": 0, "miss_witness": 0, "miss_none": 0}

@@ -102,14 +102,41 @@ def trial_rng(master_seed: int, trial: int = 0) -> np.random.Generator:
 
 
 def random_prufer(n: int, rng: np.random.Generator) -> list[int]:
-    if n == 2:
+    if n <= 2:
+        if n < 2:
+            raise BadEntry(f"need n >= 2, got {n}")
         return []
     return rng.integers(1, n + 1, size=n - 2).tolist()
 
 
+# One Philox generator whose state trial_code sets in full before each draw,
+# so no state carries from one call to the next.  Setting the state costs
+# about a tenth of building a new generator.
+_PHILOX = np.random.Philox(0)
+_TRIAL_GEN = np.random.Generator(_PHILOX)
+_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
+def trial_code(n: int, master_seed: int, trial: int = 0) -> list[int]:
+    """The Prüfer code of trial ``trial``: the same list as
+    ``random_prufer(n, trial_rng(master_seed, trial))``, drawn from one
+    reused generator reset to the state that ``trial_rng`` would build.
+    Not safe to call from two threads at once."""
+    key = np.array((master_seed & 0xFFFFFFFFFFFFFFFF, trial & 0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
+    _PHILOX.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return random_prufer(n, _TRIAL_GEN)
+
+
 def sample_labeled_tree(n: int, seed: int, trial: int = 0) -> Tree:
     """Uniform over all n^(n-2) labeled trees; deterministic per (seed, trial)."""
-    return prufer_decode(random_prufer(n, trial_rng(seed, trial)), n)
+    return prufer_decode(trial_code(n, seed, trial), n)
 
 
 def enumerate_labeled_trees(n: int) -> Iterator[Tree]:

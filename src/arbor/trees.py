@@ -10,6 +10,8 @@ from __future__ import annotations
 import enum
 import heapq
 from bisect import insort
+from itertools import chain, compress, repeat
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapInfeasible, NotAdjacent, NotATree, PreconditionViolated
@@ -71,10 +73,20 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once as (u, v) with u < v, in no promised order."""
-        for u in range(1, self.n + 1):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        return zip(*self.edge_ends())
+
+    def edge_ends(self) -> tuple[Sequence[int], Sequence[int]]:
+        """Two aligned sequences of vertices, entry i of each one end of edge
+        i; every edge appears once, in no promised order or orientation.
+
+        Here they are the row heads u and row entries v with u < v, taken
+        without a Python loop.
+        """
+        adj = self.adj
+        heads = list(chain.from_iterable(map(repeat, range(self.n + 1), map(len, adj))))
+        tails = list(chain.from_iterable(adj))
+        keep = list(map(lt, heads, tails))
+        return list(compress(heads, keep)), list(compress(tails, keep))
 
     def edge_set(self) -> frozenset:
         return frozenset(self.edges())
@@ -167,7 +179,15 @@ class Tree(Graph):
         """Each edge once as (u, v) with u < v, in no promised order."""
         if self._parent is None:
             return super().edges()
-        return ((v, p) if v < p else (p, v) for v, p in zip(range(1, self.n), self._parent[1:]))
+        return ((v, p) if v < p else (p, v) for v, p in zip(*self.edge_ends()))
+
+    def edge_ends(self) -> tuple[Sequence[int], Sequence[int]]:
+        """Two aligned sequences of vertices, one entry per edge (see
+        ``Graph.edge_ends``); for a tree from ``from_parents`` they are each
+        vertex v < n and its parent."""
+        if self._parent is None:
+            return super().edge_ends()
+        return range(1, self.n), self._parent[1 : self.n]
 
 
 def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:

@@ -3,14 +3,18 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from arbor import cli
 from arbor.cli import main
 from arbor.colorings import KColoring
 from arbor.equitable import verify_equitable
+from arbor.errors import ArborError
 from arbor.random_trees import enumerate_labeled_trees
 from arbor.trees import parse_tree_text
 
 from test_equitable import CROWDED_39, CROWDED_56
+from test_trees import fuzzed
 
 
 def run(capsys, *argv):
@@ -43,6 +47,11 @@ class TestBalanceCommand:
     def test_missing_args(self, capsys):
         code, _, err = run(capsys, "balance")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("seq", ["1,x", "2 1.5", "3,,--"])
+    def test_non_integer_entry(self, capsys, seq):
+        code, out, err = run(capsys, "balance", "--seq", seq)
+        assert code == 2 and out == "" and err.startswith("error: --seq takes integers")
 
     def test_oversized_table_refused_before_allocating(self, capsys):
         # 15 bytes of input would ask for a 10^12-bit DP row
@@ -278,6 +287,67 @@ class TestExperimentCommand:
         )
         assert code == 0
         assert json.loads(out_path.read_text())["kind"] == "balanced-fraction"
+
+
+class TestUserErrorsAndBugs:
+    """A typed ``ArborError`` is a user error (exit 2); any other exception
+    is a bug and is not reported as one."""
+
+    def test_stray_value_error_is_not_a_usage_error(self, monkeypatch, tmp_path):
+        def broken(t, k):
+            raise ValueError("a bug in library code")
+
+        monkeypatch.setattr(cli, "equitable_coloring", broken)
+        f = tmp_path / "p3.tree"
+        f.write_text("3\n1 2\n2 3\n")
+        with pytest.raises(ValueError, match="a bug in library code"):
+            main(["color", "--k", "3", "--in", str(f)])
+
+    def test_unreadable_files(self, capsys, tmp_path):
+        binary = tmp_path / "binary.tree"
+        binary.write_bytes(b"3\n1 2\n\xff\xfe 3\n")
+        for argv in (
+            ("check", "--in", str(binary)),
+            ("check", "--in", str(tmp_path / "missing.tree")),
+            ("color", "--in", str(tmp_path / "missing.tree")),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith("error: "), (argv, err)
+        good = tmp_path / "p3.tree"
+        good.write_text("3\n1 2\n2 3\n")
+        code, out, err = run(capsys, "color", "--k", "3", "--in", str(good), "--verify", str(binary))
+        assert code == 2 and "is not text" in err
+
+    @pytest.mark.parametrize("n", ["1", "0", "-4"])
+    def test_sample_below_two_vertices(self, capsys, n):
+        code, out, err = run(capsys, "sample", "--n", n)
+        assert code == 2 and out == "" and "need n >= 2" in err
+
+
+class TestReadColoringFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(),
+            fuzzed(
+                st.permutations(range(1, 7)).flatmap(
+                    lambda vs: st.lists(st.integers(1, 3), min_size=6, max_size=6).map(
+                        lambda cs: "\n".join(f"{v} {c}" for v, c in zip(vs, cs)) + "\n"
+                    )
+                )
+            ).map(str.encode),
+        ),
+        st.integers(-1, 5),
+    )
+    def test_coloring_or_typed_error(self, tmp_path_factory, data, k):
+        path = tmp_path_factory.mktemp("coloring") / "c.txt"
+        path.write_bytes(data)
+        try:
+            coloring = cli._read_coloring(str(path), k)
+        except ArborError:
+            return
+        assert isinstance(coloring, KColoring) and coloring.k == k
+        assert all(type(v) is int and type(c) is int for v, c in coloring.assignment.items())
 
 
 class TestInternalInvariantExit:

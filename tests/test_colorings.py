@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 from arbor.balance import k_balance_report, verify_balanced
 from arbor.colorings import KColoring
 from arbor.equitable import verify_equitable
 from arbor.errors import PartialColoring
-from arbor.trees import build_graph, path
+from arbor.random_trees import prufer_decode
+from arbor.trees import build_graph, build_tree, path
 
 
 class TestClassSizes:
@@ -48,3 +51,83 @@ class TestTally:
             KColoring(2, {1: 1, 3: 2, 9: 1}).tally(path(3))
         with pytest.raises(PartialColoring, match=r"vertex 9 is not a vertex of the graph \(1..3\)"):
             KColoring(2, {1: 1, 2: 1, 3: 2, 9: 1}).tally(path(3))
+
+
+def loop_tally(g, coloring):
+    """Reference tally: one Python loop over the vertices, one over edges()."""
+    sizes = [0] * (coloring.k + 1)
+    mono = [0] * (coloring.k + 1)
+    for v in range(1, g.n + 1):
+        sizes[coloring.assignment[v]] += 1
+    for u, v in g.edges():
+        if coloring.assignment[u] == coloring.assignment[v]:
+            mono[coloring.assignment[u]] += 1
+    return tuple(sizes[1:]), tuple(mono[1:])
+
+
+def tree_pairs():
+    """300 seeded decoded trees (n = 2, 3, then up to 300), each with
+    ``build_tree`` on the same edges."""
+    rng = random.Random(12)
+    for i in range(300):
+        n = i + 2 if i < 2 else rng.randint(4, 300)
+        t = prufer_decode([rng.randint(1, n) for _ in range(n - 2)], n)
+        yield t, build_tree(list(t.edges()), n)
+
+
+def error_message(g, coloring):
+    with pytest.raises(PartialColoring) as exc:
+        coloring.tally(g)
+    return str(exc.value)
+
+
+class TestTallyGather:
+    """The tally gathers colors over ``edge_ends()``; it must count what a
+    loop over the edges counts, on decoded trees and on row-built ones."""
+
+    def test_matches_edge_loop(self):
+        rng = random.Random(5)
+        mono_total = 0
+        for decoded, built in tree_pairs():
+            n = decoded.n
+            for k in range(2, 7):
+                coloring = KColoring(k, {v: rng.randint(1, k) for v in rng.sample(range(1, n + 1), n)})
+                want = loop_tally(built, coloring)
+                assert coloring.tally(decoded) == coloring.tally(built) == want, (n, k)
+                mono_total += sum(want[1])
+        assert mono_total > 0
+
+    def test_same_errors_on_both_trees(self):
+        rng = random.Random(6)
+        for decoded, built in tree_pairs():
+            n = decoded.n
+            k = rng.randint(2, 6)
+            full = {v: rng.randint(1, k) for v in range(1, n + 1)}
+            v = rng.randint(1, n)
+            bad = [
+                {u: c for u, c in full.items() if u != v},  # uncolored
+                {**full, v: 0},
+                {**full, v: k + 1},
+                {**full, n + 1 + rng.randint(0, 5): 1},  # a vertex the tree lacks
+            ]
+            for assignment in bad:
+                coloring = KColoring(k, assignment)
+                assert error_message(decoded, coloring) == error_message(built, coloring), (n, assignment)
+
+    def test_edge_ends_are_the_edges(self):
+        # each graph with its edges as a set of (u, v), u < v, made without edge_ends()
+        rng = random.Random(7)
+        cases = []
+        for decoded, built in tree_pairs():
+            edges = {(min(v, p), max(v, p)) for v, p in zip(range(1, decoded.n), decoded._parent[1:])}
+            cases += [(decoded, edges), (built, edges)]
+        cases.append((build_graph([], 4), set()))
+        for n in (2, 5, 30):
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            edges = rng.sample(pairs, max(1, len(pairs) // 3))
+            cases.append((build_graph([(v, u) for u, v in edges], n), set(edges)))
+        for g, edges in cases:
+            us, vs = g.edge_ends()
+            assert len(us) == len(vs) == len(edges)
+            assert {(min(u, v), max(u, v)) for u, v in zip(us, vs)} == edges
+            assert sorted(g.edges()) == sorted(edges)

@@ -19,6 +19,7 @@ from arbor.random_trees import (
     sample_labeled_tree,
     stats_from_prufer,
     tree_stats,
+    trial_code,
     trial_rng,
 )
 from arbor.trees import Graph, build_tree, format_tree_text, is_path_graph, path, star
@@ -226,6 +227,38 @@ class TestSampling:
         sigma = math.sqrt(trials * (1 / 16) * (15 / 16))
         for key, c in counts.items():
             assert abs(c - expected) <= 4 * sigma, (key, c)
+
+
+class TestTrialCode:
+    """``trial_code`` resets one shared generator per call; each call must
+    draw exactly what a fresh ``trial_rng`` generator draws."""
+
+    def test_matches_fresh_generator(self):
+        cases = [
+            (n, seed, trial)
+            for n in (2, 3, 4, 200, 2000)
+            for seed in (0, 1, 2**63, 2**64 + 5, -1)
+            for trial in range(51)
+        ]
+        # shuffled, so state one call leaves behind would reach a different
+        # (n, seed, trial) than in a sorted run
+        random.Random(9).shuffle(cases)
+        for n, seed, trial in cases:
+            assert trial_code(n, seed, trial) == random_prufer(n, trial_rng(seed, trial)), (n, seed, trial)
+
+    def test_leaves_other_generators_alone(self):
+        before, untouched = trial_rng(7, 3), trial_rng(7, 3)
+        head = before.integers(1, 100, size=5).tolist()
+        trial_code(200, 7, 3)
+        trial_code(50, 8, 0)
+        assert head + before.integers(1, 100, size=50).tolist() == untouched.integers(1, 100, size=55).tolist()
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_refuses_n_below_two(self, n):
+        with pytest.raises(BadEntry, match="need n >= 2"):
+            trial_code(n, 0, 0)
+        with pytest.raises(BadEntry, match="need n >= 2"):
+            random_prufer(n, trial_rng(0))
 
 
 class TestStats:

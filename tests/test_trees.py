@@ -3,10 +3,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arbor.errors import CapInfeasible, NotAdjacent, NotATree, PreconditionViolated
-from arbor.random_trees import prufer_decode
+from arbor.errors import ArborError, CapInfeasible, NotAdjacent, NotATree, PreconditionViolated
+from arbor.random_trees import prufer_decode, prufer_encode
 from arbor.trees import (
     InducedSubgraph,
+    Tree,
     VertexClass,
     branch,
     build_graph,
@@ -278,6 +279,57 @@ class TestDegreeSum:
     @given(random_tree_strategy())
     def test_degree_sum_identity(self, t):
         assert sum(t.degree_sequence()) == 2 * (t.n - 1)
+
+
+# Pieces a fuzzed input line is made of: numbers in and out of range,
+# separators, a code marker, comments and text that int() reads or refuses.
+FUZZ_PIECES = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["P:", "#", " ", "\t", "\n", "\r", "x", "1.0", "1_0", "+2", "\u0663", "\x00", "9" * 30]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def fuzzed(draw, valid):
+    """A text from ``valid`` with up to four pieces inserted, deleted or
+    replaced at random places, or a line-shaped or arbitrary text."""
+    kind = draw(st.sampled_from(("mutated", "lines", "any")))
+    if kind == "any":
+        return draw(st.text())
+    if kind == "lines":
+        line = st.lists(FUZZ_PIECES, max_size=4).map(" ".join)
+        return "\n".join(draw(st.lists(line, max_size=12)))
+    text = draw(valid)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        piece = "" if op == "delete" else draw(FUZZ_PIECES)
+        text = text[:i] + piece + text[i + (op != "insert") :]
+    return text
+
+
+def tree_text_strategy():
+    """Edge-list and code-line texts of trees with n <= 8, one vertex included."""
+    trees = random_tree_strategy(8).flatmap(
+        lambda t: st.sampled_from(
+            [format_tree_text(t), f"# comment\n{t.n}\nP: " + " ".join(map(str, prufer_encode(t))) + "\n"]
+        )
+    )
+    return st.one_of(st.just("1\n"), trees)
+
+
+class TestParseFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(fuzzed(tree_text_strategy()))
+    def test_valid_tree_or_typed_error(self, text):
+        # any other exception fails the test
+        try:
+            t = parse_tree_text(text)
+        except ArborError:
+            return
+        assert isinstance(t, Tree) and t.n >= 1 and t.edge_count == t.n - 1 and t.is_connected()
+        assert build_tree(list(t.edges()), t.n) == t
 
 
 class TestTextFormat:
