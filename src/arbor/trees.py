@@ -27,13 +27,14 @@ class VertexClass(enum.Enum):
 class Graph:
     """Finite simple graph on vertices 1..n with sorted adjacency lists."""
 
-    __slots__ = ("n", "adj", "edge_count", "_max_deg")
+    __slots__ = ("n", "adj", "edge_count", "_max_deg", "_ends")
 
-    def __init__(self, n: int, adj: tuple, edge_count: int):
+    def __init__(self, n: int, adj: tuple, edge_count: int, ends: tuple | None = None):
         self.n = n
         self.adj = adj  # adj[0] unused; adj[v] = sorted tuple of neighbors
         self.edge_count = edge_count
         self._max_deg = -1
+        self._ends = ends  # edge_ends() of the edge list the graph was built from, or None
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int) -> "Graph":
@@ -41,7 +42,8 @@ class Graph:
         if n < 1:
             raise NotATree("bad-vertex-id", f"n={n}")
         nbr: list[set] = [set() for _ in range(n + 1)]
-        count = 0
+        us: list = []
+        vs: list = []
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise NotATree("bad-vertex-id", f"edge ({u},{v}) outside 1..{n}")
@@ -51,9 +53,10 @@ class Graph:
                 raise NotATree("duplicate-edge", f"edge ({u},{v})")
             nbr[u].add(v)
             nbr[v].add(u)
-            count += 1
+            us.append(u)
+            vs.append(v)
         adj = tuple(tuple(sorted(s)) for s in nbr)
-        return cls(n, adj, count)
+        return cls(n, adj, len(us), (tuple(us), tuple(vs)))
 
     def neighbors(self, v: int) -> tuple:
         return self.adj[v]
@@ -73,15 +76,22 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once as (u, v) with u < v, in no promised order."""
-        return zip(*self.edge_ends())
+        for u in range(1, self.n + 1):
+            for v in self.adj[u]:
+                if u < v:
+                    yield (u, v)
 
     def edge_ends(self) -> tuple[Sequence[int], Sequence[int]]:
         """Two aligned sequences of vertices, entry i of each one end of edge
         i; every edge appears once, in no promised order or orientation.
 
-        Here they are the row heads u and row entries v with u < v, taken
-        without a Python loop.
+        A graph built by ``from_edges`` keeps its edge list as these two
+        tuples: on the short rows of a tree, taking them from the rows costs
+        about twice a loop over ``edges()``.  Otherwise they are the row
+        heads u and row entries v with u < v, taken without a Python loop.
         """
+        if self._ends is not None:
+            return self._ends
         adj = self.adj
         heads = list(chain.from_iterable(map(repeat, range(self.n + 1), map(len, adj))))
         tails = list(chain.from_iterable(adj))
@@ -130,8 +140,8 @@ class Tree(Graph):
 
     __slots__ = ("_parent", "_degrees")
 
-    def __init__(self, n: int, adj: tuple, edge_count: int):
-        super().__init__(n, adj, edge_count)
+    def __init__(self, n: int, adj: tuple, edge_count: int, ends: tuple | None = None):
+        super().__init__(n, adj, edge_count, ends)
         self._parent = None
 
     @classmethod
@@ -145,6 +155,7 @@ class Tree(Graph):
         t._max_deg = max(degrees)
         t._parent = parent
         t._degrees = degrees
+        t._ends = None
         return t
 
     def __getattr__(self, name: str):
@@ -202,7 +213,7 @@ def build_tree(edges: Iterable[tuple[int, int]], n: int) -> Tree:
         raise NotATree("cycle", f"{g.edge_count} edges on {n} vertices")
     if g.edge_count < n - 1 or not g.is_connected():
         raise NotATree("disconnected", f"{g.edge_count} edges on {n} vertices")
-    return Tree(g.n, g.adj, g.edge_count)
+    return Tree(g.n, g.adj, g.edge_count, g._ends)
 
 
 def classify_vertex(t: Graph, v: int) -> VertexClass:

@@ -7,7 +7,7 @@ from arbor.colorings import KColoring
 from arbor.equitable import verify_equitable
 from arbor.errors import PartialColoring
 from arbor.random_trees import prufer_decode
-from arbor.trees import build_graph, build_tree, path
+from arbor.trees import Graph, Tree, build_graph, build_tree, path
 
 
 class TestClassSizes:
@@ -65,14 +65,15 @@ def loop_tally(g, coloring):
     return tuple(sizes[1:]), tuple(mono[1:])
 
 
-def tree_pairs():
+def tree_triples():
     """300 seeded decoded trees (n = 2, 3, then up to 300), each with
-    ``build_tree`` on the same edges."""
+    ``build_tree`` on the same edges and a tree that has only their rows."""
     rng = random.Random(12)
     for i in range(300):
         n = i + 2 if i < 2 else rng.randint(4, 300)
         t = prufer_decode([rng.randint(1, n) for _ in range(n - 2)], n)
-        yield t, build_tree(list(t.edges()), n)
+        built = build_tree(list(t.edges()), n)
+        yield t, built, Tree(n, built.adj, n - 1)
 
 
 def error_message(g, coloring):
@@ -83,23 +84,24 @@ def error_message(g, coloring):
 
 class TestTallyGather:
     """The tally gathers colors over ``edge_ends()``; it must count what a
-    loop over the edges counts, on decoded trees and on row-built ones."""
+    loop over the edges counts, on decoded trees, trees built from an edge
+    list and trees that have only rows."""
 
     def test_matches_edge_loop(self):
         rng = random.Random(5)
         mono_total = 0
-        for decoded, built in tree_pairs():
+        for decoded, built, rows in tree_triples():
             n = decoded.n
             for k in range(2, 7):
                 coloring = KColoring(k, {v: rng.randint(1, k) for v in rng.sample(range(1, n + 1), n)})
                 want = loop_tally(built, coloring)
-                assert coloring.tally(decoded) == coloring.tally(built) == want, (n, k)
+                assert coloring.tally(decoded) == coloring.tally(built) == coloring.tally(rows) == want, (n, k)
                 mono_total += sum(want[1])
         assert mono_total > 0
 
-    def test_same_errors_on_both_trees(self):
+    def test_same_errors_on_every_tree(self):
         rng = random.Random(6)
-        for decoded, built in tree_pairs():
+        for decoded, built, rows in tree_triples():
             n = decoded.n
             k = rng.randint(2, 6)
             full = {v: rng.randint(1, k) for v in range(1, n + 1)}
@@ -112,20 +114,22 @@ class TestTallyGather:
             ]
             for assignment in bad:
                 coloring = KColoring(k, assignment)
-                assert error_message(decoded, coloring) == error_message(built, coloring), (n, assignment)
+                message = error_message(decoded, coloring)
+                assert message == error_message(built, coloring) == error_message(rows, coloring), (n, assignment)
 
     def test_edge_ends_are_the_edges(self):
         # each graph with its edges as a set of (u, v), u < v, made without edge_ends()
         rng = random.Random(7)
         cases = []
-        for decoded, built in tree_pairs():
+        for decoded, built, rows in tree_triples():
             edges = {(min(v, p), max(v, p)) for v, p in zip(range(1, decoded.n), decoded._parent[1:])}
-            cases += [(decoded, edges), (built, edges)]
+            cases += [(decoded, edges), (built, edges), (rows, edges)]
         cases.append((build_graph([], 4), set()))
         for n in (2, 5, 30):
             pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
             edges = rng.sample(pairs, max(1, len(pairs) // 3))
-            cases.append((build_graph([(v, u) for u, v in edges], n), set(edges)))
+            g = build_graph([(v, u) for u, v in edges], n)
+            cases += [(g, set(edges)), (Graph(n, g.adj, g.edge_count), set(edges))]
         for g, edges in cases:
             us, vs = g.edge_ends()
             assert len(us) == len(vs) == len(edges)
