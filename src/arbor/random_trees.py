@@ -120,20 +120,17 @@ def _trial_generator() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(0))
 
 
-_ZEROS = np.zeros(4, dtype=np.uint64)
-
-
 def trial_code(n: int, master_seed: int, trial: int = 0) -> list[int]:
     """The Prüfer code of trial ``trial``: the same list as
     ``random_prufer(n, trial_rng(master_seed, trial))``, drawn from one
     reused generator reset to the state that ``trial_rng`` would build.
     Not safe to call from two threads at once."""
     gen = _trial_generator()
-    key = np.array((master_seed & 0xFFFFFFFFFFFFFFFF, trial & 0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
+    key = (master_seed & 0xFFFFFFFFFFFFFFFF, trial & 0xFFFFFFFFFFFFFFFF)
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": key},
-        "buffer": _ZEROS,
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
