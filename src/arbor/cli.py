@@ -48,9 +48,14 @@ SCHEMA = 1
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    """Write to ``out``, or to stdout without one; an ``out`` that cannot be
+    written is a user error, not a crash."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise BadArgument(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -954,7 +954,6 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
         for w in adj[v]:
             rows[new_id[w]].append(i)
     cur = Tree(len(kept), tuple(map(tuple, rows)), len(kept) - 1)
-    cur._max_deg = top
     colors3, trace3 = _three_colors(cur)
     for v, c in colors3.items():
         colors[kept[v - 1]] = c

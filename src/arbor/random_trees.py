@@ -32,8 +32,9 @@ def prufer_decode(entries: Sequence[int], n: int) -> Tree:
     optimal algorithm for Prüfer codes", 2009): ``ptr`` moves up the ids
     once and stops at each unused leaf, and an entry that becomes a leaf
     below ``ptr`` is the smallest leaf, so it is joined next.  Each edge
-    hangs a leaf under its parent; the tree keeps that parent array and
-    builds its sorted rows only when they are first read.
+    hangs a leaf under its parent; the tree keeps each vertex v < n and its
+    parent as its edge list, and builds its sorted rows only when they are
+    first read.
     """
     if n < 2:
         raise BadEntry(f"need n >= 2, got {n}")
@@ -63,7 +64,7 @@ def prufer_decode(entries: Sequence[int], n: int) -> Tree:
             ptr = leaf = index(1, ptr + 1)
     parent[leaf] = n
     # the decoding always yields a tree, so skip re-validation
-    return Tree.from_parents(parent, degrees)
+    return Tree.from_ends(n, range(1, n), parent[1:n], degrees)
 
 
 def prufer_encode(t: Tree) -> list[int]:
@@ -164,18 +165,8 @@ class TreeStats:
 
 
 def tree_stats(t: Graph) -> TreeStats:
-    d_max = 0
-    x1 = 0
-    x2 = 0
-    for v in range(1, t.n + 1):
-        d = len(t.adj[v])
-        if d > d_max:
-            d_max = d
-        if d == 1:
-            x1 += 1
-        elif d == 2:
-            x2 += 1
-    return TreeStats(d_max, x1, x2)
+    degrees = t.degree_sequence()
+    return TreeStats(t.max_degree, degrees.count(1), degrees.count(2))
 
 
 def stats_from_prufer(entries: Sequence[int], n: int) -> TreeStats:

@@ -7,11 +7,9 @@ that every derived object is reproducible byte for byte.
 
 from __future__ import annotations
 
+import copyreg
 import enum
 import heapq
-from bisect import insort
-from itertools import chain, compress, repeat
-from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapInfeasible, NotAdjacent, NotATree, PreconditionViolated
@@ -25,16 +23,35 @@ class VertexClass(enum.Enum):
 
 
 class Graph:
-    """Finite simple graph on vertices 1..n with sorted adjacency lists."""
+    """Finite simple graph on vertices 1..n.
 
-    __slots__ = ("n", "adj", "edge_count", "_max_deg", "_ends")
+    A graph keeps the form it was built from: sorted adjacency rows
+    (``Graph(n, adj, edge_count)``) or an edge list as two aligned end
+    sequences (``from_ends``); ``from_edges`` keeps both.  The other form,
+    the degree list and the maximum degree are derived from it once, on
+    first use (see ``__getattr__``).
+    """
 
-    def __init__(self, n: int, adj: tuple, edge_count: int, ends: tuple | None = None):
+    __slots__ = ("n", "adj", "edge_count", "_ends", "_degrees", "_max_deg")
+
+    def __init__(self, n: int, adj: tuple, edge_count: int):
         self.n = n
         self.adj = adj  # adj[0] unused; adj[v] = sorted tuple of neighbors
         self.edge_count = edge_count
-        self._max_deg = -1
-        self._ends = ends  # edge_ends() of the edge list the graph was built from, or None
+
+    @classmethod
+    def from_ends(cls, n: int, us: Sequence[int], vs: Sequence[int], degrees: list | None = None) -> "Graph":
+        """Graph on 1..n whose edge i joins ``us[i]`` and ``vs[i]``, with
+        degree list ``degrees`` (index i holds deg of vertex i+1) if given.
+        They are kept, not copied or checked, and must describe a simple
+        graph."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.edge_count = len(us)
+        g._ends = (us, vs)
+        if degrees is not None:
+            g._degrees = degrees
+        return g
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int) -> "Graph":
@@ -55,8 +72,49 @@ class Graph:
             nbr[v].add(u)
             us.append(u)
             vs.append(v)
-        adj = tuple(tuple(sorted(s)) for s in nbr)
-        return cls(n, adj, len(us), (tuple(us), tuple(vs)))
+        g = cls.from_ends(n, tuple(us), tuple(vs))
+        g.adj = tuple(tuple(sorted(s)) for s in nbr)
+        return g
+
+    def __getattr__(self, name: str):
+        # Python calls this only for an unset slot: a form the graph was not
+        # built with, derived here once and kept in its slot.
+        if name == "adj":
+            rows: list = [[] for _ in range(self.n + 1)]
+            for u, v in zip(*self._ends):
+                rows[u].append(v)
+                rows[v].append(u)
+            for row in rows:
+                row.sort()
+            value = tuple(map(tuple, rows))
+        elif name == "_ends":
+            us: list = []
+            vs: list = []
+            for u, row in enumerate(self.adj):
+                for v in row:
+                    if u < v:
+                        us.append(u)
+                        vs.append(v)
+            value = (us, vs)
+        elif name == "_degrees":
+            value = list(map(len, self.adj[1:]))
+        elif name == "_max_deg":
+            value = max(self._degrees, default=0)
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
+
+    def __reduce_ex__(self, protocol):
+        # The default state would read every slot, and so derive each form
+        # the graph lacks; the slots it holds are enough to rebuild it.
+        held = {}
+        for name in Graph.__slots__:
+            try:
+                held[name] = object.__getattribute__(self, name)
+            except AttributeError:
+                pass
+        return copyreg.__newobj__, (type(self),), (None, held)
 
     def neighbors(self, v: int) -> tuple:
         return self.adj[v]
@@ -66,37 +124,20 @@ class Graph:
 
     def degree_sequence(self) -> list[int]:
         """Degrees listed by vertex id (index i holds deg of vertex i+1)."""
-        return [len(self.adj[v]) for v in range(1, self.n + 1)]
+        return list(self._degrees)
 
     @property
     def max_degree(self) -> int:
-        if self._max_deg < 0:
-            self._max_deg = max((len(self.adj[v]) for v in range(1, self.n + 1)), default=0)
         return self._max_deg
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once as (u, v) with u < v, in no promised order."""
-        for u in range(1, self.n + 1):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        return ((u, v) if u < v else (v, u) for u, v in zip(*self.edge_ends()))
 
     def edge_ends(self) -> tuple[Sequence[int], Sequence[int]]:
         """Two aligned sequences of vertices, entry i of each one end of edge
-        i; every edge appears once, in no promised order or orientation.
-
-        A graph built by ``from_edges`` keeps its edge list as these two
-        tuples: on the short rows of a tree, taking them from the rows costs
-        about twice a loop over ``edges()``.  Otherwise they are the row
-        heads u and row entries v with u < v, taken without a Python loop.
-        """
-        if self._ends is not None:
-            return self._ends
-        adj = self.adj
-        heads = list(chain.from_iterable(map(repeat, range(self.n + 1), map(len, adj))))
-        tails = list(chain.from_iterable(adj))
-        keep = list(map(lt, heads, tails))
-        return list(compress(heads, keep)), list(compress(tails, keep))
+        i; every edge appears once, in no promised order or orientation."""
+        return self._ends
 
     def edge_set(self) -> frozenset:
         return frozenset(self.edges())
@@ -130,75 +171,9 @@ class Graph:
 
 
 class Tree(Graph):
-    """Connected acyclic graph; invariant edge_count == n - 1.
+    """Connected acyclic graph; invariant edge_count == n - 1."""
 
-    A tree made by ``from_parents`` (as ``prufer_decode`` makes them) keeps
-    a parent array and its degree sequence, and leaves the ``adj`` slot
-    unset: the degree sequence, maximum degree and edges are read off those,
-    and the sorted rows are built once, on first access of ``adj``.
-    """
-
-    __slots__ = ("_parent", "_degrees")
-
-    def __init__(self, n: int, adj: tuple, edge_count: int, ends: tuple | None = None):
-        super().__init__(n, adj, edge_count, ends)
-        self._parent = None
-
-    @classmethod
-    def from_parents(cls, parent: list, degrees: list) -> "Tree":
-        """Tree on 1..n whose every vertex v < n hangs under ``parent[v]``
-        (``parent[n]`` is unused), with degree sequence ``degrees``; both are
-        kept, not copied, and must describe a tree."""
-        t = cls.__new__(cls)
-        t.n = n = len(parent) - 1
-        t.edge_count = n - 1
-        t._max_deg = max(degrees)
-        t._parent = parent
-        t._degrees = degrees
-        t._ends = None
-        return t
-
-    def __getattr__(self, name: str):
-        # Python calls this only when the normal lookup fails; the one
-        # attribute made here is ``adj`` of a tree from from_parents.
-        if name != "adj" or self._parent is None:
-            raise AttributeError(name)
-        parent = self._parent
-        n = self.n
-        # A vertex's sorted row is its children, met in ascending order,
-        # with its parent put in place.
-        rows: list = [[] for _ in range(n + 1)]
-        for v in range(1, n):
-            rows[parent[v]].append(v)
-        for v in range(1, n):
-            insort(rows[v], parent[v])
-        self.adj = adj = tuple(map(tuple, rows))
-        return adj
-
-    def __reduce_ex__(self, protocol):
-        # the default slot state would read ``adj`` and so build the rows
-        if self._parent is None:
-            return super().__reduce_ex__(protocol)
-        return type(self).from_parents, (self._parent, self._degrees)
-
-    def degree_sequence(self) -> list[int]:
-        if self._parent is None:
-            return super().degree_sequence()
-        return self._degrees[:]
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Each edge once as (u, v) with u < v, in no promised order."""
-        if self._parent is None:
-            return super().edges()
-        return ((v, p) if v < p else (p, v) for v, p in zip(*self.edge_ends()))
-
-    def edge_ends(self) -> tuple[Sequence[int], Sequence[int]]:
-        """Two aligned sequences of vertices, one entry per edge (see
-        ``Graph.edge_ends``); for a tree from ``from_parents`` they are each
-        vertex v < n and its parent."""
-        if self._parent is None:
-            return super().edge_ends()
-        return range(1, self.n), self._parent[1 : self.n]
+    __slots__ = ()
 
 
 def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
@@ -208,12 +183,12 @@ def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
 
 def build_tree(edges: Iterable[tuple[int, int]], n: int) -> Tree:
     """Validated tree; rejects cyclic, disconnected, or non-simple input."""
-    g = Graph.from_edges(edges, n)
-    if g.edge_count > n - 1:
-        raise NotATree("cycle", f"{g.edge_count} edges on {n} vertices")
-    if g.edge_count < n - 1 or not g.is_connected():
-        raise NotATree("disconnected", f"{g.edge_count} edges on {n} vertices")
-    return Tree(g.n, g.adj, g.edge_count, g._ends)
+    t = Tree.from_edges(edges, n)
+    if t.edge_count > n - 1:
+        raise NotATree("cycle", f"{t.edge_count} edges on {n} vertices")
+    if t.edge_count < n - 1 or not t.is_connected():
+        raise NotATree("disconnected", f"{t.edge_count} edges on {n} vertices")
+    return t
 
 
 def classify_vertex(t: Graph, v: int) -> VertexClass:
@@ -388,9 +363,7 @@ def complete_forest_to_tree(f: Graph, degree_cap: int) -> Tree:
         raise NotATree("cycle", "forest completion needs acyclic input")
     adj = [set(row) for row in f.adj]
     join_forest(adj, comps, degree_cap)
-    t = Tree(f.n, tuple(tuple(sorted(row)) for row in adj), f.n - 1)
-    t._max_deg = max(map(len, adj), default=0)
-    return t
+    return Tree(f.n, tuple(tuple(sorted(row)) for row in adj), f.n - 1)
 
 
 # ---------------------------------------------------------------------------

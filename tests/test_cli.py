@@ -318,6 +318,11 @@ class TestUserErrorsAndBugs:
         code, out, err = run(capsys, "color", "--k", "3", "--in", str(good), "--verify", str(binary))
         assert code == 2 and "is not text" in err
 
+    def test_unwritable_out(self, capsys, tmp_path):
+        for out in (tmp_path / "missing" / "x.json", tmp_path):
+            code, stdout, err = run(capsys, "balance", "--seq", "1,1", "--out", str(out))
+            assert code == 2 and stdout == "" and err.startswith("error: cannot write "), (out, err)
+
     @pytest.mark.parametrize("n", ["1", "0", "-4"])
     def test_sample_below_two_vertices(self, capsys, n):
         code, out, err = run(capsys, "sample", "--n", n)

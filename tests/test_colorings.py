@@ -8,6 +8,7 @@ from arbor.equitable import verify_equitable
 from arbor.errors import PartialColoring
 from arbor.random_trees import prufer_decode
 from arbor.trees import Graph, Tree, build_graph, build_tree, path
+from test_random_trees import heap_decode
 
 
 class TestClassSizes:
@@ -65,13 +66,19 @@ def loop_tally(g, coloring):
     return tuple(sizes[1:]), tuple(mono[1:])
 
 
-def tree_triples():
-    """300 seeded decoded trees (n = 2, 3, then up to 300), each with
-    ``build_tree`` on the same edges and a tree that has only their rows."""
+def tree_codes():
+    """300 seeded codes with their n (n = 2, 3, then up to 300)."""
     rng = random.Random(12)
     for i in range(300):
         n = i + 2 if i < 2 else rng.randint(4, 300)
-        t = prufer_decode([rng.randint(1, n) for _ in range(n - 2)], n)
+        yield [rng.randint(1, n) for _ in range(n - 2)], n
+
+
+def tree_triples():
+    """The decoded tree of each of ``tree_codes()``, each with
+    ``build_tree`` on the same edges and a tree that has only their rows."""
+    for code, n in tree_codes():
+        t = prufer_decode(code, n)
         built = build_tree(list(t.edges()), n)
         yield t, built, Tree(n, built.adj, n - 1)
 
@@ -121,8 +128,8 @@ class TestTallyGather:
         # each graph with its edges as a set of (u, v), u < v, made without edge_ends()
         rng = random.Random(7)
         cases = []
-        for decoded, built, rows in tree_triples():
-            edges = {(min(v, p), max(v, p)) for v, p in zip(range(1, decoded.n), decoded._parent[1:])}
+        for (code, n), (decoded, built, rows) in zip(tree_codes(), tree_triples()):
+            edges = heap_decode(code, n)
             cases += [(decoded, edges), (built, edges), (rows, edges)]
         cases.append((build_graph([], 4), set()))
         for n in (2, 5, 30):

@@ -7,10 +7,23 @@ from arbor.balance import (
     greedy_pair_partition,
     ones_twos_partition,
 )
-from arbor.equitable import brute_force_equitable, equitable_coloring
-from arbor.errors import ArborError, BadArgument
+from arbor.equitable import brute_force_equitable, equitable_coloring, hub_pair_coloring
+from arbor.errors import ArborError, BadArgument, BadEntry, NotATree, PreconditionViolated
 from arbor.experiments import ExperimentConfig, run_equitable_fraction
-from arbor.trees import path
+from arbor.random_trees import enumerate_labeled_trees, prufer_encode
+from arbor.trees import (
+    Graph,
+    branch,
+    build_graph,
+    build_tree,
+    classify_vertex,
+    complete_forest_to_tree,
+    double_star,
+    induced_subtree,
+    path,
+    path_order,
+    star,
+)
 
 BAD_ARGUMENTS = {
     "config-n": lambda: ExperimentConfig(n=1, trials=10),
@@ -41,3 +54,30 @@ def test_caller_sequences_still_converted():
     # only is_balanced_graph's own degree list skips the int() pass
     assert balance_exact(["3", "1", "2", "2"]) == balance_exact([3, 1, 2, 2])
     assert ones_twos_partition(("1", "2", "1", "2")) == ones_twos_partition([1, 2, 1, 2])
+
+
+# outside input refused with a typed error: (call, error type, NotATree reason)
+REFUSALS = {
+    "from-edges-no-vertices": (lambda: Graph.from_edges([], 0), NotATree, "bad-vertex-id"),
+    "classify-vertex-id": (lambda: classify_vertex(path(3), 4), NotATree, "bad-vertex-id"),
+    "branch-vertex-id": (lambda: branch(path(3), 2, 0), NotATree, "bad-vertex-id"),
+    "induced-subtree-vertex-id": (lambda: induced_subtree(path(3), {5}), NotATree, "bad-vertex-id"),
+    "path-order-not-a-path": (lambda: path_order(star(4)), PreconditionViolated, None),
+    "forest-completion-cycle": (
+        lambda: complete_forest_to_tree(build_graph([(1, 2), (2, 3), (1, 3)], 4), 3),
+        NotATree,
+        "cycle",
+    ),
+    "prufer-encode-one-vertex": (lambda: prufer_encode(build_tree([], 1)), BadEntry, None),
+    "enumerate-one-vertex": (lambda: next(enumerate_labeled_trees(1)), BadEntry, None),
+    # hubs 1 and 2 of degree 3 >= 6/3; leaf 3 is not a pre-leaf, 1 and 2 are
+    "hub-pair-p-not-pre-leaf": (lambda: hub_pair_coloring(double_star(2, 2), 1, 2, 3, 2), PreconditionViolated, None),
+    "hub-pair-q-not-pre-leaf": (lambda: hub_pair_coloring(double_star(2, 2), 1, 2, 1, 5), PreconditionViolated, None),
+}
+
+
+@pytest.mark.parametrize("call,error,reason", REFUSALS.values(), ids=REFUSALS.keys())
+def test_outside_input_refused(call, error, reason):
+    with pytest.raises(error) as exc:
+        call()
+    assert getattr(exc.value, "reason", None) == reason

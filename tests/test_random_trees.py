@@ -69,7 +69,7 @@ class TestDecodeExhaustive:
             assert len(t.adj) == n + 1 and t.adj[0] == ()
             assert all(type(row) is tuple and list(row) == sorted(row) for row in t.adj)
             assert t.edge_count == n - 1
-            assert t._max_deg == max(len(row) for row in t.adj) == 1 + max(map(code.count, range(1, n + 1)))
+            assert t.max_degree == max(len(row) for row in t.adj) == 1 + max(map(code.count, range(1, n + 1)))
 
     def test_entry_out_of_range_is_named(self):
         with pytest.raises(BadEntry, match="entry 0 outside"):

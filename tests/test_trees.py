@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from arbor.errors import ArborError, CapInfeasible, NotAdjacent, NotATree, PreconditionViolated
 from arbor.random_trees import prufer_decode, prufer_encode
 from arbor.trees import (
+    Graph,
     InducedSubgraph,
     Tree,
     VertexClass,
@@ -63,6 +65,42 @@ class TestBuildTree:
         with pytest.raises(NotATree) as exc:
             build_tree(edges, n)
         assert exc.value.reason == reason
+
+
+def held(g):
+    """The slots g holds, read without deriving any it lacks."""
+    out = set()
+    for name in Graph.__slots__:
+        try:
+            object.__getattribute__(g, name)
+        except AttributeError:
+            continue
+        out.add(name)
+    return out
+
+
+# each way a graph is made, with the forms it holds when made
+GRAPH_ORIGINS = {
+    "rows": (lambda: induced_subtree(double_star(3, 2), {2}).graph, {"adj"}),
+    "build-graph": (lambda: build_graph([(4, 1), (2, 5), (1, 5), (6, 3)], 7), {"adj", "_ends"}),
+    "build-tree": (lambda: build_tree([(4, 1), (2, 5), (1, 5), (6, 3), (3, 5)], 6), {"adj", "_ends"}),
+    "decoded": (lambda: prufer_decode([4, 4, 1, 5], 6), {"_ends", "_degrees"}),
+}
+
+
+class TestPickle:
+    @pytest.mark.parametrize("make,made_with", GRAPH_ORIGINS.values(), ids=GRAPH_ORIGINS.keys())
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_round_trip_builds_no_form(self, make, made_with, protocol):
+        g = make()
+        forms = held(g)
+        assert forms == {"n", "edge_count"} | made_with
+        data = pickle.dumps(g, protocol)
+        assert held(g) == forms
+        back = pickle.loads(data)
+        assert held(back) == forms and type(back) is type(g)
+        assert back == g and back.edge_set() == g.edge_set()
+        assert back.degree_sequence() == g.degree_sequence() and back.max_degree == g.max_degree
 
 
 class TestClassify:
