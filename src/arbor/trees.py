@@ -183,12 +183,12 @@ def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
 
 def build_tree(edges: Iterable[tuple[int, int]], n: int) -> Tree:
     """Validated tree; rejects cyclic, disconnected, or non-simple input."""
-    t = Tree.from_edges(edges, n)
-    if t.edge_count > n - 1:
-        raise NotATree("cycle", f"{t.edge_count} edges on {n} vertices")
-    if t.edge_count < n - 1 or not t.is_connected():
-        raise NotATree("disconnected", f"{t.edge_count} edges on {n} vertices")
-    return t
+    g = Tree.from_edges(edges, n)
+    if g.edge_count > n - 1:
+        raise NotATree("cycle", f"{g.edge_count} edges on {n} vertices")
+    if g.edge_count < n - 1 or not g.is_connected():
+        raise NotATree("disconnected", f"{g.edge_count} edges on {n} vertices")
+    return g
 
 
 def classify_vertex(t: Graph, v: int) -> VertexClass:

@@ -274,11 +274,17 @@ class TestStats:
         s = tree_stats(prufer_decode([1, 1], 4))
         assert (s.max_degree, s.x1, s.x2) == (3, 3, 0)
 
+    def test_single_vertex(self):
+        s = tree_stats(build_tree([], 1))
+        assert (s.max_degree, s.x1, s.x2) == (0, 0, 0)
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 80), st.integers(0, 2**32 - 1))
     def test_stats_from_code_agree(self, n, seed):
         entries = random_prufer(n, trial_rng(seed))
-        assert stats_from_prufer(entries, n) == tree_stats(prufer_decode(entries, n))
+        t = prufer_decode(entries, n)
+        assert stats_from_prufer(entries, n) == tree_stats(t)
+        assert not rows_built(t)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 80), st.integers(0, 2**32 - 1))
