@@ -357,10 +357,11 @@ def ones_twos_partition(seq: DegreeSequence | Sequence[int]) -> Partition:
 
 
 def partition_coloring(part: Partition) -> KColoring:
-    """Color class 1 = I, class 2 = J."""
-    assignment = dict.fromkeys(part.I, 1)
-    assignment.update(dict.fromkeys(part.J, 2))
-    return KColoring(2, assignment)
+    """Color class 1 = I, class 2 = J (every vertex not in I)."""
+    col = [0, *[2] * (len(part.I) + len(part.J))]
+    for v in part.I:
+        col[v] = 1
+    return KColoring(2, col)
 
 
 def is_balanced_graph(g: Graph) -> Optional[KColoring]:
@@ -481,10 +482,6 @@ def brute_force_k_balanced(g: Graph, k: int, limit: int = K_BRUTE_DEFAULT_LIMIT)
         return False
 
     if dfs(0, 0, 0):
-        return KColoring(k, {v: col[v] for v in range(1, n + 1)})
+        return KColoring(k, col)
     return None
 
-
-def k_balance_report(g: Graph, coloring: KColoring) -> tuple[tuple, tuple]:
-    """(class sizes, per-color monochromatic edge counts) for any k-coloring."""
-    return coloring.tally(g)

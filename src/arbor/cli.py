@@ -19,7 +19,7 @@ from typing import Optional
 from .balance import DegreeSequence, balance_exact
 from .colorings import KColoring
 from .equitable import equitable_coloring, equitable_three, verify_equitable
-from .errors import ArborError, BadArgument, InternalInvariant, MalformedColoring
+from .errors import ArborError, BadArgument, InternalInvariant, MalformedColoring, PartialColoring
 from .experiments import (
     ExperimentConfig,
     run_balanced_fraction,
@@ -121,9 +121,9 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _read_coloring(path: str, k: int) -> KColoring:
-    """One ``vertex color`` line per vertex; blank and ``#`` lines are skipped."""
-    assignment = {}
+def _read_coloring(path: str, k: int, n: int) -> KColoring:
+    """One ``vertex color`` line per vertex 1..n (``None`` without one); blank and ``#`` lines are skipped."""
+    col = [0, *[None] * n]
     for lineno, ln in enumerate(_read_text(path).split("\n"), 1):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
@@ -132,16 +132,18 @@ def _read_coloring(path: str, k: int) -> KColoring:
             v, c = map(int, ln.split())
         except ValueError:
             raise MalformedColoring(f"line {lineno}: expected two integers, vertex and color") from None
-        if v in assignment:
+        if not 1 <= v <= n:
+            raise PartialColoring(f"vertex {v} is not a vertex of the graph (1..{n})")
+        if col[v] is not None:
             raise MalformedColoring(f"line {lineno}: vertex {v} is colored twice")
-        assignment[v] = c
-    return KColoring(k, assignment)
+        col[v] = c
+    return KColoring(k, col)
 
 
 def _cmd_color(args) -> int:
     t = _read_tree(args.infile)
     if args.verify:
-        cert = verify_equitable(t, _read_coloring(args.verify, args.k))
+        cert = verify_equitable(t, _read_coloring(args.verify, args.k, t.n))
         payload = {
             "schema": SCHEMA,
             "k": args.k,

@@ -32,6 +32,7 @@ from .errors import (
     IndependentSetNotFound,
     InternalInvariant,
     NoTwoPreLeaves,
+    PartialColoring,
     PreconditionViolated,
     TooLarge,
 )
@@ -153,12 +154,10 @@ def brute_force_equitable(t: Graph, k: int, limit: int = EQUITABLE_BRUTE_DEFAULT
     n = t.n
     if n >= 1 and k**n > limit:
         raise TooLarge(f"{k}^{n} exceeds search limit {limit}")
-    if n == 0:
-        return KColoring(k, {})
     colors = _search_colors(list(range(1, n + 1)), lambda v: t.adj[v], k, balanced_targets(n, k))
     if colors is None:
         return None
-    return KColoring(k, colors)
+    return KColoring(k, [0, *map(colors.__getitem__, range(1, n + 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -828,24 +827,28 @@ class _Machine:
 # Public constructors.
 
 
-def _certify(t: Graph, colors: dict, k: int, trace: Iterable[str], apart: Iterable[tuple] = ()) -> EquitableCertificate:
-    """Verified certificate of ``colors``, which must also give each pair in
-    ``apart`` two colors."""
-    cert = verify_equitable(t, KColoring(k, colors), trace)
-    if not cert.valid or any(colors[a] == colors[b] for a, b in apart):
+def _certify(t: Graph, col: list, k: int, trace: Iterable[str], apart: Iterable[tuple] = ()) -> EquitableCertificate:
+    """Verified certificate of the color list ``col``, which must color every
+    vertex in 1..k and also give each pair in ``apart`` two colors."""
+    try:
+        cert = verify_equitable(t, KColoring(k, col), trace)
+    except PartialColoring:
+        cert = None
+    if cert is None or not cert.valid or any(col[a] == col[b] for a, b in apart):
         raise InternalInvariant("constructed coloring failed verification", dump=format_tree_text(t))
     return cert
 
 
-def _three_colors(t: Tree, constraint: Optional[tuple] = None) -> tuple:
-    """Equitable 3-coloring of t and its construction trace, unverified."""
+def _three_colors(t: Tree, is_path: bool, constraint: Optional[tuple] = None) -> tuple:
+    """Color list of an equitable 3-coloring of t (a path iff ``is_path``) and its trace, unverified."""
     if t.n == 1:
-        return {1: 1}, ("direct:trivial",)
-    if is_path_graph(t):
-        return _path3_colors(path_order(t), constraint), ("direct:path",)
+        return [0, 1], ("direct:trivial",)
+    if is_path:
+        colors = _path3_colors(path_order(t), constraint)
+        return [0, *map(colors.__getitem__, range(1, t.n + 1))], ("direct:path",)
     m = _Machine(t)
     m.run3(constraint)
-    return {v: m.col[v] for v in range(1, t.n + 1)}, tuple(m.trace)
+    return m.col, tuple(m.trace)
 
 
 def equitable_three(t: Tree, constraint: Optional[tuple] = None) -> EquitableCertificate:
@@ -861,8 +864,8 @@ def equitable_three(t: Tree, constraint: Optional[tuple] = None) -> EquitableCer
         p, q = constraint
         if p == q or not (1 <= p <= n and 1 <= q <= n) or not (is_pre_leaf(t, p) and is_pre_leaf(t, q)):
             raise NoTwoPreLeaves(f"({p}, {q}) is not a pair of distinct pre-leaf vertices")
-    colors, trace = _three_colors(t, constraint)
-    return _certify(t, colors, 3, trace, () if constraint is None else (constraint,))
+    col, trace = _three_colors(t, is_path_graph(t), constraint)
+    return _certify(t, col, 3, trace, () if constraint is None else (constraint,))
 
 
 def hub_pair_coloring(t: Tree, u: int, v: int, p: int, q: int) -> EquitableCertificate:
@@ -878,7 +881,7 @@ def hub_pair_coloring(t: Tree, u: int, v: int, p: int, q: int) -> EquitableCerti
     m = _Machine(t)
     m.lemma_run(u, v, p, q)
     m._unwind()
-    return _certify(t, {x: m.col[x] for x in range(1, n + 1)}, 3, tuple(m.trace), ((u, v), (p, q)))
+    return _certify(t, m.col, 3, tuple(m.trace), ((u, v), (p, q)))
 
 
 def _independent_low_degree(adj: Sequence, vertices: Iterable[int], m: int) -> list:
@@ -925,22 +928,23 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
     if n >= 2 and t.max_degree * k > n:
         raise DegreeTooHigh(f"max degree {t.max_degree} exceeds n/k = {n / k:.2f}")
     if n == 1:
-        return _certify(t, {1: 1}, k, ("direct:trivial",))
+        return _certify(t, [0, 1], k, ("direct:trivial",))
     if k == 3:
         return equitable_three(t)
     if is_path_graph(t):
-        return _certify(t, _round_robin_colors(path_order(t), k), k, ("direct:path",))
+        colors = _round_robin_colors(path_order(t), k)
+        return _certify(t, [0, *map(colors.__getitem__, range(1, n + 1))], k, ("direct:path",))
     trace: list = []
-    colors = {}  # exactly the shed vertices, until the 3-coloring
+    col = [0] * (n + 1)  # nonzero exactly at the shed vertices, until the 3-coloring
     adj = [set(row) for row in t.adj]
     kept = list(range(1, n + 1))
     top = t.max_degree
     for k_level in range(k, 3, -1):
         for x in _independent_low_degree(adj, kept, len(kept) // k_level):
-            colors[x] = k_level
+            col[x] = k_level
             for w in adj[x]:
                 adj[w].discard(x)
-        kept = [v for v in kept if v not in colors]
+        kept = [v for v in kept if not col[v]]
         join_forest(adj, forest_components(adj, kept), max(top, 2))
         top = max(map(len, map(adj.__getitem__, kept)))
         if top * (k_level - 1) > len(kept):
@@ -954,7 +958,7 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
         for w in adj[v]:
             rows[new_id[w]].append(i)
     cur = Tree(len(kept), tuple(map(tuple, rows)), len(kept) - 1)
-    colors3, trace3 = _three_colors(cur)
-    for v, c in colors3.items():
-        colors[kept[v - 1]] = c
-    return _certify(t, colors, k, (*trace, *trace3))
+    col3, trace3 = _three_colors(cur, top <= 2)
+    for v, c in zip(kept, col3[1:]):
+        col[v] = c
+    return _certify(t, col, k, (*trace, *trace3))

@@ -116,9 +116,6 @@ class Graph:
                 pass
         return copyreg.__newobj__, (type(self),), (None, held)
 
-    def neighbors(self, v: int) -> tuple:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

@@ -16,7 +16,6 @@ from arbor.balance import (
     brute_force_k_balanced,
     greedy_pair_partition,
     is_balanced_graph,
-    k_balance_report,
     ones_twos_partition,
     partition_coloring,
     verify_balanced,
@@ -237,45 +236,44 @@ class TestVerifyBalanced:
         # seven vertices colored 4/3 with one edge inside the first class and
         # two inside the second
         g = build_graph([(1, 2), (5, 6), (6, 7), (1, 5), (3, 6), (4, 7)], 7)
-        col = KColoring(2, {1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2, 7: 2})
+        col = KColoring(2, [0, 1, 1, 1, 1, 2, 2, 2])
         rep = verify_balanced(g, col)
         assert (rep.v1, rep.v2) == (4, 3)
         assert (rep.e1, rep.e2) == (1, 2)
         assert rep.balanced
 
     def test_p2(self):
-        rep = verify_balanced(path(2), KColoring(2, {1: 1, 2: 2}))
+        rep = verify_balanced(path(2), KColoring(2, [0, 1, 2]))
         assert (rep.v1, rep.v2, rep.e1, rep.e2) == (1, 1, 0, 0) and rep.balanced
 
     def test_all_one_color_triangle(self):
-        rep = verify_balanced(complete_graph(3), KColoring(2, {1: 1, 2: 1, 3: 1}))
+        rep = verify_balanced(complete_graph(3), KColoring(2, [0, 1, 1, 1]))
         assert (rep.v1, rep.v2) == (3, 0) and not rep.balanced
 
     def test_partial_coloring(self):
         with pytest.raises(PartialColoring):
-            verify_balanced(path(3), KColoring(2, {1: 1, 2: 2}))
+            verify_balanced(path(3), KColoring(2, [0, 1, 2, None]))
 
     def test_refuses_three_colors(self):
         # a k-coloring with k != 2 has no (v1, v2, e1, e2) to report
         with pytest.raises(PreconditionViolated, match="k=3"):
-            verify_balanced(path(4), KColoring(3, {1: 3, 2: 3, 3: 1, 4: 2}))
+            verify_balanced(path(4), KColoring(3, [0, 3, 3, 1, 2]))
 
     def test_vertex_outside_graph(self):
-        extra = KColoring(2, {1: 1, 2: 2, 3: 1, 4: 2})
-        with pytest.raises(PartialColoring, match="vertex 4"):
+        # a color for vertex 4, which path(3) lacks
+        extra = KColoring(2, [0, 1, 2, 1, 2])
+        with pytest.raises(PartialColoring, match=r"vertices 1\.\.3 is a list of 4 colors"):
             verify_balanced(path(3), extra)
-        with pytest.raises(PartialColoring, match="vertex 4"):
-            k_balance_report(path(3), extra)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 25), st.integers(0, 2**31), st.data())
     def test_cross_edge_identity(self, n, seed, data):
         # for any 2-coloring, |e1 - e2| is half the degree-sum imbalance
         t = sample_labeled_tree(n, seed)
-        colors = {v: data.draw(st.integers(1, 2)) for v in range(1, n + 1)}
-        rep = verify_balanced(t, KColoring(2, colors))
-        d1 = sum(t.degree(v) for v in colors if colors[v] == 1)
-        d2 = sum(t.degree(v) for v in colors if colors[v] == 2)
+        col = [0, *(data.draw(st.integers(1, 2)) for _ in range(n))]
+        rep = verify_balanced(t, KColoring(2, col))
+        d1 = sum(t.degree(v) for v in range(1, n + 1) if col[v] == 1)
+        d2 = sum(t.degree(v) for v in range(1, n + 1) if col[v] == 2)
         assert 2 * abs(rep.e1 - rep.e2) == abs(d1 - d2)
 
 
@@ -343,7 +341,7 @@ class TestKBalancedBrute:
         g = complete_graph(6)
         w = brute_force_k_balanced(g, 3)
         assert w is not None
-        sizes, mono = k_balance_report(g, w)
+        sizes, mono = w.tally(g)
         assert max(sizes) - min(sizes) <= 1 and max(mono) - min(mono) <= 1
 
     def test_same_degree_sequence_different_verdicts(self):
@@ -354,7 +352,7 @@ class TestKBalancedBrute:
         assert sorted(good.degree_sequence()) == sorted(bad.degree_sequence())
         w = brute_force_k_balanced(good, 3)
         assert w is not None
-        sizes, mono = k_balance_report(good, w)
+        sizes, mono = w.tally(good)
         assert max(sizes) - min(sizes) <= 1 and max(mono) - min(mono) <= 1
         assert brute_force_k_balanced(bad, 3) is None
 

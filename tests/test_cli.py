@@ -133,19 +133,31 @@ class TestColorCommand:
     @pytest.mark.parametrize(
         "extra,reason",
         [
-            ("9 1\n", "vertex 9 is not a vertex"),
+            ("9 1\n", "vertex 9 is not a vertex of the graph (1..3)"),
             ("9 7\n", "vertex 9 is not a vertex"),
             ("2 3\n", "line 4: vertex 2 is colored twice"),
             ("3 3 3\n", "line 4: expected two integers"),
             ("x 1\n", "line 4: expected two integers"),
+            ("0 1\n", "vertex 0 is not a vertex of the graph (1..3)"),
+            ("-1 1\n", "vertex -1 is not a vertex of the graph (1..3)"),
+            (None, "vertex 2 has no valid color"),
         ],
-        ids=["extra-vertex", "extra-vertex-bad-color", "repeated-vertex", "three-fields", "not-an-integer"],
+        ids=[
+            "extra-vertex",
+            "extra-vertex-bad-color",
+            "repeated-vertex",
+            "three-fields",
+            "not-an-integer",
+            "vertex-0",
+            "vertex-minus-1",
+            "missing-vertex",
+        ],
     )
     def test_verify_refuses_bad_coloring_file(self, capsys, tmp_path, extra, reason):
         f = tmp_path / "p3.tree"
         f.write_text("3\n1 2\n2 3\n")
         c = tmp_path / "cols.txt"
-        c.write_text("1 1\n2 2\n3 3\n" + extra)
+        c.write_text("1 1\n3 3\n" if extra is None else "1 1\n2 2\n3 3\n" + extra)
         code, out, err = run(capsys, "color", "--k", "3", "--in", str(f), "--verify", str(c))
         assert (code, out) == (2, "")
         assert reason in err
@@ -167,7 +179,7 @@ class TestColorCommand:
         assert code == 0, err
         payload = json.loads(out)
         t = parse_tree_text(text)
-        coloring = KColoring(3, {int(v): c for v, c in payload["assignment"].items()})
+        coloring = KColoring(3, [0, *(payload["assignment"][str(v)] for v in range(1, t.n + 1))])
         assert verify_equitable(t, coloring).valid
         assert "direct:spine" in payload["trace"]
         if extra:
@@ -343,16 +355,18 @@ class TestReadColoringFuzz:
             ).map(str.encode),
         ),
         st.integers(-1, 5),
+        st.integers(0, 8),
     )
-    def test_coloring_or_typed_error(self, tmp_path_factory, data, k):
+    def test_coloring_or_typed_error(self, tmp_path_factory, data, k, n):
         path = tmp_path_factory.mktemp("coloring") / "c.txt"
         path.write_bytes(data)
         try:
-            coloring = cli._read_coloring(str(path), k)
+            coloring = cli._read_coloring(str(path), k, n)
         except ArborError:
             return
         assert isinstance(coloring, KColoring) and coloring.k == k
-        assert all(type(v) is int and type(c) is int for v, c in coloring.assignment.items())
+        assert len(coloring.col) == n + 1 and coloring.col[0] == 0
+        assert all(c is None or type(c) is int for c in coloring.col)
 
 
 class TestInternalInvariantExit:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from arbor.balance import k_balance_report, verify_balanced
+from arbor.balance import verify_balanced
 from arbor.colorings import KColoring
 from arbor.equitable import verify_equitable
 from arbor.errors import PartialColoring
@@ -13,45 +13,53 @@ from test_random_trees import heap_decode
 
 class TestClassSizes:
     def test_counts_each_color(self):
-        assert KColoring(3, {1: 2, 2: 2, 3: 1, 4: 3}).class_sizes == (1, 2, 1)
-        assert KColoring(2, {}).class_sizes == (0, 0)
+        assert KColoring(3, [0, 2, 2, 1, 3]).class_sizes == (1, 2, 1)
+        assert KColoring(2, [0]).class_sizes == (0, 0)
 
     @pytest.mark.parametrize("color", [0, -1, 4, 7])
     def test_color_outside_range(self, color):
-        coloring = KColoring(3, {1: 1, 2: color, 3: 2})
+        coloring = KColoring(3, [0, 1, color, 2])
         with pytest.raises(PartialColoring, match=f"vertex 2 has color {color}, outside 1..3"):
             coloring.class_sizes
 
 
 class TestRepr:
     def test_sizes(self):
-        assert repr(KColoring(2, {1: 1, 2: 2, 3: 1})) == "KColoring(k=2, sizes=(2, 1))"
+        assert repr(KColoring(2, [0, 1, 2, 1])) == "KColoring(k=2, sizes=(2, 1))"
 
-    @pytest.mark.parametrize("assignment", [{1: 7}, {1: 0, 2: 1}, {1: "red"}, {1: [1]}])
+    @pytest.mark.parametrize("assignment", [[0, 7], [0, 0, 1], [0, "red"], [0, [1]]])
     def test_never_raises(self, assignment):
         assert repr(KColoring(3, assignment)).startswith("KColoring(k=3, ")
+
+
+def tally(g, coloring):
+    return coloring.tally(g)
 
 
 class TestTally:
     def test_sizes_and_monochromatic_edges(self):
         g = build_graph([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 5)], 5)
-        coloring = KColoring(3, {1: 1, 2: 1, 3: 2, 4: 3, 5: 1})
+        coloring = KColoring(3, [0, 1, 1, 2, 3, 1])
         assert coloring.tally(g) == ((3, 1, 1), (3, 0, 0))
-        assert KColoring(2, {1: 2, 2: 2, 3: 2}).tally(path(3)) == ((0, 3), (0, 2))
+        assert KColoring(2, [0, 2, 2, 2]).tally(path(3)) == ((0, 3), (0, 2))
 
-    @pytest.mark.parametrize("check", [verify_equitable, verify_balanced, k_balance_report])
-    @pytest.mark.parametrize("color", [0, -1, 3])
+    @pytest.mark.parametrize("check", [verify_equitable, verify_balanced, tally])
+    @pytest.mark.parametrize("color", [0, -1, 3, None])
     def test_color_outside_range_on_every_vertex_colored(self, check, color):
-        # every vertex of the graph has a color, but vertex 2's is none of 1..k
-        coloring = KColoring(2, {1: 1, 2: color, 3: 2})
+        # every vertex of the graph has an entry, but vertex 2's is none of 1..k
+        coloring = KColoring(2, [0, 1, color, 2])
         with pytest.raises(PartialColoring, match="vertex 2 has no valid color"):
             check(path(3), coloring)
 
-    def test_uncolored_vertex_reported_before_extra_vertex(self):
-        with pytest.raises(PartialColoring, match="vertex 2 has no valid color"):
-            KColoring(2, {1: 1, 3: 2, 9: 1}).tally(path(3))
-        with pytest.raises(PartialColoring, match=r"vertex 9 is not a vertex of the graph \(1..3\)"):
-            KColoring(2, {1: 1, 2: 1, 3: 2, 9: 1}).tally(path(3))
+    @pytest.mark.parametrize(
+        "col",
+        [[0, 1, 2], [0, 1, None, 2, 1], [1, 1, None, 2]],
+        ids=["too-short", "too-long", "entry-0-set"],
+    )
+    def test_refuses_list_of_wrong_shape(self, col):
+        # the last two count three vertices in 1..2 and would hide uncolored vertex 2
+        with pytest.raises(PartialColoring, match=r"vertices 1\.\.3 is a list of 4 colors, entry 0 being 0"):
+            KColoring(2, col).tally(path(3))
 
 
 def loop_tally(g, coloring):
@@ -59,10 +67,10 @@ def loop_tally(g, coloring):
     sizes = [0] * (coloring.k + 1)
     mono = [0] * (coloring.k + 1)
     for v in range(1, g.n + 1):
-        sizes[coloring.assignment[v]] += 1
+        sizes[coloring.col[v]] += 1
     for u, v in g.edges():
-        if coloring.assignment[u] == coloring.assignment[v]:
-            mono[coloring.assignment[u]] += 1
+        if coloring.col[u] == coloring.col[v]:
+            mono[coloring.col[u]] += 1
     return tuple(sizes[1:]), tuple(mono[1:])
 
 
@@ -100,7 +108,7 @@ class TestTallyGather:
         for decoded, built, rows in tree_triples():
             n = decoded.n
             for k in range(2, 7):
-                coloring = KColoring(k, {v: rng.randint(1, k) for v in rng.sample(range(1, n + 1), n)})
+                coloring = KColoring(k, [0, *(rng.randint(1, k) for _ in range(n))])
                 want = loop_tally(built, coloring)
                 assert coloring.tally(decoded) == coloring.tally(built) == coloring.tally(rows) == want, (n, k)
                 mono_total += sum(want[1])
@@ -111,18 +119,19 @@ class TestTallyGather:
         for decoded, built, rows in tree_triples():
             n = decoded.n
             k = rng.randint(2, 6)
-            full = {v: rng.randint(1, k) for v in range(1, n + 1)}
+            full = [0, *(rng.randint(1, k) for _ in range(n))]
             v = rng.randint(1, n)
             bad = [
-                {u: c for u, c in full.items() if u != v},  # uncolored
-                {**full, v: 0},
-                {**full, v: k + 1},
-                {**full, n + 1 + rng.randint(0, 5): 1},  # a vertex the tree lacks
+                full + [1] * rng.randint(1, 6),  # vertices the tree lacks
+                full[:-1],  # too few entries
+                [1, *full[1:]],  # entry 0 set
             ]
-            for assignment in bad:
-                coloring = KColoring(k, assignment)
+            for c in (None, 0, k + 1):  # uncolored, or colored outside 1..k
+                bad.append([*full[:v], c, *full[v + 1 :]])
+            for col in bad:
+                coloring = KColoring(k, col)
                 message = error_message(decoded, coloring)
-                assert message == error_message(built, coloring) == error_message(rows, coloring), (n, assignment)
+                assert message == error_message(built, coloring) == error_message(rows, coloring), (n, col)
 
     def test_edge_ends_are_the_edges(self):
         # each graph with its edges as a set of (u, v), u < v, made without edge_ends()

@@ -25,13 +25,14 @@ from arbor.equitable import (
 from arbor.errors import (
     DegreeTooHigh,
     IndependentSetNotFound,
+    InternalInvariant,
     NoTwoPreLeaves,
     PartialColoring,
     PreconditionViolated,
     TooLarge,
 )
 from arbor.random_trees import enumerate_unlabeled_trees, sample_labeled_tree
-from arbor.trees import Tree, build_tree, double_star, parse_tree_text, path, pre_leaves, star
+from arbor.trees import Tree, build_tree, double_star, induced_subtree, parse_tree_text, path, pre_leaves, star
 from test_golden import crowded_tree, every_construction, planted_hub_tree
 
 
@@ -47,24 +48,59 @@ def assert_good(t, cert, k, constraint=None):
 
 class TestVerify:
     def test_p9_round_robin(self):
-        cert = verify_equitable(path(9), KColoring(3, {v: ((v - 1) % 3) + 1 for v in range(1, 10)}))
+        cert = verify_equitable(path(9), KColoring(3, [0, *(((v - 1) % 3) + 1 for v in range(1, 10))]))
         assert cert.valid and cert.coloring.class_sizes == (3, 3, 3)
 
     def test_monochromatic_edge(self):
-        cert = verify_equitable(path(3), KColoring(3, {1: 1, 2: 1, 3: 2}))
+        cert = verify_equitable(path(3), KColoring(3, [0, 1, 1, 2]))
         assert not cert.valid and cert.mono_edges == (1, 0, 0)
 
     def test_two_colors_ok(self):
-        cert = verify_equitable(path(3), KColoring(2, {1: 1, 2: 2, 3: 1}))
+        cert = verify_equitable(path(3), KColoring(2, [0, 1, 2, 1]))
         assert cert.valid and cert.coloring.class_sizes == (2, 1)
 
     def test_partial(self):
         with pytest.raises(PartialColoring):
-            verify_equitable(path(3), KColoring(3, {1: 1, 3: 2}))
+            verify_equitable(path(3), KColoring(3, [0, 1, None, 2]))
 
     def test_vertex_outside_graph(self):
-        with pytest.raises(PartialColoring, match="vertex 9"):
-            verify_equitable(path(3), KColoring(3, {1: 1, 2: 2, 3: 3, 9: 1}))
+        # a color for vertex 4, which path(3) lacks
+        with pytest.raises(PartialColoring, match=r"vertices 1\.\.3 is a list of 4 colors"):
+            verify_equitable(path(3), KColoring(3, [0, 1, 2, 3, 1]))
+
+
+# max degree 3 <= 10/3, not a path; pre-leaves 4 and 5 share a color when
+# the machine runs unconstrained
+GUARDED = build_tree([(1, 5), (2, 6), (2, 9), (3, 5), (4, 7), (4, 8), (5, 10), (6, 10), (8, 9)], 10)
+
+
+class TestConstructionGuards:
+    """A construction whose own output fails its check raises
+    InternalInvariant with a dump of the input, never the coloring."""
+
+    def assert_refused(self, constraint):
+        with pytest.raises(InternalInvariant, match="failed verification") as exc:
+            equitable_three(GUARDED, constraint)
+        assert parse_tree_text(exc.value.dump) == GUARDED
+
+    def test_vertex_left_uncolored(self, monkeypatch):
+        run3 = equitable_module._Machine.run3
+
+        def uncolored(m, pair):
+            run3(m, pair)
+            m.col[7] = 0
+
+        monkeypatch.setattr(equitable_module._Machine, "run3", uncolored)
+        self.assert_refused(None)
+        self.assert_refused((4, 5))
+
+    def test_constrained_pair_one_color(self, monkeypatch):
+        plain = equitable_three(GUARDED)
+        assert plain.valid and plain.coloring.color(4) == plain.coloring.color(5)
+        assert equitable_three(GUARDED, (4, 5)).valid
+        run3 = equitable_module._Machine.run3
+        monkeypatch.setattr(equitable_module._Machine, "run3", lambda m, pair: run3(m, None))
+        self.assert_refused((4, 5))
 
 
 class TestEquitableThree:
@@ -294,6 +330,11 @@ class TestBruteForceEquitable:
     def test_single_vertex(self):
         w = brute_force_equitable(Tree(1, ((), ()), 0), 5)
         assert w is not None and w.color(1) in range(1, 6)
+
+    def test_no_vertices(self):
+        empty = induced_subtree(path(2), {1, 2}).graph
+        w = brute_force_equitable(empty, 3)
+        assert w == KColoring(3, [0]) and w.tally(empty) == ((0, 0, 0), (0, 0, 0))
 
     def test_guard(self):
         with pytest.raises(TooLarge):

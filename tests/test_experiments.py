@@ -4,6 +4,8 @@ import math
 import pytest
 
 import arbor.experiments as experiments_module
+from arbor.colorings import KColoring
+from arbor.errors import InternalInvariant
 from arbor.experiments import (
     ExperimentConfig,
     balanced_fraction_profile,
@@ -14,6 +16,8 @@ from arbor.experiments import (
     run_max_degree,
     wilson_interval,
 )
+from arbor.random_trees import prufer_decode, trial_code
+from arbor.trees import parse_tree_text
 
 
 class TestConfig:
@@ -95,6 +99,15 @@ class TestBalancedFraction:
     def test_profile_reports(self):
         prof = balanced_fraction_profile([10, 20], trials=50, seed=3)
         assert len(prof) == 2 and all(0 <= f <= 1 for _, f in prof)
+
+
+class TestBalancedRecheck:
+    def test_unbalanced_certificate_raises_with_dump(self, monkeypatch):
+        # every vertex in class 1, so no tree with an edge is balanced
+        monkeypatch.setattr(experiments_module, "is_balanced_graph", lambda g: KColoring(2, [0, *[1] * g.n]))
+        with pytest.raises(InternalInvariant, match="recheck") as exc:
+            experiments_module._balanced_trial((20, 3, 0))
+        assert parse_tree_text(exc.value.dump) == prufer_decode(trial_code(20, 3, 0), 20)
 
 
 class TestEquitableFraction:
