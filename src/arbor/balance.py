@@ -431,6 +431,8 @@ def brute_force_k_balanced(g: Graph, k: int, limit: int = K_BRUTE_DEFAULT_LIMIT)
         raise BadArgument("k must be at least 2")
     if k**n > limit:
         raise TooLarge(f"{k}^{n} exceeds search limit {limit}")
+    if n == 0:  # no vertex to start the search from; the empty coloring is k-balanced
+        return KColoring(k, [0])
     cap_hi = -(-n // k)
     q_lo = n // k
     start = max(range(1, n + 1), key=lambda v: (len(g.adj[v]), -v))

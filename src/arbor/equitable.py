@@ -318,8 +318,19 @@ def _skeleton_colors(
 # leaf's neighbor is ``xr[w]``), the count ``nleaf`` of leaf neighbors and a
 # lazy min-heap ``leaves_at`` of them; besides, a leaf count and lazy
 # min-heaps of leaves and pre-leaves.  A pre-leaf stays one until it is a
-# leaf, so it is pushed once, on becoming one.  Peeling pushes extension
-# records; the base coloring is extended back up through them.
+# leaf, so it is pushed once, on becoming one.  A vertex that the special
+# case has met as the maximal-degree vertex v0 also gets a lazy min-heap in
+# ``special_at`` of its special neighbors (degree two with a leaf).  A vertex
+# stays special until it is a leaf, so it enters a neighbor's heap once.
+#
+# ``run3`` runs the levels at n ≡ 0 (mod 3) in one loop over locals.  The
+# pendant case, nearly every level of a random tree, is written out in that
+# loop; the triple, special and hub cases are methods.  Peeling pushes
+# extension records; ``_unwind`` extends the base coloring back up through
+# them, newest first, taking each forced color from ``_PICK``.
+
+# _PICK[a][b]: the smallest color in 1..3 other than a and b
+_PICK = tuple(tuple(min({1, 2, 3} - {a, b}) for b in range(4)) for a in range(4))
 
 
 class _Machine:
@@ -332,6 +343,7 @@ class _Machine:
         "leaf_heap",
         "leaves_at",
         "pre_heap",
+        "special_at",
         "by_degree",
         "records",
         "trace",
@@ -354,6 +366,7 @@ class _Machine:
         self.n_act = n
         self.leaves = len(self.leaf_heap)
         self.pre_heap = [v for v in range(1, n + 1) if deg[v] >= 2 and nleaf[v] >= deg[v] - 1]
+        self.special_at: dict = {}
         self.by_degree = sorted(range(1, n + 1), key=deg.__getitem__, reverse=True)
         self.records: list = []
         self.trace: list = []
@@ -362,25 +375,34 @@ class _Machine:
 
     # -- incremental maintenance ------------------------------------------
 
-    def delete_leaf(self, w: int) -> int:
-        """Remove an active leaf; returns its (former) neighbor."""
-        deg, xr, nleaf = self.deg, self.xr, self.nleaf
-        z = xr[w]
-        deg[w] = 0
-        self.n_act -= 1
-        deg[z] -= 1
-        xr[z] ^= w
-        nleaf[z] -= 1
-        if deg[z] == 1:
-            y = xr[z]
-            heapq.heappush(self.leaf_heap, z)
-            heapq.heappush(self.leaves_at[y], z)
-            nleaf[y] += 1
-            if nleaf[y] == deg[y] - 1:  # y just became a pre-leaf
-                heapq.heappush(self.pre_heap, y)
-        else:
-            self.leaves -= 1
-        return z
+    def delete_leaves(self, *ws: int) -> None:
+        """Remove active leaves, in order."""
+        heappush = heapq.heappush  # read per call, so a patched heapq sees it
+        deg, xr, nleaf, leaves_at, special_at = self.deg, self.xr, self.nleaf, self.leaves_at, self.special_at
+        for w in ws:
+            z = xr[w]
+            deg[w] = 0
+            deg[z] -= 1
+            xr[z] ^= w
+            nleaf[z] -= 1
+            if deg[z] == 1:
+                y = xr[z]
+                heappush(self.leaf_heap, z)
+                heappush(leaves_at[y], z)
+                nleaf[y] += 1
+                if nleaf[y] == deg[y] - 1:  # y just became a pre-leaf
+                    heappush(self.pre_heap, y)
+                    if deg[y] == 2 and special_at:  # and special; z, a leaf, is never v0
+                        x = xr[y] ^ z
+                        if x in special_at:
+                            heappush(special_at[x], y)
+            else:
+                self.leaves -= 1
+                if special_at and deg[z] == 2 and nleaf[z]:  # z just became special
+                    for x in self.source.adj[z]:
+                        if deg[x] and x in special_at:
+                            heappush(special_at[x], z)
+        self.n_act -= len(ws)
 
     def _leaf_at(self, z: int) -> Optional[int]:
         """Smallest active leaf next to z, or None."""
@@ -389,7 +411,7 @@ class _Machine:
             heapq.heappop(heap)  # deleted since its push
         return heap[0] if heap else None
 
-    def _min_leaf(self, nbr_not_in: frozenset | set = frozenset()) -> Optional[int]:
+    def _min_leaf(self, nbr_not_in: tuple = ()) -> Optional[int]:
         """Smallest active leaf whose neighbor avoids ``nbr_not_in``.
 
         ``leaf_heap`` holds, for each z with a leaf, an entry no larger than
@@ -430,9 +452,10 @@ class _Machine:
     # -- base colorings ----------------------------------------------------
 
     def _commit(self, colors: dict) -> None:
+        col, sizes = self.col, self.sizes
         for v, c in colors.items():
-            self._assign(v, c)
-
+            col[v] = c
+            sizes[c] += 1
     def _base_search(self, constraints: Sequence[tuple]) -> None:
         vertices = self.active_vertices()
         targets = balanced_targets(self.n_act, 3)
@@ -462,13 +485,13 @@ class _Machine:
                     w = self._leaf_at(z)
                     break
             if w is None:
-                w = self._min_leaf(nbr_not_in={u, v, p, q})
+                w = self._min_leaf((u, v, p, q))
             if w is None:
                 self._spine_terminal(u, v, p, q)
                 return
             self.records.append(("hub-peel", w, self.xr[w], u, v, p, q))
             self.trace.append("peel:hub-safe")
-            self.delete_leaf(w)
+            self.delete_leaves(w)
 
     def _spine_terminal(self, u: int, v: int, p: int, q: int) -> None:
         """Direct coloring when every leaf of the active tree crowds u, v, p
@@ -566,17 +589,76 @@ class _Machine:
     # -- top-level three-coloring flow --------------------------------------
 
     def run3(self, pair: Optional[tuple]) -> None:
+        """Peel to a base coloring and unwind.  A level at n ≡ 0 (mod 3)
+        takes the constraint pair ``pair``, or the two smallest pre-leaves
+        when it is None; a pendant level hands the next one None."""
+        heappush, heappop = heapq.heappush, heapq.heappop  # read per call, so a patched heapq sees them
+        deg, xr, nleaf, leaves_at, pre_heap = self.deg, self.xr, self.nleaf, self.leaves_at, self.pre_heap
+        by_degree, src, delete = self.by_degree, self.source.adj, self.delete_leaves
+        record, note = self.records.append, self.trace.append
         done = any(self._peel_one(pair) for _ in range(self.n_act % 3))
         while not done:
+            n = self.n_act
             if self.leaves == 2:  # no vertex of degree >= 3
                 self._base_path(pair)
                 break
-            if self.n_act <= 9:
+            if n <= 9:
                 self._base_search([pair] if pair else [])
                 break
-            pair = self._inner_step(pair)
-            if pair == "done":
+            if pair is None:  # entries that have become leaves are stale and dropped
+                try:
+                    while deg[pre_heap[0]] < 2:
+                        heappop(pre_heap)
+                    p = heappop(pre_heap)  # popped to reach q, pushed back
+                    while deg[pre_heap[0]] < 2:
+                        heappop(pre_heap)
+                except IndexError:
+                    raise self._fail("fewer than two pre-leaves at an inner level") from None
+                q = pre_heap[0]
+                heappush(pre_heap, p)
+            else:
+                p, q = pair
+            if deg[p] < 2 or nleaf[p] < deg[p] - 1 or deg[q] < 2 or nleaf[q] < deg[q] - 1:
+                raise self._fail("constraint pair stopped being pre-leaves")
+            if deg[p] > deg[q] or deg[p] == deg[q] and p > q:
+                p, q = q, p
+            # the two smallest vertices of degree k, among those of source degree >= k
+            k = n // 3
+            h1 = h2 = 0
+            for x in by_degree:
+                if len(src[x]) < k:
+                    break
+                if deg[x] == k:
+                    if not h1 or x < h1:
+                        h1, h2 = x, h1
+                    elif not h2 or x < h2:
+                        h2 = x
+            if h2:
+                note("delegate:hubs")
+                self.lemma_run(h1, h2, p, q)
                 break
+            if h1 and not nleaf[h1]:
+                pair = self._case_special(p, q, h1)
+            elif deg[p] >= 3:
+                pair = self._case_triple(p, q, h1)
+                done = pair is None
+            else:  # p is a degree-two pre-leaf: delete p with its leaf plus one more
+                heap = leaves_at[p]
+                while deg[heap[0]] != 1:
+                    heappop(heap)  # deleted since its push
+                v1 = heap[0]
+                u = xr[p] ^ v1
+                if h1:
+                    v2 = self._leaf_at(h1)
+                else:
+                    v2 = self._min_leaf((u, p))  # v1 is p's only leaf
+                    if v2 is None:
+                        # only a broom puts every leaf but p's on u, with deg(u) = n - 2 > n/3
+                        raise self._fail("no leaf clear of the pendant pre-leaf and its neighbor")
+                record(("pend3", p, q, u, v1, v2, xr[v2]))
+                note("ext:pendant-capped" if h1 else "ext:pendant")
+                delete(v1, p, v2)
+                pair = None
         self._unwind()
 
     def _peel_one(self, pair: Optional[tuple]) -> bool:
@@ -587,7 +669,7 @@ class _Machine:
             w = self._min_leaf()
         else:
             p, q = pair
-            w = self._min_leaf(nbr_not_in={p, q})
+            w = self._min_leaf(pair)
             if w is None:
                 for z in sorted(pair):
                     if self.deg[z] >= 3 and self.nleaf[z]:
@@ -600,105 +682,43 @@ class _Machine:
             raise self._fail("no leaf available to peel")
         self.records.append(("leaf", w, self.xr[w]))
         self.trace.append("ext:leaf")
-        self.delete_leaf(w)
+        self.delete_leaves(w)
         return False
 
-    def _select_pair(self) -> tuple:
-        """The two smallest pre-leaves.  Entries that have become leaves are
-        stale and dropped; p is popped to reach q and pushed back."""
-        heap, deg = self.pre_heap, self.deg
-        pair = []
-        while heap and len(pair) < 2:
-            if deg[heap[0]] < 2:
-                heapq.heappop(heap)
-            else:
-                pair.append(heap[0] if pair else heapq.heappop(heap))
-        if len(pair) < 2:
-            raise self._fail("fewer than two pre-leaves at an inner level")
-        heapq.heappush(heap, pair[0])
-        return tuple(pair)
-
-    def _inner_step(self, pair: Optional[tuple]):
-        """One peel of three vertices at n ≡ 0 (mod 3); returns the pair for
-        the next level, or the sentinel 'done' when colored directly."""
-        n = self.n_act
-        k = n // 3
-        if pair is None:
-            pair = self._select_pair()
-        p, q = pair
-        deg, src = self.deg, self.source.adj
-        if not all(deg[x] >= 2 and self.nleaf[x] >= deg[x] - 1 for x in pair):
-            raise self._fail("constraint pair stopped being pre-leaves")
-        if (deg[p], p) > (deg[q], q):
-            p, q = q, p
-        # the vertices of degree k, among those of source degree >= k
-        W = [x for x in itertools.takewhile(lambda x: len(src[x]) >= k, self.by_degree) if deg[x] == k]
-        if len(W) >= 2:
-            u0 = min(W)
-            v0 = min(x for x in W if x != u0)
-            self.trace.append("delegate:hubs")
-            self.lemma_run(u0, v0, p, q)
-            return "done"
-        if len(W) == 0:
-            if deg[p] >= 3:
-                return self._case_triple(p, q, cap_vertex=None)
-            return self._case_pendant(p, q, cap_vertex=None)
-        (v0,) = W
-        if self.nleaf[v0]:
-            if deg[p] >= 3:
-                return self._case_triple(p, q, cap_vertex=v0)
-            return self._case_pendant(p, q, cap_vertex=v0)
-        return self._case_special(p, q, v0)
-
-    def _case_triple(self, p: int, q: int, cap_vertex: Optional[int]):
-        """Delete one leaf at each of p, q and one more elsewhere."""
+    def _case_triple(self, p: int, q: int, cap_vertex: int) -> Optional[tuple]:
+        """Delete one leaf at each of p, q and one more elsewhere, at the
+        cap vertex if there is one (nonzero); None when colored directly."""
         v1 = self._leaf_at(p)
         v2 = self._leaf_at(q)
-        if cap_vertex is not None and cap_vertex != q:
+        if cap_vertex and cap_vertex != q:
             v3 = self._leaf_at(cap_vertex)
             w = cap_vertex
         else:
-            v3 = self._min_leaf(nbr_not_in={p, q})
+            v3 = self._min_leaf((p, q))
             if v3 is None:
                 # every leaf sits on p or q: the tree is a double broom
                 self._spine_terminal(p, q, p, q)
-                return "done"
+                return None
             w = self.xr[v3]
         self.records.append(("ext3", p, q, v1, v2, v3, w))
-        self.trace.append("ext:triple" if cap_vertex is None else "ext:triple-capped")
-        self.delete_leaf(v1)
-        self.delete_leaf(v2)
-        self.delete_leaf(v3)
+        self.trace.append("ext:triple-capped" if cap_vertex else "ext:triple")
+        self.delete_leaves(v1, v2, v3)
         return (p, q)
 
-    def _case_pendant(self, p: int, q: int, cap_vertex: Optional[int]):
-        """p is a degree-two pre-leaf: delete p with its leaf plus one more."""
-        v1 = self._leaf_at(p)
-        u = self.xr[p] ^ v1
-        if cap_vertex is not None:
-            v2 = self._leaf_at(cap_vertex)
-        else:
-            v2 = self._min_leaf(nbr_not_in={u, p})  # v1 is p's only leaf
-            if v2 is None:
-                # only a broom puts every leaf but p's on u, with deg(u) = n - 2 > n/3
-                raise self._fail("no leaf clear of the pendant pre-leaf and its neighbor")
-        w = self.xr[v2]
-        self.records.append(("pend3", p, q, u, v1, v2, w))
-        self.trace.append("ext:pendant" if cap_vertex is None else "ext:pendant-capped")
-        self.delete_leaf(v1)
-        self.delete_leaf(p)
-        self.delete_leaf(v2)
-        return None
-
-    def _case_special(self, p: int, q: int, v0: int):
+    def _case_special(self, p: int, q: int, v0: int) -> Optional[tuple]:
         """The unique maximal-degree vertex has no pendant leaf: remove the
         special vertex next to it (with its leaf) plus one far leaf."""
         deg, nleaf = self.deg, self.nleaf
-        v = next((x for x in self.source.adj[v0] if deg[x] == 2 and nleaf[x]), None)
-        if v is None:
+        heap = self.special_at.get(v0)
+        if heap is None:  # a source row is ascending, so already a heap
+            heap = self.special_at[v0] = [x for x in self.source.adj[v0] if deg[x] == 2 and nleaf[x]]
+        while heap and not (deg[heap[0]] == 2 and nleaf[heap[0]]):
+            heapq.heappop(heap)  # a leaf or deleted since its push
+        if not heap:
             raise self._fail("no special vertex adjacent to the maximal-degree vertex")
+        v = heap[0]
         v1 = self._leaf_at(v)
-        v2 = self._min_leaf(nbr_not_in={p, q, v})
+        v2 = self._min_leaf((p, q, v))
         if v2 is None:
             raise self._fail("no leaf clear of the constraint pair and the special vertex")
         w = self.xr[v2]
@@ -711,34 +731,38 @@ class _Machine:
             self.records.append(("special", v, v1, v2, w, v0))
             self.trace.append("ext:special")
             nxt = (p, q)
-        self.delete_leaf(v1)
-        self.delete_leaf(v)
-        self.delete_leaf(v2)
+        self.delete_leaves(v1, v, v2)
         return nxt
 
     # -- unwind --------------------------------------------------------------
-
-    def _pick(self, banned: Sequence[int]) -> int:
-        return next(c for c in (1, 2, 3) if c not in banned)  # two are banned at most
-
-    def _pick_lightest(self, banned: Sequence[int]) -> int:
-        return min((c for c in (1, 2, 3) if c not in banned), key=lambda c: (self.sizes[c], c))
-
-    def _assign(self, v: int, c: int) -> None:
-        self.col[v] = c
-        self.sizes[c] += 1
 
     def _unwind(self) -> None:
         """Extend the base coloring back up through the records, newest
         first.  Only a hub-peel reads the active tree, and only through
         ``deg``; hub-peels are the newest records, so restoring just the
         degrees of their own edges keeps it exact wherever it is read."""
-        col = self.col
+        col, sizes, pick = self.col, self.sizes, _PICK
         for rec in reversed(self.records):
             kind = rec[0]
             if kind == "leaf":
                 _, w, z = rec
-                self._assign(w, self._pick_lightest([col[z]]))
+                c = col[z]
+                a = pick[c][c]
+                b = pick[c][a]
+                c = col[w] = a if sizes[a] <= sizes[b] else b  # the lighter class, the smaller on a tie
+                sizes[c] += 1
+                continue
+            if kind == "hub-peel":
+                _, w, z, u, v, p, q = rec
+                self._extend_hub_peel(w, z, u, v, p, q)
+                self.deg[w] = 1
+                self.deg[z] += 1
+                continue
+            if kind == "pend3":
+                _, p, q, u, v1, v2, w = rec
+                cp = pick[col[u]][col[q]]
+                c2 = pick[col[w]][cp]
+                col[p], col[v2], col[v1] = cp, c2, pick[cp][c2]
             elif kind == "ext3":
                 _, p, q, v1, v2, v3, w = rec
                 cp, cq = col[p], col[q]
@@ -746,48 +770,35 @@ class _Machine:
                     raise self._fail("constraint pair shares a color during unwind")
                 third = 6 - cp - cq
                 if col[w] in (cp, cq):
-                    self._assign(v1, cq)
-                    self._assign(v2, cp)
-                    self._assign(v3, third)
+                    col[v1], col[v2], col[v3] = cq, cp, third
                 else:
-                    self._assign(v1, third)
-                    self._assign(v2, cp)
-                    self._assign(v3, cq)
-            elif kind == "pend3":
-                _, p, q, u, v1, v2, w = rec
-                cp = self._pick([col[u], col[q]])
-                self._assign(p, cp)
-                cv2 = self._pick([col[w], cp])
-                self._assign(v2, cv2)
-                self._assign(v1, self._pick([cp, cv2]))
+                    col[v1], col[v2], col[v3] = third, cp, cq
             elif kind == "special":
                 _, v, v1, v2, w, v0 = rec
-                cv2 = self._pick([col[w]])
-                self._assign(v2, cv2)
-                cv = self._pick([col[v0], cv2])
-                self._assign(v, cv)
-                self._assign(v1, self._pick([cv, cv2]))
+                c2 = pick[col[w]][0]
+                cv = pick[col[v0]][c2]
+                col[v], col[v2], col[v1] = cv, c2, pick[cv][c2]
             elif kind == "special-swap":
                 _, v, v1, v2, w, v0, other = rec
-                cv = self._pick([col[v0], col[other]])
-                self._assign(v, cv)
-                cv2 = self._pick([col[w], cv])
-                self._assign(v2, cv2)
-                self._assign(v1, self._pick([cv, cv2]))
-            elif kind == "hub-peel":
-                _, w, z, u, v, p, q = rec
-                self._extend_hub_peel(w, z, u, v, p, q)
-                self.deg[w] = 1
-                self.deg[z] += 1
+                cv = pick[col[v0]][col[other]]
+                c2 = pick[col[w]][cv]
+                col[v], col[v2], col[v1] = cv, c2, pick[cv][c2]
             else:
                 raise self._fail(f"unknown record {kind}")
+            # the three colors of a three-vertex record are distinct
+            sizes[1] += 1
+            sizes[2] += 1
+            sizes[3] += 1
 
     def _extend_hub_peel(self, w: int, z: int, u: int, v: int, p: int, q: int) -> None:
-        col, deg, src = self.col, self.deg, self.source.adj
+        col, sizes, deg, src = self.col, self.sizes, self.deg, self.source.adj
         col1 = col[z]
-        col2 = self._pick_lightest([col1])
-        if self.sizes[col1] >= self.sizes[col2]:
-            self._assign(w, col2)
+        a = _PICK[col1][col1]
+        b = _PICK[col1][a]
+        col2 = a if sizes[a] <= sizes[b] else b
+        if sizes[col1] >= sizes[col2]:
+            col[w] = col2
+            sizes[col2] += 1
             return
         # the class of w's neighbor is strictly smallest: swap a far leaf into
         # it and give w that leaf's old color
@@ -818,9 +829,8 @@ class _Machine:
             raise self._fail("swap leaf collides with a constrained vertex")
         cx = col[x]
         col[x] = col1
-        self.sizes[col1] += 1
-        self.sizes[cx] -= 1
-        self._assign(w, cx)
+        col[w] = cx  # w joins cx's class as x leaves it
+        sizes[col1] += 1
 
 
 # ---------------------------------------------------------------------------

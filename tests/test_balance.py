@@ -23,7 +23,7 @@ from arbor.balance import (
 from arbor.colorings import KColoring
 from arbor.errors import HypothesisViolated, PartialColoring, PreconditionViolated, TooLarge
 from arbor.random_trees import enumerate_labeled_trees, enumerate_unlabeled_trees, sample_labeled_tree
-from arbor.trees import build_graph, build_tree, complete_graph, double_star, path, star
+from arbor.trees import build_graph, build_tree, complete_graph, double_star, induced_subtree, path, star
 
 
 def exact_by_enumeration(values):
@@ -336,6 +336,11 @@ class TestKBalancedBrute:
     def test_guard(self):
         with pytest.raises(TooLarge):
             brute_force_k_balanced(path(20), 3)
+
+    def test_no_vertices(self):
+        empty = induced_subtree(path(2), {1, 2}).graph
+        w = brute_force_k_balanced(empty, 2)
+        assert w == KColoring(2, [0]) and w.tally(empty) == ((0, 0), (0, 0))
 
     def test_witness_is_k_balanced(self):
         g = complete_graph(6)

@@ -103,6 +103,53 @@ class TestConstructionGuards:
         self.assert_refused((4, 5))
 
 
+def first_route_tree(route):
+    """The random tree of 30 vertices, smallest seed first, whose first
+    level takes ``route`` and whose second one peels again."""
+    for seed in range(1, 100):
+        t = sample_labeled_tree(30, seed)
+        trace = equitable_three(t).trace
+        if trace[0] == route and trace[1].startswith("ext:"):
+            return t
+    raise AssertionError(f"no tree starts with {route}")
+
+
+class TestPeelingGuards:
+    """Each guard of the k=3 level loop and the unwind, reached by making
+    the step before it give a wrong answer."""
+
+    def assert_guard(self, t, message):
+        with pytest.raises(InternalInvariant, match=message) as exc:
+            equitable_three(t)
+        assert parse_tree_text(exc.value.dump) == t
+
+    def test_constraint_pair_stopped_being_pre_leaves(self, monkeypatch):
+        t = first_route_tree("ext:triple")
+        triple = equitable_module._Machine._case_triple
+
+        def deleted_partner(m, p, q, cap_vertex):
+            triple(m, p, q, cap_vertex)
+            return p, m.records[-1][3]  # the leaf just deleted at p
+
+        monkeypatch.setattr(equitable_module._Machine, "_case_triple", deleted_partner)
+        self.assert_guard(t, "constraint pair stopped being pre-leaves")
+
+    def test_no_leaf_clear_of_the_pendant_pair(self, monkeypatch):
+        t = first_route_tree("ext:pendant")
+        monkeypatch.setattr(equitable_module._Machine, "_min_leaf", lambda m, nbr_not_in=(): None)
+        self.assert_guard(t, "no leaf clear of the pendant pre-leaf and its neighbor")
+
+    def test_unknown_record(self, monkeypatch):
+        commit = equitable_module._Machine._commit
+
+        def bogus_record(m, colors):  # the base coloring, the last step before the unwind
+            commit(m, colors)
+            m.records.append(("bogus",))
+
+        monkeypatch.setattr(equitable_module._Machine, "_commit", bogus_record)
+        self.assert_guard(GUARDED, "unknown record bogus")
+
+
 class TestEquitableThree:
     def test_path9(self):
         cert = equitable_three(path(9))
@@ -564,16 +611,30 @@ PEEL_SHAPES = {
 }
 
 
+class CountedRow(tuple):
+    """A source row that counts, in ``reads[0]``, the entries read by
+    iterating it."""
+
+    reads = [0]
+
+    def __iter__(self):
+        for x in tuple.__iter__(self):
+            self.reads[0] += 1
+            yield x
+
+
 class TestPeelOperationCounts:
     @pytest.mark.parametrize("shape", sorted(PEEL_SHAPES))
     def test_heap_operations_are_linear(self, shape, monkeypatch):
         n = 10_000
         t = PEEL_SHAPES[shape](n)
         assert t.n == n and t.max_degree * 3 <= n
-        ops = 0
+        t.adj = tuple(map(CountedRow, t.adj))
+        monkeypatch.setattr(CountedRow, "reads", [0])
+        ops = picks = 0
         machine = None
         entries = collections.Counter()  # pre-leaf heap entries by vertex, put-backs left out
-        taken = set()  # live pre-leaves that _select_pair popped and owes back
+        taken = set()  # live pre-leaves that picking a pair popped and owes back
         real_init = equitable_module._Machine.__init__
 
         def init(self, tree):
@@ -593,16 +654,25 @@ class TestPeelOperationCounts:
             heapq.heappush(heap, item)
 
         def heappop(heap):
-            nonlocal ops
+            nonlocal ops, picks
             ops += 1
             item = heapq.heappop(heap)
             if heap is machine.pre_heap and machine.deg[item] >= 2:
                 taken.add(item)
+                picks += 1
             return item
 
         monkeypatch.setattr(equitable_module._Machine, "__init__", init)
         monkeypatch.setattr(equitable_module, "heapq", types.SimpleNamespace(heappush=heappush, heappop=heappop))
-        assert_good(t, equitable_coloring(t, 3), 3)
+        cert = equitable_coloring(t, 3)
+        assert_good(t, cert, 3)
         assert machine is not None and not taken
-        assert ops <= 8 * n, ops / n
+        # The lower bounds fail if the machine reaches heapq other than through
+        # the module attribute, which would hide its work from this count: a
+        # level after a pendant one picks a new pair from the pre-leaf heap.
+        assert n // 2 <= ops <= 8 * n, ops / n
+        assert picks >= sum(route.startswith("ext:pendant") for route in cert.trace) - 1 > 0
+        # source-row entries read, building the machine included: a rescan
+        # of one row per level would be quadratic
+        assert CountedRow.reads[0] <= 8 * n, CountedRow.reads[0] / n
         assert max(entries.values()) == 1  # a vertex enters the pre-leaf heap once
