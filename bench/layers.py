@@ -16,8 +16,8 @@ Rows (seconds per tree, rows prebuilt, so no layer below is timed):
   trees at n = 120: the k>=4 reduction plus the 3-coloring and the check.
 
 A repeat times ``calls`` calls back to back (more calls at small n, so a
-repeat takes some milliseconds) and keeps their mean; a row keeps every
-repeat and their median.  ``--parent`` imports another checkout's
+repeat takes some milliseconds) and keeps their mean; a row keeps all five
+repeats and their median.  ``--parent`` imports another checkout's
 ``src/arbor`` under a second name and times it in the same repeats,
 alternating which side goes first; both sides get trees built by their
 own ``build_tree`` from the same edges, and a row records whether their
@@ -43,6 +43,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PEEL_SIZES = (120, 2_000, 10_000, 100_000)
 REDUCE_KS = (4, 5, 6)
 REDUCE_N = 120
+REPEATS = 5
 WORK_PER_REPEAT = 24_000  # vertices colored per repeat, so small-n repeats last some milliseconds
 
 
@@ -90,10 +91,10 @@ def peel3(equitable, t):
     return m.col
 
 
-def cases(shapes, sample_labeled_tree, sizes):
+def cases(shapes, sample_labeled_tree):
     """(layer, shape, n, k, edges) for every row: the edge list of each
     call's tree, one list object per distinct tree."""
-    for n in sizes:
+    for n in PEEL_SIZES:
         calls = max(1, WORK_PER_REPEAT // n)
         for shape in sorted(shapes):
             if shape == "random":
@@ -104,13 +105,12 @@ def cases(shapes, sample_labeled_tree, sizes):
                 continue
             edges = [list(t.edges()) for t in trees]
             yield "peel3", shape, n, 3, edges if shape == "random" else edges * calls
-    if REDUCE_N in sizes:
-        trees = [sample_labeled_tree(REDUCE_N, seed) for seed in range(1, WORK_PER_REPEAT // REDUCE_N + 1)]
-        for k in REDUCE_KS:
-            yield "equitable", "random", REDUCE_N, k, [list(t.edges()) for t in trees if t.max_degree * k <= REDUCE_N]
+    trees = [sample_labeled_tree(REDUCE_N, seed) for seed in range(1, WORK_PER_REPEAT // REDUCE_N + 1)]
+    for k in REDUCE_KS:
+        yield "equitable", "random", REDUCE_N, k, [list(t.edges()) for t in trees if t.max_degree * k <= REDUCE_N]
 
 
-def time_row(sides: dict, layer: str, n: int, k: int, edges: list, repeats: int) -> dict:
+def time_row(sides: dict, layer: str, n: int, k: int, edges: list) -> dict:
     built = {}
     run = {}
     for name, (equitable, trees) in sides.items():
@@ -126,7 +126,7 @@ def time_row(sides: dict, layer: str, n: int, k: int, edges: list, repeats: int)
     outputs = {name: [run[name](t) for t in built[name]] for name in sides}  # warm-up, and the colorings compared
     times: dict = {name: [] for name in sides}
     order = list(sides)
-    for r in range(repeats):
+    for r in range(REPEATS):
         for name in order if r % 2 == 0 else reversed(order):
             gc.collect()
             fn, ts = run[name], built[name]
@@ -147,12 +147,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--parent", help="another checkout to time in the same repeats")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--sizes", default=",".join(map(str, PEEL_SIZES)), help="comma-separated n of the peel3 rows")
     args = p.parse_args(argv)
-    if args.repeats < 5:
-        p.error("--repeats must be at least 5")
-    sizes = tuple(int(x) for x in args.sizes.split(","))
 
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
     from test_equitable import PEEL_SHAPES
@@ -164,8 +159,8 @@ def main(argv=None) -> int:
     if args.parent:
         sides["parent"] = load_side("arbor_parent", os.path.abspath(args.parent))
     rows = []
-    for layer, shape, n, k, edges in cases(PEEL_SHAPES, sample_labeled_tree, sizes):
-        row = {"shape": shape, **time_row(sides, layer, n, k, edges, args.repeats)}
+    for layer, shape, n, k, edges in cases(PEEL_SHAPES, sample_labeled_tree):
+        row = {"shape": shape, **time_row(sides, layer, n, k, edges)}
         rows.append(row)
         line = f"{layer:9} {shape:11} n={n:<6} k={k}  change {row['change']['median'] * 1e3:9.3f} ms"
         if args.parent:
@@ -177,7 +172,7 @@ def main(argv=None) -> int:
         "machine": machine(),
         "change": checkout(ROOT),
         "parent": checkout(args.parent) if args.parent else None,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "rows": rows,
     }
     with open(args.out, "w") as fh:

@@ -611,6 +611,63 @@ PEEL_SHAPES = {
 }
 
 
+def hub_arms_tree(seed, arms):
+    """Hub 1 with ``arms`` arms in a seeded order, each a 2-path, a 3-path
+    or a fork (a vertex with two leaves), and a tail path that makes
+    n = 3 deg(1): the hub starts as the unique vertex of degree n/3."""
+    rng = random.Random(seed)
+    edges = []
+    for _ in range(arms):
+        a = len(edges) + 2
+        edges.append((1, a))
+        kind = rng.choice(("2-path", "2-path", "3-path", "fork"))
+        if kind == "2-path":
+            edges.append((a, a + 1))
+        else:
+            edges += [(a, a + 1), (a + 1, a + 2) if kind == "3-path" else (a, a + 2)]
+    n = 3 * (arms + 1)
+    edges += [(1 if x == len(edges) + 2 else x - 1, x) for x in range(len(edges) + 2, n + 1)]
+    return build_tree(edges, n)
+
+
+class TestSpecialHeap:
+    def test_same_vertex_as_a_row_scan(self, monkeypatch):
+        """The special case's lazy heap gives the smallest special neighbor
+        of v0, also when a neighbor became special after the heap was built
+        (a 3-path's end peeled, or one leaf of a fork)."""
+        calls = late = 0
+        machine = None
+        real_init = equitable_module._Machine.__init__
+        special = equitable_module._Machine._case_special
+
+        def init(self, tree):
+            nonlocal machine
+            real_init(self, tree)
+            machine = self
+
+        def scanned(m, p, q, v0):
+            nonlocal calls
+            scan = next(x for x in m.source.adj[v0] if m.deg[x] == 2 and m.nleaf[x])
+            nxt = special(m, p, q, v0)
+            assert m.records[-1][1] == scan  # the special vertex of the record
+            calls += 1
+            return nxt
+
+        def heappush(heap, item):
+            nonlocal late
+            late += any(heap is h for h in machine.special_at.values())
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(equitable_module._Machine, "__init__", init)
+        monkeypatch.setattr(equitable_module._Machine, "_case_special", scanned)
+        monkeypatch.setattr(equitable_module, "heapq", types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+        for arms in (8, 20):
+            for seed in range(20):
+                t = hub_arms_tree(seed, arms)
+                assert_good(t, equitable_three(t), 3)
+        assert calls and late, (calls, late)
+
+
 class CountedRow(tuple):
     """A source row that counts, in ``reads[0]``, the entries read by
     iterating it."""
