@@ -5,7 +5,8 @@ Run from the repository root:
     python3 bench/layers.py --out BENCH_<n>.json
     python3 bench/layers.py --out BENCH_<n>.json --parent ../parent-checkout
 
-Rows (seconds per tree, rows prebuilt, so no layer below is timed):
+Rows (seconds per tree; trees are built before the timing, so no layer
+below is timed):
 
 - ``peel3``: ``_Machine(t)`` then ``run3(None)``, the k=3 peel and unwind,
   on one tree of each ``PEEL_SHAPES`` shape of ``tests/test_equitable.py``
@@ -13,7 +14,11 @@ Rows (seconds per tree, rows prebuilt, so no layer below is timed):
   seeds 1, 2, ...; the others repeat their one tree.  A shape whose maximum
   degree exceeds n/3 at some n has no row there.
 - ``equitable``: ``equitable_coloring(t, k)`` for k = 4, 5 and 6 on random
-  trees at n = 120: the k>=4 reduction plus the 3-coloring and the check.
+  trees at n = 120 and 2,000: the k>=4 reduction plus the 3-coloring and
+  the check.  Shape ``random`` builds each tree from its edge list, so its
+  rows exist before the call; shape ``decoded`` (n = 120 only) decodes each
+  tree from its Prüfer code before every repeat, untimed, so the call gets
+  it as ``run_equitable_fraction`` does, with no rows built yet.
 
 A repeat times ``calls`` calls back to back (more calls at small n, so a
 repeat takes some milliseconds) and keeps their mean; a row keeps all five
@@ -42,13 +47,13 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PEEL_SIZES = (120, 2_000, 10_000, 100_000)
 REDUCE_KS = (4, 5, 6)
-REDUCE_N = 120
+REDUCE_SIZES = (120, 2_000)
 REPEATS = 5
 WORK_PER_REPEAT = 24_000  # vertices colored per repeat, so small-n repeats last some milliseconds
 
 
 def load_side(name: str, root: str):
-    """The ``equitable`` and ``trees`` modules of ``root``/src/arbor, imported as package ``name``."""
+    """The ``equitable``, ``trees`` and ``random_trees`` modules of ``root``/src/arbor, imported as package ``name``."""
     init = os.path.join(root, "src", "arbor", "__init__.py")
     if not os.path.isfile(init):
         sys.exit(f"layers.py: {init} not found")
@@ -56,7 +61,7 @@ def load_side(name: str, root: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module(f"{name}.equitable"), importlib.import_module(f"{name}.trees")
+    return tuple(importlib.import_module(f"{name}.{module}") for module in ("equitable", "trees", "random_trees"))
 
 
 def checkout(root: str) -> dict:
@@ -91,9 +96,10 @@ def peel3(equitable, t):
     return m.col
 
 
-def cases(shapes, sample_labeled_tree):
-    """(layer, shape, n, k, edges) for every row: the edge list of each
-    call's tree, one list object per distinct tree."""
+def cases(shapes, sample_labeled_tree, prufer_encode):
+    """(layer, shape, n, k, items) for every row: the edge list of each
+    call's tree, one list object per distinct tree, or its Prüfer code
+    (shape ``decoded``)."""
     for n in PEEL_SIZES:
         calls = max(1, WORK_PER_REPEAT // n)
         for shape in sorted(shapes):
@@ -105,36 +111,50 @@ def cases(shapes, sample_labeled_tree):
                 continue
             edges = [list(t.edges()) for t in trees]
             yield "peel3", shape, n, 3, edges if shape == "random" else edges * calls
-    trees = [sample_labeled_tree(REDUCE_N, seed) for seed in range(1, WORK_PER_REPEAT // REDUCE_N + 1)]
+    for n in REDUCE_SIZES:
+        trees = [sample_labeled_tree(n, seed) for seed in range(1, WORK_PER_REPEAT // n + 1)]
+        for k in REDUCE_KS:
+            yield "equitable", "random", n, k, [list(t.edges()) for t in trees if t.max_degree * k <= n]
+    n = REDUCE_SIZES[0]
+    trees = [sample_labeled_tree(n, seed) for seed in range(1, WORK_PER_REPEAT // n + 1)]
     for k in REDUCE_KS:
-        yield "equitable", "random", REDUCE_N, k, [list(t.edges()) for t in trees if t.max_degree * k <= REDUCE_N]
+        yield "equitable", "decoded", n, k, [prufer_encode(t) for t in trees if t.max_degree * k <= n]
 
 
-def time_row(sides: dict, layer: str, n: int, k: int, edges: list) -> dict:
-    built = {}
+def tree_maker(trees, random_trees, shape: str, n: int, items: list):
+    """A function giving the trees of one repeat: built once from edge
+    lists, or decoded afresh from Prüfer codes (shape ``decoded``)."""
+    if shape == "decoded":
+        return lambda: [random_trees.prufer_decode(code, n) for code in items]
+    cache: dict = {}
+    for e in items:
+        if id(e) not in cache:
+            cache[id(e)] = trees.build_tree(e, n)
+    built = [cache[id(e)] for e in items]
+    return lambda: built
+
+
+def time_row(sides: dict, layer: str, shape: str, n: int, k: int, items: list) -> dict:
+    make = {}
     run = {}
-    for name, (equitable, trees) in sides.items():
-        cache: dict = {}
-        for e in edges:
-            if id(e) not in cache:
-                cache[id(e)] = trees.build_tree(e, n)
-        built[name] = [cache[id(e)] for e in edges]
+    for name, (equitable, trees, random_trees) in sides.items():
+        make[name] = tree_maker(trees, random_trees, shape, n, items)
         if layer == "peel3":
             run[name] = lambda t, eq=equitable: peel3(eq, t)
         else:
             run[name] = lambda t, eq=equitable: eq.equitable_coloring(t, k).coloring.col
-    outputs = {name: [run[name](t) for t in built[name]] for name in sides}  # warm-up, and the colorings compared
+    outputs = {name: [run[name](t) for t in make[name]()] for name in sides}  # warm-up, and the colorings compared
     times: dict = {name: [] for name in sides}
     order = list(sides)
     for r in range(REPEATS):
         for name in order if r % 2 == 0 else reversed(order):
+            fn, ts = run[name], make[name]()
             gc.collect()
-            fn, ts = run[name], built[name]
             t0 = time.perf_counter()
             for t in ts:
                 fn(t)
             times[name].append((time.perf_counter() - t0) / len(ts))
-    row = {"layer": layer, "n": n, "k": k, "calls": len(edges), "unit": "s per tree"}
+    row = {"layer": layer, "n": n, "k": k, "calls": len(items), "unit": "s per tree"}
     for name in sides:
         row[name] = {"median": statistics.median(times[name]), "runs": times[name]}
     if "parent" in sides:
@@ -152,15 +172,15 @@ def main(argv=None) -> int:
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
     from test_equitable import PEEL_SHAPES
 
-    from arbor import equitable, trees
-    from arbor.random_trees import sample_labeled_tree
+    from arbor import equitable, random_trees, trees
+    from arbor.random_trees import prufer_encode, sample_labeled_tree
 
-    sides = {"change": (equitable, trees)}
+    sides = {"change": (equitable, trees, random_trees)}
     if args.parent:
         sides["parent"] = load_side("arbor_parent", os.path.abspath(args.parent))
     rows = []
-    for layer, shape, n, k, edges in cases(PEEL_SHAPES, sample_labeled_tree):
-        row = {"shape": shape, **time_row(sides, layer, n, k, edges)}
+    for layer, shape, n, k, items in cases(PEEL_SHAPES, sample_labeled_tree, prufer_encode):
+        row = {"shape": shape, **time_row(sides, layer, shape, n, k, items)}
         rows.append(row)
         line = f"{layer:9} {shape:11} n={n:<6} k={k}  change {row['change']['median'] * 1e3:9.3f} ms"
         if args.parent:

@@ -39,7 +39,6 @@ from .errors import (
 from .trees import (
     Graph,
     Tree,
-    forest_components,
     format_tree_text,
     is_path_graph,
     is_pre_leaf,
@@ -367,7 +366,9 @@ class _Machine:
         self.leaves = len(self.leaf_heap)
         self.pre_heap = [v for v in range(1, n + 1) if deg[v] >= 2 and nleaf[v] >= deg[v] - 1]
         self.special_at: dict = {}
-        self.by_degree = sorted(range(1, n + 1), key=deg.__getitem__, reverse=True)
+        # run3's level loop, its one reader, runs at n_act >= 12, n_act = 0 (mod 3), so at
+        # k = n_act // 3 >= 4, and stops at the first vertex of source degree < k
+        self.by_degree = sorted([v for v in range(1, n + 1) if deg[v] >= 4], key=deg.__getitem__, reverse=True)
         self.records: list = []
         self.trace: list = []
         self.col = [0] * (n + 1)
@@ -894,9 +895,11 @@ def hub_pair_coloring(t: Tree, u: int, v: int, p: int, q: int) -> EquitableCerti
     return _certify(t, m.col, 3, tuple(m.trace), ((u, v), (p, q)))
 
 
-def _independent_low_degree(adj: Sequence, vertices: Iterable[int], m: int) -> list:
-    """m pairwise non-adjacent vertices of degree <= 2 among ``vertices``
-    (ascending) of the tree that ``adj`` spans on them, smallest id first.
+def _independent_low_degree(adj: list, vertices: Iterable[int], m: int) -> list:
+    """m >= 1 pairwise non-adjacent vertices of degree <= 2 among ``vertices``
+    (ascending) of the tree that the lists ``adj`` span on them, smallest id
+    first, each deleted from its neighbors' lists when picked: that changes
+    no pick, as only a pick's neighbors lose degree and they are barred.
 
     This never runs short for m <= floor(n/k), k >= 4.  The greedy builds a
     maximal independent set of the forest of degree-<=2 vertices, a union
@@ -910,14 +913,14 @@ def _independent_low_degree(adj: Sequence, vertices: Iterable[int], m: int) -> l
     blocked = bytearray(len(adj))
     chosen = []
     for v in vertices:
-        if len(chosen) == m:
-            return chosen
-        if len(adj[v]) <= 2 and not blocked[v]:
-            chosen.append(v)
-            for w in adj[v]:
+        row = adj[v]
+        if len(row) <= 2 and not blocked[v]:
+            for w in row:
                 blocked[w] = 1
-    if len(chosen) == m:
-        return chosen
+                adj[w].remove(v)
+            chosen.append(v)
+            if len(chosen) == m:
+                return chosen
     raise IndependentSetNotFound(f"needed {m}, found {len(chosen)} among degree-<=2 vertices")
 
 
@@ -928,9 +931,11 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
     vertices (they become color k), the remaining forest is completed to a
     tree under the same degree cap, and the completion is colored with k-1
     colors; class sizes come out exactly equitable by arithmetic.  Every
-    layer is shed on one adjacency over t's own ids, and the tree left for
-    the 3-coloring is relabeled 1..m once.  Relabeling keeps the id order,
-    so this makes the same choices as relabeling after every layer.
+    layer is shed from neighbor lists over t's own ids, built once from t's
+    edges, each pick as it is chosen, then joined in one walk
+    (``join_forest``); the tree left for the 3-coloring is relabeled 1..m
+    once.  That keeps the id order, so the choices are those of relabeling
+    every layer.
     """
     if k < 3:
         raise BadArgument("k must be at least 3")
@@ -946,17 +951,17 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
         return _certify(t, [0, *map(colors.__getitem__, range(1, n + 1))], k, ("direct:path",))
     trace: list = []
     col = [0] * (n + 1)  # nonzero exactly at the shed vertices, until the 3-coloring
-    adj = [set(row) for row in t.adj]
-    kept = list(range(1, n + 1))
+    adj: list = [[] for _ in range(n + 1)]
+    for u, v in zip(*t.edge_ends()):
+        adj[u].append(v)
+        adj[v].append(u)
+    kept = range(1, n + 1)
     top = t.max_degree
     for k_level in range(k, 3, -1):
         for x in _independent_low_degree(adj, kept, len(kept) // k_level):
             col[x] = k_level
-            for w in adj[x]:
-                adj[w].discard(x)
         kept = [v for v in kept if not col[v]]
-        join_forest(adj, forest_components(adj, kept), max(top, 2))
-        top = max(map(len, map(adj.__getitem__, kept)))
+        top = join_forest(adj, kept, top)
         if top * (k_level - 1) > len(kept):
             raise InternalInvariant("degree cap lost during forest completion", dump=format_tree_text(t))
         trace.append(f"reduce:k{k_level}")

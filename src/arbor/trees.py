@@ -212,15 +212,7 @@ def is_pre_leaf(t: Graph, v: int) -> bool:
 
 def pre_leaves(t: Graph) -> list[int]:
     """All pre-leaf vertices (special ones included), ascending."""
-    out = []
-    for v in range(1, t.n + 1):
-        deg = len(t.adj[v])
-        if deg < 2:
-            continue
-        leaf_nbrs = sum(1 for w in t.adj[v] if len(t.adj[w]) == 1)
-        if leaf_nbrs >= deg - 1:
-            out.append(v)
-    return out
+    return [v for v in range(1, t.n + 1) if is_pre_leaf(t, v)]
 
 
 def branch(t: Tree, v: int, u: int) -> frozenset:
@@ -294,53 +286,57 @@ def induced_subtree(t: Graph, removed: Iterable[int]) -> InducedSubgraph:
     return InducedSubgraph(g, old_to_new, tuple([0] + kept))
 
 
-def forest_components(adj: Sequence, vertices: Iterable[int]) -> list[list[int]]:
-    """Components of the graph that ``adj`` spans on ``vertices`` (given in
-    ascending order), ordered by minimum vertex; each lists its minimum
-    first."""
+def join_forest(adj: list, vertices: Iterable[int], degree_cap: int) -> int:
+    """Join the forest that the neighbor lists ``adj`` span on ``vertices``
+    (ascending) into one tree, in place, without exceeding the cap; return
+    the larger of 2 and the tree's maximum degree.
+
+    One walk finds the components in ascending min-vertex order and joins
+    each when found, by an edge between the (degree, id)-minimal vertex
+    below the cap of the tree so far and that of the component: in a part
+    of two or more vertices, a tree, its smallest leaf; else its lone
+    vertex.  So a heap of the joined part's leaves gives one end, the
+    leaves the walk collected the other; if either has no room under the
+    cap, no vertex of its part has.  A joined end ends at degree <= 2, so
+    the degrees the walk read give the maximum.  A component holding a
+    cycle raises ``NotATree("cycle")`` before it is joined.
+    """
     seen = bytearray(len(adj))
-    out = []
+    heap: list = []
+    top = 2
     for s in vertices:
         if seen[s]:
             continue
-        comp = [s]
         seen[s] = 1
+        comp = [s]
+        leaves = []  # its leaves, or its lone vertex
+        ends = 0
         for u in comp:
-            for w in adj[u]:
+            row = adj[u]
+            d = len(row)
+            ends += d
+            if d < 2:
+                leaves.append(u)
+            elif d > top:
+                top = d
+            for w in row:
                 if not seen[w]:
                     seen[w] = 1
                     comp.append(w)
-        out.append(comp)
-    return out
-
-
-def join_forest(adj: list, comps: list, degree_cap: int) -> None:
-    """Join the components of a forest into one tree, in place, without
-    exceeding the cap.
-
-    ``adj`` holds one set of neighbors per vertex, and ``comps`` lists the
-    components as ``forest_components`` does.  They are merged in ascending
-    min-vertex order; each new edge joins the (degree, id)-minimal
-    attachable vertex (degree below the cap) of the tree built so far with
-    that of the next component.  A part of two or more vertices is a tree,
-    so its minimal degree is 1 and its (degree, id)-minimal vertex is its
-    smallest-id leaf; a lone vertex has degree 0.  So a heap of the joined
-    part's leaves (or its lone vertex) gives one end of every edge, and the
-    smallest leaf of the component the other; if either has no room under
-    the cap, no vertex of its part has.
-    """
-    heap = [v for v in comps[0] if len(adj[v]) <= 1]  # its leaves, or its lone vertex
-    heapq.heapify(heap)
-    for comp in comps[1:]:
-        b = comp[0] if len(comp) == 1 else min(v for v in comp if len(adj[v]) == 1)
-        if len(adj[heap[0]]) >= degree_cap or len(adj[b]) >= degree_cap:
-            raise CapInfeasible(f"no attachment point under cap {degree_cap}")
-        a = heapq.heappop(heap)
-        adj[a].add(b)
-        adj[b].add(a)
-        for v in (a, *comp):
-            if len(adj[v]) == 1:  # a leaf of the joined part from now on
+        if ends > 2 * len(comp) - 2:
+            raise NotATree("cycle", "forest completion needs acyclic input")
+        if heap:
+            b = min(leaves)
+            if len(adj[heap[0]]) >= degree_cap or len(adj[b]) >= degree_cap:
+                raise CapInfeasible(f"no attachment point under cap {degree_cap}")
+            a = heapq.heappop(heap)
+            adj[a].append(b)
+            adj[b].append(a)
+            leaves.append(a)
+        for v in leaves:
+            if len(adj[v]) <= 1:  # a leaf (or lone vertex) of the joined part from now on
                 heapq.heappush(heap, v)
+    return top
 
 
 def complete_forest_to_tree(f: Graph, degree_cap: int) -> Tree:
@@ -349,17 +345,15 @@ def complete_forest_to_tree(f: Graph, degree_cap: int) -> Tree:
     Components are merged in ascending min-vertex order; each new edge joins
     the (degree, id)-minimal attachable vertex of the tree built so far with
     the (degree, id)-minimal attachable vertex of the next component (see
-    ``join_forest``).
+    ``join_forest``).  A cap below the forest's maximum degree raises
+    ``CapInfeasible`` before a cycle raises ``NotATree("cycle")``.
     """
     if f.n == 0:
         raise PreconditionViolated("a forest with no vertices has no tree completion")
     if degree_cap < f.max_degree:
         raise CapInfeasible(f"cap {degree_cap} below forest max degree {f.max_degree}")
-    comps = forest_components(f.adj, range(1, f.n + 1))
-    if f.edge_count != f.n - len(comps):
-        raise NotATree("cycle", "forest completion needs acyclic input")
-    adj = [set(row) for row in f.adj]
-    join_forest(adj, comps, degree_cap)
+    adj = list(map(list, f.adj))
+    join_forest(adj, range(1, f.n + 1), degree_cap)
     return Tree(f.n, tuple(tuple(sorted(row)) for row in adj), f.n - 1)
 
 

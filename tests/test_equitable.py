@@ -544,6 +544,10 @@ def adversarial_labels(t):
     return build_tree([(new[a], new[b]) for a, b in t.edges()], t.n)
 
 
+def neighbor_lists(t):
+    return [list(row) for row in t.adj]
+
+
 class TestIndependentLowDegree:
     def test_greedy_beats_quarter_under_adversarial_labels(self):
         rng = random.Random(5)
@@ -553,14 +557,151 @@ class TestIndependentLowDegree:
         for t in trees:
             t = adversarial_labels(t)
             m = t.n // 4 + 1
-            chosen = _independent_low_degree(t.adj, range(1, t.n + 1), m)
+            adj = neighbor_lists(t)
+            chosen = _independent_low_degree(adj, range(1, t.n + 1), m)
             assert len(chosen) == m
             assert all(t.degree(x) <= 2 for x in chosen)
             assert not any(y in chosen for x in chosen for y in t.adj[x])
+            # each pick is gone from its neighbors' lists, and nothing else is
+            assert all(adj[v] == [w for w in t.adj[v] if w not in chosen] for v in range(1, t.n + 1) if v not in chosen)
 
     def test_guard_raises_when_short(self):
         with pytest.raises(IndependentSetNotFound):
-            _independent_low_degree(star(5).adj, range(1, 6), 5)
+            _independent_low_degree(neighbor_lists(star(5)), range(1, 6), 5)
+
+
+# ---------------------------------------------------------------------------
+# The k>=4 layer reduction against the set-based reduction it replaced.
+
+
+def reference_reduction(t, k):
+    """The set-based reduction, kept as an oracle: the greedy picks all of a
+    layer before any is deleted, components are listed first and joined
+    after.  Returns, per layer, the shed vertices and the set of join edges,
+    and the rows of the tree relabeled 1..m for the 3-coloring."""
+    adj = [set(row) for row in t.adj]
+    kept = list(range(1, t.n + 1))
+    top = t.max_degree
+    layers = []
+    for k_level in range(k, 3, -1):
+        m = len(kept) // k_level
+        blocked = bytearray(t.n + 1)
+        shed = []
+        for v in kept:
+            if len(shed) == m:
+                break
+            if len(adj[v]) <= 2 and not blocked[v]:
+                shed.append(v)
+                for w in adj[v]:
+                    blocked[w] = 1
+        assert len(shed) == m
+        for x in shed:
+            for w in adj[x]:
+                adj[w].discard(x)
+        kept = [v for v in kept if v not in set(shed)]
+        seen = bytearray(t.n + 1)
+        comps = []  # by minimum vertex, each listing its minimum first
+        for s in kept:
+            if not seen[s]:
+                seen[s] = 1
+                comp = [s]
+                for u in comp:
+                    for w in adj[u]:
+                        if not seen[w]:
+                            seen[w] = 1
+                            comp.append(w)
+                comps.append(comp)
+        cap = max(top, 2)
+        heap = [v for v in comps[0] if len(adj[v]) <= 1]
+        heapq.heapify(heap)
+        joins = set()
+        for comp in comps[1:]:
+            b = comp[0] if len(comp) == 1 else min(v for v in comp if len(adj[v]) == 1)
+            assert len(adj[heap[0]]) < cap and len(adj[b]) < cap
+            a = heapq.heappop(heap)
+            adj[a].add(b)
+            adj[b].add(a)
+            joins.add((min(a, b), max(a, b)))
+            for v in (a, *comp):
+                if len(adj[v]) == 1:
+                    heapq.heappush(heap, v)
+        top = max(len(adj[v]) for v in kept)
+        layers.append((shed, joins))
+    new_id = {v: i for i, v in enumerate(kept, 1)}
+    return layers, ((),) + tuple(tuple(sorted(new_id[w] for w in adj[v])) for v in kept)
+
+
+def observed_reduction(monkeypatch, t, k):
+    """The same record of ``equitable_coloring(t, k)``'s own reduction, read
+    from its calls of the greedy, ``join_forest`` and ``_three_colors``."""
+    greedy, join, three = equitable_module._independent_low_degree, equitable_module.join_forest, equitable_module._three_colors
+    layers, rows = [], []
+
+    def shed(adj, vertices, m):
+        layers.append((greedy(adj, vertices, m), set()))
+        return layers[-1][0]
+
+    def joined(adj, vertices, cap):
+        before = [len(row) for row in adj]
+        top = join(adj, vertices, cap)
+        layers[-1][1].update((min(v, w), max(v, w)) for v in vertices for w in adj[v][before[v] :])
+        assert top == max(2, *map(len, map(adj.__getitem__, vertices)))
+        return top
+
+    def colored(cur, is_path, constraint=None):
+        rows.append(cur.adj)
+        return three(cur, is_path, constraint)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(equitable_module, "_independent_low_degree", shed)
+        patch.setattr(equitable_module, "join_forest", joined)
+        patch.setattr(equitable_module, "_three_colors", colored)
+        cert = equitable_coloring(t, k)
+    assert_good(t, cert, k)
+    return layers, rows[0]
+
+
+class TestReductionOracle:
+    """Every layer sheds the same vertices and adds the same join edges as
+    the set-based reduction, and the 3-coloring gets the same tree."""
+
+    def check(self, monkeypatch, t):
+        checked = 0
+        for k in range(4, 9):
+            if t.max_degree * k > t.n or t.max_degree <= 2:
+                break
+            assert observed_reduction(monkeypatch, t, k) == reference_reduction(t, k)
+            checked += 1
+        return checked
+
+    def test_random_trees(self, monkeypatch):
+        # decoded trees, whose rows the reduction does not read
+        checked = sum(
+            self.check(monkeypatch, sample_labeled_tree(n, seed))
+            for n, seeds in ((12, 40), (20, 30), (40, 20), (120, 20), (500, 4), (2_000, 2))
+            for seed in range(1, seeds + 1)
+        )
+        assert checked > 200
+
+    def test_crowded_trees(self, monkeypatch):
+        rng = random.Random(13)
+        trees = [t for t in (crowded_tree(rng, False) for _ in range(1_500)) if t is not None]
+        assert sum(self.check(monkeypatch, t) for t in trees) > 150
+
+    def test_adversarial_labels(self, monkeypatch):
+        trees = [adversarial_labels(sample_labeled_tree(n, 3, trial)) for n in (30, 120, 2_000) for trial in range(4)]
+        assert sum(self.check(monkeypatch, t) for t in trees) > 30
+
+
+class TestReductionGuard:
+    def test_degree_cap_lost_during_forest_completion(self, monkeypatch):
+        t = sample_labeled_tree(120, 1)
+        join = equitable_module.join_forest
+        # a completion that reports a degree above the cap of the next layer
+        monkeypatch.setattr(equitable_module, "join_forest", lambda adj, vertices, cap: join(adj, vertices, cap) + len(vertices))
+        with pytest.raises(InternalInvariant, match="degree cap lost during forest completion") as exc:
+            equitable_coloring(t, 5)
+        assert parse_tree_text(exc.value.dump) == t
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,35 @@ class TestForestCompletion:
         with pytest.raises(CapInfeasible):
             complete_forest_to_tree(build_graph([], 3), 1)
 
+    @pytest.mark.parametrize(
+        "edges,n,cap",
+        [
+            ([(1, 2), (2, 3), (1, 3)], 4, 2),  # the cycle comes first: it has no leaf to start the join from
+            ([(2, 3), (3, 4), (2, 4)], 5, 2),  # a cycle after a lone vertex: no leaf to attach
+            ([(1, 2), (2, 3), (3, 4), (1, 4), (5, 6)], 7, 2),  # a cycle whose vertices are all at the cap
+            ([(1, 2), (3, 4), (4, 5), (3, 5), (5, 6)], 8, 3),  # a cycle with a pendant leaf, between trees
+        ],
+    )
+    def test_cycle_refused_before_any_join(self, edges, n, cap):
+        with pytest.raises(NotATree) as exc:
+            complete_forest_to_tree(build_graph(edges, n), cap)
+        assert exc.value.reason == "cycle"
+
+    @pytest.mark.parametrize(
+        "edges,n,cap",
+        [
+            ([(1, 2), (3, 4)], 4, 1),  # two edges, cap 1: no leaf has room
+            ([], 3, 0),  # lone vertices, cap 0
+            ([(1, 2), (2, 3), (1, 3)], 4, 1),  # the cap is checked before the cycle
+        ],
+    )
+    def test_cap_at_most_one_refused(self, edges, n, cap):
+        with pytest.raises(CapInfeasible):
+            complete_forest_to_tree(build_graph(edges, n), cap)
+
+    def test_cap_one_joins_two_lone_vertices(self):
+        assert complete_forest_to_tree(build_graph([], 2), 1).edge_set() == {(1, 2)}
+
     @settings(max_examples=40, deadline=None)
     @given(random_tree_strategy(20), st.data())
     def test_contains_input_edges(self, t, data):
