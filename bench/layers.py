@@ -21,11 +21,13 @@ below is timed):
   it as ``run_equitable_fraction`` does, with no rows built yet.
 
 A repeat times ``calls`` calls back to back (more calls at small n, so a
-repeat takes some milliseconds) and keeps their mean; a row keeps all five
-repeats and their median.  ``--parent`` imports another checkout's
+repeat takes some milliseconds) and keeps their mean; a row keeps all eleven
+repeats and their median (five repeats left single rows of unchanged code
+20% apart on a shared 2-core host).  ``--parent`` imports another checkout's
 ``src/arbor`` under a second name and times it in the same repeats,
 alternating which side goes first; both sides get trees built by their
-own ``build_tree`` from the same edges, and a row records whether their
+own ``build_tree`` from the same edges (or decoded by their own
+``prufer_decode``), and a row records whether their
 colorings agree.  The file also records the machine, Python and the
 commit of each checkout.
 """
@@ -48,7 +50,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PEEL_SIZES = (120, 2_000, 10_000, 100_000)
 REDUCE_KS = (4, 5, 6)
 REDUCE_SIZES = (120, 2_000)
-REPEATS = 5
+REPEATS = 11
 WORK_PER_REPEAT = 24_000  # vertices colored per repeat, so small-n repeats last some milliseconds
 
 
