@@ -113,14 +113,13 @@ def cases(shapes, sample_labeled_tree, prufer_encode):
                 continue
             edges = [list(t.edges()) for t in trees]
             yield "peel3", shape, n, 3, edges if shape == "random" else edges * calls
+    trees = {n: [sample_labeled_tree(n, seed) for seed in range(1, WORK_PER_REPEAT // n + 1)] for n in REDUCE_SIZES}
     for n in REDUCE_SIZES:
-        trees = [sample_labeled_tree(n, seed) for seed in range(1, WORK_PER_REPEAT // n + 1)]
         for k in REDUCE_KS:
-            yield "equitable", "random", n, k, [list(t.edges()) for t in trees if t.max_degree * k <= n]
+            yield "equitable", "random", n, k, [list(t.edges()) for t in trees[n] if t.max_degree * k <= n]
     n = REDUCE_SIZES[0]
-    trees = [sample_labeled_tree(n, seed) for seed in range(1, WORK_PER_REPEAT // n + 1)]
     for k in REDUCE_KS:
-        yield "equitable", "decoded", n, k, [prufer_encode(t) for t in trees if t.max_degree * k <= n]
+        yield "equitable", "decoded", n, k, [prufer_encode(t) for t in trees[n] if t.max_degree * k <= n]
 
 
 def tree_maker(trees, random_trees, shape: str, n: int, items: list):
