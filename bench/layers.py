@@ -8,7 +8,8 @@ Run from the repository root:
 Rows (seconds per tree; trees are built before the timing, so no layer
 below is timed):
 
-- ``peel3``: ``_Machine(t)`` then ``run3(None)``, the k=3 peel and unwind,
+- ``peel3``: ``_Machine(t.adj, t)`` (``_Machine(t)`` in a checkout whose
+  machine takes the tree alone) then ``run3(None)``, the k=3 peel and unwind,
   on one tree of each ``PEEL_SHAPES`` shape of ``tests/test_equitable.py``
   at n = 120, 2,000, 10^4 and 10^5.  The random shape takes trees of
   seeds 1, 2, ...; the others repeat their one tree.  A shape whose maximum
@@ -92,10 +93,17 @@ def machine() -> dict:
     }
 
 
-def peel3(equitable, t):
-    m = equitable._Machine(t)
-    m.run3(None)
-    return m.col
+def peel3(equitable):
+    """The ``peel3`` call of one side, for either constructor of its machine."""
+    machine = equitable._Machine
+    rows_first = machine.__init__.__code__.co_argcount == 3  # self, adj, t
+
+    def run(t):
+        m = machine(t.adj, t) if rows_first else machine(t)
+        m.run3(None)
+        return m.col
+
+    return run
 
 
 def cases(shapes, sample_labeled_tree, prufer_encode):
@@ -141,7 +149,7 @@ def time_row(sides: dict, layer: str, shape: str, n: int, k: int, items: list) -
     for name, (equitable, trees, random_trees) in sides.items():
         make[name] = tree_maker(trees, random_trees, shape, n, items)
         if layer == "peel3":
-            run[name] = lambda t, eq=equitable: peel3(eq, t)
+            run[name] = peel3(equitable)
         else:
             run[name] = lambda t, eq=equitable: eq.equitable_coloring(t, k).coloring.col
     outputs = {name: [run[name](t) for t in make[name]()] for name in sides}  # warm-up, and the colorings compared

@@ -22,7 +22,7 @@ import re
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import reduce
-from operator import xor
+from operator import or_, xor
 from typing import Callable, Iterable, Optional, Sequence
 
 from .colorings import KColoring
@@ -83,7 +83,7 @@ def verify_equitable(t: Graph, coloring: KColoring, trace: Iterable[str] = ()) -
 
 def _search_colors(
     vertices: Sequence[int],
-    neighbors: Callable[[int], Iterable[int]],
+    adj: Sequence[Iterable[int]],
     k: int,
     targets: Sequence[int],
     constraints: Sequence[tuple] = (),
@@ -92,14 +92,14 @@ def _search_colors(
     if n == 0:
         return {}
     vset = set(vertices)
-    start = max(vertices, key=lambda v: (sum(1 for w in neighbors(v) if w in vset), -v))
+    start = max(vertices, key=lambda v: (sum(1 for w in adj[v] if w in vset), -v))
     order = []
     seen = {start}
     stack = [start]
     while stack:
         u = stack.pop()
         order.append(u)
-        for w in sorted(neighbors(u), reverse=True):
+        for w in sorted(adj[u], reverse=True):
             if w in vset and w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -122,7 +122,7 @@ def _search_colors(
         if i == n:
             return sorted(counts[1:]) == sorted(targets)
         v = order[i]
-        forb = {col[w] for w in neighbors(v) if w in col}
+        forb = {col[w] for w in adj[v] if w in col}
         forb.update(col[x] for x in partners[v] if x in col)
         remaining = n - i - 1
         for c in range(1, min(used + 1, k) + 1):
@@ -153,7 +153,7 @@ def brute_force_equitable(t: Graph, k: int, limit: int = EQUITABLE_BRUTE_DEFAULT
     n = t.n
     if n >= 1 and k**n > limit:
         raise TooLarge(f"{k}^{n} exceeds search limit {limit}")
-    colors = _search_colors(list(range(1, n + 1)), lambda v: t.adj[v], k, balanced_targets(n, k))
+    colors = _search_colors(list(range(1, n + 1)), t.adj, k, balanced_targets(n, k))
     if colors is None:
         return None
     return KColoring(k, [0, *map(colors.__getitem__, range(1, n + 1))])
@@ -310,9 +310,11 @@ def _skeleton_colors(
 
 
 # ---------------------------------------------------------------------------
-# The peeling machine.  It only deletes leaves, and an edge goes only with
-# one of its ends, so the active tree is the source tree on the vertices of
-# active degree ``deg > 0``, and a full row is a source row filtered by it.
+# The peeling machine, on the source tree that the ascending rows ``adj``
+# span; a failure dumps ``tree``, the caller's input.  It only deletes leaves,
+# and an edge goes only with one of its ends, so the active tree is the source
+# tree on the vertices of active degree ``deg > 0`` (a vertex that the k >= 4
+# reduction shed has none), and a full row is a source row filtered by it.
 # Per vertex it keeps ``deg``, the XOR ``xr`` of the active neighbors (a
 # leaf's neighbor is ``xr[w]``), the count ``nleaf`` of leaf neighbors and a
 # lazy min-heap ``leaves_at`` of them; besides, a leaf count and lazy
@@ -348,21 +350,22 @@ class _Machine:
         "trace",
         "col",
         "sizes",
-        "source",
+        "adj",
+        "tree",
     )
 
-    def __init__(self, t: Graph):
-        n = t.n
-        self.source = t
-        self.deg = deg = [len(row) for row in t.adj]
-        self.xr = xr = [reduce(xor, row, 0) for row in t.adj]
+    def __init__(self, adj: Sequence[Sequence[int]], t: Graph):
+        n = len(adj) - 1
+        self.adj, self.tree = adj, t
+        self.deg = deg = [len(row) for row in adj]
+        self.xr = xr = [reduce(xor, row, 0) for row in adj]
         self.nleaf = nleaf = [0] * (n + 1)
         self.leaf_heap = [v for v in range(1, n + 1) if deg[v] == 1]  # ascending, so already a heap
         self.leaves_at = [[] for _ in range(n + 1)]
         for w in self.leaf_heap:
             nleaf[xr[w]] += 1
             self.leaves_at[xr[w]].append(w)
-        self.n_act = n
+        self.n_act = n + 1 - deg.count(0)  # deg[0] is 0
         self.leaves = len(self.leaf_heap)
         self.pre_heap = [v for v in range(1, n + 1) if deg[v] >= 2 and nleaf[v] >= deg[v] - 1]
         self.special_at: dict = {}
@@ -400,7 +403,7 @@ class _Machine:
             else:
                 self.leaves -= 1
                 if special_at and deg[z] == 2 and nleaf[z]:  # z just became special
-                    for x in self.source.adj[z]:
+                    for x in self.adj[z]:
                         if deg[x] and x in special_at:
                             heappush(special_at[x], z)
         self.n_act -= len(ws)
@@ -439,7 +442,7 @@ class _Machine:
         return found
 
     def active_vertices(self) -> list:
-        return [v for v in range(1, self.source.n + 1) if self.deg[v]]
+        return [v for v, d in enumerate(self.deg) if d]  # deg[0] is 0
 
     def _active_path_order(self) -> list:
         order = [0, self._min_leaf()]
@@ -448,7 +451,7 @@ class _Machine:
         return order[1:]
 
     def _fail(self, message: str) -> InternalInvariant:
-        return InternalInvariant(message, dump=format_tree_text(self.source))
+        return InternalInvariant(message, dump=format_tree_text(self.tree))
 
     # -- base colorings ----------------------------------------------------
 
@@ -460,7 +463,7 @@ class _Machine:
     def _base_search(self, constraints: Sequence[tuple]) -> None:
         vertices = self.active_vertices()
         targets = balanced_targets(self.n_act, 3)
-        colors = _search_colors(vertices, self.source.adj.__getitem__, 3, targets, constraints)
+        colors = _search_colors(vertices, self.adj, 3, targets, constraints)
         if colors is None:
             raise self._fail("exhaustive base search found no equitable coloring")
         self.trace.append("direct:search")
@@ -506,7 +509,7 @@ class _Machine:
         a greedy pass from u under each color priority, aiming at a
         near-equal split of the skeleton; then ``_skeleton_colors``, an
         exact search that fails only when no coloring exists."""
-        deg, src = self.deg, self.source.adj
+        deg, src = self.deg, self.adj
         targets = balanced_targets(self.n_act, 3)
         for s in {p, q} - {u, v}:
             if self.nleaf[s] != 1 or deg[s] != 2:
@@ -595,7 +598,7 @@ class _Machine:
         when it is None; a pendant level hands the next one None."""
         heappush, heappop = heapq.heappush, heapq.heappop  # read per call, so a patched heapq sees them
         deg, xr, nleaf, leaves_at, pre_heap = self.deg, self.xr, self.nleaf, self.leaves_at, self.pre_heap
-        by_degree, src, delete = self.by_degree, self.source.adj, self.delete_leaves
+        by_degree, src, delete = self.by_degree, self.adj, self.delete_leaves
         record, note = self.records.append, self.trace.append
         done = any(self._peel_one(pair) for _ in range(self.n_act % 3))
         while not done:
@@ -712,7 +715,7 @@ class _Machine:
         deg, nleaf = self.deg, self.nleaf
         heap = self.special_at.get(v0)
         if heap is None:  # a source row is ascending, so already a heap
-            heap = self.special_at[v0] = [x for x in self.source.adj[v0] if deg[x] == 2 and nleaf[x]]
+            heap = self.special_at[v0] = [x for x in self.adj[v0] if deg[x] == 2 and nleaf[x]]
         while heap and not (deg[heap[0]] == 2 and nleaf[heap[0]]):
             heapq.heappop(heap)  # a leaf or deleted since its push
         if not heap:
@@ -792,7 +795,7 @@ class _Machine:
             sizes[3] += 1
 
     def _extend_hub_peel(self, w: int, z: int, u: int, v: int, p: int, q: int) -> None:
-        col, sizes, deg, src = self.col, self.sizes, self.deg, self.source.adj
+        col, sizes, deg, src = self.col, self.sizes, self.deg, self.adj
         col1 = col[z]
         a = _PICK[col1][col1]
         b = _PICK[col1][a]
@@ -850,15 +853,14 @@ def _certify(t: Graph, col: list, k: int, trace: Iterable[str], apart: Iterable[
     return cert
 
 
-def _three_colors(t: Tree, is_path: bool, constraint: Optional[tuple] = None) -> tuple:
-    """Color list of an equitable 3-coloring of t (a path iff ``is_path``) and its trace, unverified."""
-    if t.n == 1:
-        return [0, 1], ("direct:trivial",)
+def _three_colors(adj: Sequence[Sequence[int]], t: Graph, is_path: bool, constraint: Optional[tuple] = None) -> tuple:
+    """Color list of an equitable 3-coloring of the tree (two or more vertices)
+    that the ascending rows ``adj`` span, a path iff ``is_path``, and its trace, unverified."""
+    m = _Machine(adj, t)
     if is_path:
-        colors = _path3_colors(path_order(t), constraint)
-        return [0, *map(colors.__getitem__, range(1, t.n + 1))], ("direct:path",)
-    m = _Machine(t)
-    m.run3(constraint)
+        m._base_path(constraint)
+    else:
+        m.run3(constraint)
     return m.col, tuple(m.trace)
 
 
@@ -875,7 +877,9 @@ def equitable_three(t: Tree, constraint: Optional[tuple] = None) -> EquitableCer
         p, q = constraint
         if p == q or not (1 <= p <= n and 1 <= q <= n) or not (is_pre_leaf(t, p) and is_pre_leaf(t, q)):
             raise NoTwoPreLeaves(f"({p}, {q}) is not a pair of distinct pre-leaf vertices")
-    col, trace = _three_colors(t, is_path_graph(t), constraint)
+    if n == 1:
+        return _certify(t, [0, 1], 3, ("direct:trivial",))
+    col, trace = _three_colors(t.adj, t, is_path_graph(t), constraint)
     return _certify(t, col, 3, trace, () if constraint is None else (constraint,))
 
 
@@ -889,7 +893,7 @@ def hub_pair_coloring(t: Tree, u: int, v: int, p: int, q: int) -> EquitableCerti
         raise PreconditionViolated("both designated vertices need degree at least n/3")
     if p == q or not (1 <= p <= n and 1 <= q <= n) or not (is_pre_leaf(t, p) and is_pre_leaf(t, q)):
         raise PreconditionViolated("p and q must be distinct pre-leaf vertices")
-    m = _Machine(t)
+    m = _Machine(t.adj, t)
     m.lemma_run(u, v, p, q)
     m._unwind()
     return _certify(t, m.col, 3, tuple(m.trace), ((u, v), (p, q)))
@@ -898,8 +902,8 @@ def hub_pair_coloring(t: Tree, u: int, v: int, p: int, q: int) -> EquitableCerti
 def _independent_low_degree(adj: list, vertices: Iterable[int], m: int) -> list:
     """m >= 1 pairwise non-adjacent vertices of degree <= 2 among ``vertices``
     (ascending) of the tree that the lists ``adj`` span on them, smallest id
-    first, each deleted from its neighbors' lists when picked: that changes
-    no pick, as only a pick's neighbors lose degree and they are barred.
+    first, each cut out of ``adj`` (its list emptied) when picked: that
+    changes no pick, as only a pick's neighbors lose degree and are barred.
 
     This never runs short for m <= floor(n/k), k >= 4.  The greedy builds a
     maximal independent set of the forest of degree-<=2 vertices, a union
@@ -918,6 +922,7 @@ def _independent_low_degree(adj: list, vertices: Iterable[int], m: int) -> list:
             for w in row:
                 blocked[w] = 1
                 adj[w].remove(v)
+            row.clear()
             chosen.append(v)
             if len(chosen) == m:
                 return chosen
@@ -933,9 +938,9 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
     colors; class sizes come out exactly equitable by arithmetic.  Every
     layer is shed from neighbor lists over t's own ids, built once from t's
     edges, each pick as it is chosen, then joined in one walk
-    (``join_forest``); the tree left for the 3-coloring is relabeled 1..m
-    once.  That keeps the id order, so the choices are those of relabeling
-    every layer.
+    (``join_forest``); the 3-coloring peels these lists, sorted once.  Ids
+    keep their order, so the choices are those of relabeling every layer,
+    and a failure dumps t.
     """
     if k < 3:
         raise BadArgument("k must be at least 3")
@@ -950,7 +955,7 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
         colors = _round_robin_colors(path_order(t), k)
         return _certify(t, [0, *map(colors.__getitem__, range(1, n + 1))], k, ("direct:path",))
     trace: list = []
-    col = [0] * (n + 1)  # nonzero exactly at the shed vertices, until the 3-coloring
+    col = [0] * (n + 1)  # nonzero exactly at the shed vertices
     adj: list = [[] for _ in range(n + 1)]
     for u, v in zip(*t.edge_ends()):
         adj[u].append(v)
@@ -965,15 +970,7 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
         if top * (k_level - 1) > len(kept):
             raise InternalInvariant("degree cap lost during forest completion", dump=format_tree_text(t))
         trace.append(f"reduce:k{k_level}")
-    new_id = [0] * (n + 1)
-    for i, v in enumerate(kept, 1):
-        new_id[v] = i
-    rows: list = [[] for _ in range(len(kept) + 1)]
-    for i, v in enumerate(kept, 1):  # ascending, so every row comes out sorted
-        for w in adj[v]:
-            rows[new_id[w]].append(i)
-    cur = Tree(len(kept), tuple(map(tuple, rows)), len(kept) - 1)
-    col3, trace3 = _three_colors(cur, top <= 2)
-    for v, c in zip(kept, col3[1:]):
-        col[v] = c
-    return _certify(t, col, k, (*trace, *trace3))
+    for v in kept:
+        adj[v].sort()
+    col3, trace3 = _three_colors(adj, t, top <= 2)
+    return _certify(t, list(map(or_, col, col3)), k, (*trace, *trace3))  # col3 is 0 at the shed vertices

@@ -342,6 +342,22 @@ class TestKBalancedBrute:
         w = brute_force_k_balanced(empty, 2)
         assert w == KColoring(2, [0]) and w.tally(empty) == ((0, 0), (0, 0))
 
+    def test_disconnected_against_enumeration(self):
+        # two edges and an isolated vertex: the search starts at 1 and has to
+        # pick up 3, 4 and 5 after its walk
+        edges = [(1, 2), (3, 4)]
+        g = build_graph(edges, 5)
+        for k in (2, 3, 4):
+            balanced = set()
+            for c in itertools.product(range(1, k + 1), repeat=5):
+                sizes = [c.count(x) for x in range(1, k + 1)]
+                mono = [sum(c[u - 1] == c[v - 1] == x for u, v in edges) for x in range(1, k + 1)]
+                if max(sizes) - min(sizes) <= 1 and max(mono) - min(mono) <= 1:
+                    balanced.add(c)
+            w = brute_force_k_balanced(g, k)
+            assert (w is None) == (not balanced)
+            assert w is None or tuple(w.col[1:]) in balanced
+
     def test_witness_is_k_balanced(self):
         g = complete_graph(6)
         w = brute_force_k_balanced(g, 3)

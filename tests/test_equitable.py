@@ -32,7 +32,7 @@ from arbor.errors import (
     TooLarge,
 )
 from arbor.random_trees import enumerate_unlabeled_trees, sample_labeled_tree
-from arbor.trees import Tree, build_tree, double_star, induced_subtree, parse_tree_text, path, pre_leaves, star
+from arbor.trees import Tree, build_graph, build_tree, double_star, induced_subtree, parse_tree_text, path, pre_leaves, star
 from test_golden import crowded_tree, every_construction, planted_hub_tree
 
 
@@ -387,6 +387,21 @@ class TestBruteForceEquitable:
         with pytest.raises(TooLarge):
             brute_force_equitable(path(14), 3)
 
+    def test_disconnected_against_enumeration(self):
+        # two edges and an isolated vertex: the search starts at 1 and has to
+        # pick up 3, 4 and 5 after its walk
+        edges = [(1, 2), (3, 4)]
+        g = build_graph(edges, 5)
+        for k in (2, 3, 4):
+            equitable = set()
+            for c in itertools.product(range(1, k + 1), repeat=5):
+                sizes = [c.count(x) for x in range(1, k + 1)]
+                if max(sizes) - min(sizes) <= 1 and all(c[u - 1] != c[v - 1] for u, v in edges):
+                    equitable.add(c)
+            w = brute_force_equitable(g, k)
+            assert (w is None) == (not equitable)
+            assert w is None or tuple(w.col[1:]) in equitable
+
     def test_witnesses_verify(self):
         for n in range(4, 10):
             for t in enumerate_unlabeled_trees(n):
@@ -515,7 +530,7 @@ class TestSkeletonSearch:
                 max(targets),
                 lambda pins, cnt: _bundle_split(cnt, 1, pins[v], targets, A, B) is not None,
             )
-            brute = _search_colors(list(full), lambda x: full[x], 3, targets, constraints)
+            brute = _search_colors(list(full), full, 3, targets, constraints)
             assert (col is None) == (brute is None), seed
             if col is None:
                 continue
@@ -564,6 +579,7 @@ class TestIndependentLowDegree:
             assert not any(y in chosen for x in chosen for y in t.adj[x])
             # each pick is gone from its neighbors' lists, and nothing else is
             assert all(adj[v] == [w for w in t.adj[v] if w not in chosen] for v in range(1, t.n + 1) if v not in chosen)
+            assert not any(adj[x] for x in chosen)  # and a pick's own list is emptied
 
     def test_guard_raises_when_short(self):
         with pytest.raises(IndependentSetNotFound):
@@ -648,9 +664,14 @@ def observed_reduction(monkeypatch, t, k):
         assert top == max(2, *map(len, map(adj.__getitem__, vertices)))
         return top
 
-    def colored(cur, is_path, constraint=None):
-        rows.append(cur.adj)
-        return three(cur, is_path, constraint)
+    def colored(adj, tree, is_path, constraint=None):
+        assert tree is t
+        gone = {x for picks, _ in layers for x in picks}
+        assert all(not adj[x] for x in gone)  # a shed vertex is gone from the tree the machine peels
+        kept = [v for v in range(1, t.n + 1) if v not in gone]
+        new_id = {v: i for i, v in enumerate(kept, 1)}
+        rows.append(((),) + tuple(tuple(new_id[w] for w in adj[v]) for v in kept))  # relabeled 1..m, order kept
+        return three(adj, tree, is_path, constraint)
 
     with monkeypatch.context() as patch:
         patch.setattr(equitable_module, "_independent_low_degree", shed)
@@ -700,6 +721,15 @@ class TestReductionGuard:
         # a completion that reports a degree above the cap of the next layer
         monkeypatch.setattr(equitable_module, "join_forest", lambda adj, vertices, cap: join(adj, vertices, cap) + len(vertices))
         with pytest.raises(InternalInvariant, match="degree cap lost during forest completion") as exc:
+            equitable_coloring(t, 5)
+        assert parse_tree_text(exc.value.dump) == t
+
+    def test_machine_failure_dumps_the_input_tree(self, monkeypatch):
+        # the 3-coloring of the reduced tree runs in t's own ids, so what a
+        # failing machine dumps is t, which ``arbor color --k 5`` reproduces
+        t = sample_labeled_tree(120, 1)
+        monkeypatch.setattr(equitable_module._Machine, "_min_leaf", lambda m, nbr_not_in=(): None)
+        with pytest.raises(InternalInvariant) as exc:
             equitable_coloring(t, 5)
         assert parse_tree_text(exc.value.dump) == t
 
@@ -781,14 +811,14 @@ class TestSpecialHeap:
         real_init = equitable_module._Machine.__init__
         special = equitable_module._Machine._case_special
 
-        def init(self, tree):
+        def init(self, adj, tree):
             nonlocal machine
-            real_init(self, tree)
+            real_init(self, adj, tree)
             machine = self
 
         def scanned(m, p, q, v0):
             nonlocal calls
-            scan = next(x for x in m.source.adj[v0] if m.deg[x] == 2 and m.nleaf[x])
+            scan = next(x for x in m.adj[v0] if m.deg[x] == 2 and m.nleaf[x])
             nxt = special(m, p, q, v0)
             assert m.records[-1][1] == scan  # the special vertex of the record
             calls += 1
@@ -835,9 +865,9 @@ class TestPeelOperationCounts:
         taken = set()  # live pre-leaves that picking a pair popped and owes back
         real_init = equitable_module._Machine.__init__
 
-        def init(self, tree):
+        def init(self, adj, tree):
             nonlocal machine
-            real_init(self, tree)
+            real_init(self, adj, tree)
             machine = self
             entries.update(self.pre_heap)
 

@@ -47,6 +47,13 @@ class TestBuildTree:
             build_tree([(1, 2), (2, 3), (3, 1)], 3)
         assert exc.value.reason == "cycle"
 
+    def test_equality_and_repr(self):
+        t = build_tree([(1, 2), (2, 3)], 3)
+        assert t == build_graph([(3, 2), (2, 1)], 3)
+        assert Graph.__eq__(t, format_tree_text(t)) is NotImplemented
+        assert t != format_tree_text(t) and t != t.adj and t != None  # noqa: E711
+        assert repr(t) == "Tree(n=3, edges=2)" and repr(build_graph([(1, 2)], 4)) == "Graph(n=4, edges=1)"
+
     def test_disconnected_rejected(self):
         with pytest.raises(NotATree) as exc:
             build_tree([(1, 2), (3, 4)], 4)
