@@ -5,8 +5,8 @@ Run from the repository root:
     python3 bench/layers.py --out BENCH_<n>.json
     python3 bench/layers.py --out BENCH_<n>.json --parent ../parent-checkout
 
-Rows (seconds per tree; trees are built before the timing, so no layer
-below is timed):
+Rows (seconds per call; each call's input is made before the timing, so
+only the named layer is timed):
 
 - ``peel3``: ``_Machine(t.adj, t)`` (``_Machine(t)`` in a checkout whose
   machine takes the tree alone) then ``run3(None)``, the k=3 peel and unwind,
@@ -20,6 +20,15 @@ below is timed):
   rows exist before the call; shape ``decoded`` (n = 120 only) decodes each
   tree from its Prüfer code before every repeat, untimed, so the call gets
   it as ``run_equitable_fraction`` does, with no rows built yet.
+- The balanced trial of ``run_balanced_fraction``, on random trees at
+  n = 200, 10^3 and 10^4: ``prufer_decode`` (shape ``code``, the decode
+  itself), and ``is_balanced_graph`` and ``verify_balanced`` (shape
+  ``decoded``: trees decoded before every repeat, untimed, and for
+  ``verify_balanced`` colored by ``is_balanced_graph``, untimed).  At these
+  n every tree takes the ones/twos shortcut.
+- ``balance_exact`` on random sequences of length 100, 400 and 2,000 with
+  values in 3..39 and in 3..8 (shape ``3..39``, ``3..8``), the value
+  ranges of perfbench's ``balance-seq`` workload, so the exact DP runs.
 
 A repeat times ``calls`` calls back to back (more calls at small n, so a
 repeat takes some milliseconds) and keeps their mean; a row keeps all eleven
@@ -28,20 +37,22 @@ repeats and their median (five repeats left single rows of unchanged code
 ``src/arbor`` under a second name and times it in the same repeats,
 alternating which side goes first; both sides get trees built by their
 own ``build_tree`` from the same edges (or decoded by their own
-``prufer_decode``), and a row records whether their
-colorings agree.  The file also records the machine, Python and the
-commit of each checkout.
+``prufer_decode``), and a row records whether their outputs agree
+(colorings, edge sets, balance reports, or F with the side I).  The file
+also records the machine, Python and the commit of each checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import importlib
 import importlib.util
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -51,12 +62,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PEEL_SIZES = (120, 2_000, 10_000, 100_000)
 REDUCE_KS = (4, 5, 6)
 REDUCE_SIZES = (120, 2_000)
+BALANCE_SIZES = (200, 1_000, 10_000)
+SEQ_LENGTHS = (100, 400, 2_000)
+SEQ_RANGES = ((3, 39), (3, 8))
 REPEATS = 11
 WORK_PER_REPEAT = 24_000  # vertices colored per repeat, so small-n repeats last some milliseconds
 
 
 def load_side(name: str, root: str):
-    """The ``equitable``, ``trees`` and ``random_trees`` modules of ``root``/src/arbor, imported as package ``name``."""
+    """The ``equitable``, ``trees``, ``random_trees`` and ``balance`` modules of ``root``/src/arbor, imported as package ``name``."""
     init = os.path.join(root, "src", "arbor", "__init__.py")
     if not os.path.isfile(init):
         sys.exit(f"layers.py: {init} not found")
@@ -64,7 +78,7 @@ def load_side(name: str, root: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return tuple(importlib.import_module(f"{name}.{module}") for module in ("equitable", "trees", "random_trees"))
+    return tuple(importlib.import_module(f"{name}.{module}") for module in ("equitable", "trees", "random_trees", "balance"))
 
 
 def checkout(root: str) -> dict:
@@ -108,8 +122,8 @@ def peel3(equitable):
 
 def cases(shapes, sample_labeled_tree, prufer_encode):
     """(layer, shape, n, k, items) for every row: the edge list of each
-    call's tree, one list object per distinct tree, or its Prüfer code
-    (shape ``decoded``)."""
+    call's tree, one list object per distinct tree, its Prüfer code (shapes
+    ``decoded`` and ``code``), or its value sequence (``balance_exact``)."""
     for n in PEEL_SIZES:
         calls = max(1, WORK_PER_REPEAT // n)
         for shape in sorted(shapes):
@@ -128,6 +142,15 @@ def cases(shapes, sample_labeled_tree, prufer_encode):
     n = REDUCE_SIZES[0]
     for k in REDUCE_KS:
         yield "equitable", "decoded", n, k, [prufer_encode(t) for t in trees[n] if t.max_degree * k <= n]
+    for n in BALANCE_SIZES:
+        codes = [prufer_encode(sample_labeled_tree(n, seed)) for seed in range(1, WORK_PER_REPEAT // n + 1)]
+        yield "prufer_decode", "code", n, None, codes
+        yield "is_balanced_graph", "decoded", n, 2, codes
+        yield "verify_balanced", "decoded", n, 2, codes
+    rng = random.Random(15)
+    for n in SEQ_LENGTHS:
+        for lo, hi in SEQ_RANGES:
+            yield "balance_exact", f"{lo}..{hi}", n, None, [[rng.randint(lo, hi) for _ in range(n)] for _ in range(2_000 // n)]
 
 
 def tree_maker(trees, random_trees, shape: str, n: int, items: list):
@@ -143,32 +166,52 @@ def tree_maker(trees, random_trees, shape: str, n: int, items: list):
     return lambda: built
 
 
+def layer_call(modules, layer: str, shape: str, n: int, k: int, items: list):
+    """(make, run, output) of one side's row: ``make()`` gives the inputs of
+    one repeat, untimed; ``run`` is the timed call on one input; ``output``
+    turns its result into what both sides must agree on."""
+    equitable, trees, random_trees, balance = modules
+    if layer == "prufer_decode":
+        return (lambda: items), (lambda code: random_trees.prufer_decode(code, n)), (lambda t: sorted(t.edges()))
+    if layer == "balance_exact":
+        return (lambda: items), balance.balance_exact, (lambda result: (result[0], result[1].I))
+    make = tree_maker(trees, random_trees, shape, n, items)
+    if layer == "is_balanced_graph":
+        return make, balance.is_balanced_graph, (lambda coloring: None if coloring is None else coloring.col)
+    if layer == "verify_balanced":
+
+        def colored():
+            return [(t, balance.is_balanced_graph(t)) for t in make()]
+
+        return colored, (lambda pair: balance.verify_balanced(*pair)), dataclasses.astuple
+    if layer == "peel3":
+        return make, peel3(equitable), list
+    return make, (lambda t: equitable.equitable_coloring(t, k)), (lambda cert: cert.coloring.col)
+
+
 def time_row(sides: dict, layer: str, shape: str, n: int, k: int, items: list) -> dict:
     make = {}
     run = {}
-    for name, (equitable, trees, random_trees) in sides.items():
-        make[name] = tree_maker(trees, random_trees, shape, n, items)
-        if layer == "peel3":
-            run[name] = peel3(equitable)
-        else:
-            run[name] = lambda t, eq=equitable: eq.equitable_coloring(t, k).coloring.col
-    outputs = {name: [run[name](t) for t in make[name]()] for name in sides}  # warm-up, and the colorings compared
+    outputs = {}
+    for name, modules in sides.items():
+        make[name], run[name], output = layer_call(modules, layer, shape, n, k, items)
+        outputs[name] = [output(run[name](x)) for x in make[name]()]  # warm-up, and the outputs compared
     times: dict = {name: [] for name in sides}
     order = list(sides)
     for r in range(REPEATS):
         for name in order if r % 2 == 0 else reversed(order):
-            fn, ts = run[name], make[name]()
+            fn, xs = run[name], make[name]()
             gc.collect()
             t0 = time.perf_counter()
-            for t in ts:
-                fn(t)
-            times[name].append((time.perf_counter() - t0) / len(ts))
-    row = {"layer": layer, "n": n, "k": k, "calls": len(items), "unit": "s per tree"}
+            for x in xs:
+                fn(x)
+            times[name].append((time.perf_counter() - t0) / len(xs))
+    row = {"layer": layer, "n": n, "k": k, "calls": len(items), "unit": "s per call"}
     for name in sides:
         row[name] = {"median": statistics.median(times[name]), "runs": times[name]}
     if "parent" in sides:
         row["change_over_parent"] = row["change"]["median"] / row["parent"]["median"]
-        row["same_colors"] = outputs["change"] == outputs["parent"]
+        row["same_output"] = outputs["change"] == outputs["parent"]
     return row
 
 
@@ -181,20 +224,20 @@ def main(argv=None) -> int:
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
     from test_equitable import PEEL_SHAPES
 
-    from arbor import equitable, random_trees, trees
+    from arbor import balance, equitable, random_trees, trees
     from arbor.random_trees import prufer_encode, sample_labeled_tree
 
-    sides = {"change": (equitable, trees, random_trees)}
+    sides = {"change": (equitable, trees, random_trees, balance)}
     if args.parent:
         sides["parent"] = load_side("arbor_parent", os.path.abspath(args.parent))
     rows = []
     for layer, shape, n, k, items in cases(PEEL_SHAPES, sample_labeled_tree, prufer_encode):
         row = {"shape": shape, **time_row(sides, layer, shape, n, k, items)}
         rows.append(row)
-        line = f"{layer:9} {shape:11} n={n:<6} k={k}  change {row['change']['median'] * 1e3:9.3f} ms"
+        line = f"{layer:17} {shape:11} n={n:<6} k={k or '-'}  change {row['change']['median'] * 1e3:9.3f} ms"
         if args.parent:
             line += f"  parent {row['parent']['median'] * 1e3:9.3f} ms  ratio {row['change_over_parent']:.3f}"
-            line += "" if row["same_colors"] else "  COLORINGS DIFFER"
+            line += "" if row["same_output"] else "  OUTPUTS DIFFER"
         print(line, flush=True)
     result = {
         "script": "bench/layers.py",

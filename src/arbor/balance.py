@@ -82,14 +82,30 @@ def _values_of(seq) -> tuple:
     return vals
 
 
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_COLOR = bytes.maketrans(b"\x00\x01", b"\x02\x01")  # I is color class 1, J class 2
+
+
 @dataclass(frozen=True)
 class Partition:
-    """Split of indices 1..n into I and J with the side sums."""
+    """Split of indices 1..n into I and J with the side sums, held as side
+    bytes: ``side[i]`` is 1 when index i + 1 is in I and 0 when it is in J.
 
-    I: tuple
-    J: tuple
+    The ascending tuples ``I`` and ``J`` are derived on first read and kept.
+    Equality and hashing go by the side bytes and the sums, which fix I and J.
+    """
+
+    side: bytes
     sum_I: int
     sum_J: int
+
+    @functools.cached_property
+    def I(self) -> tuple:
+        return tuple(compress(range(1, len(self.side) + 1), self.side))
+
+    @functools.cached_property
+    def J(self) -> tuple:
+        return tuple(compress(range(1, len(self.side) + 1), self.side.translate(_FLIP)))
 
     @property
     def diff(self) -> int:
@@ -97,7 +113,10 @@ class Partition:
 
     @property
     def card_diff(self) -> int:
-        return abs(len(self.I) - len(self.J))
+        return abs(2 * self.side.count(1) - len(self.side))
+
+    def __repr__(self) -> str:
+        return f"Partition(I={self.I}, J={self.J}, sum_I={self.sum_I}, sum_J={self.sum_J})"
 
 
 @dataclass(frozen=True)
@@ -193,11 +212,18 @@ def _best_split_sum(row: int, total: int) -> tuple[int, int]:
 
 
 def _split(values: Sequence[int], block: int) -> tuple[int, list]:
-    """(F, traced indices of a floor(n/2)-subset attaining F)."""
+    """(F, traced indices of a floor(n/2)-subset attaining F).
+
+    The DP runs on the values less their minimum ``low``, so bit s of row c
+    marks a c-subset of sum s + c * low: the same states as on the values
+    themselves, in rows c * low bits shorter, and the same trace.
+    """
     c_target = len(values) // 2
-    rows, checkpoints = _dp_rows(values, c_target, block)
-    f, s_star = _best_split_sum(rows[c_target], sum(values))
-    return f, _trace_subset(values, c_target, s_star, checkpoints, block)
+    low = min(values, default=0)
+    items = [v - low for v in values] if low else values
+    rows, checkpoints = _dp_rows(items, c_target, block)
+    f, s_star = _best_split_sum(rows[c_target], sum(values) - 2 * c_target * low)
+    return f, _trace_subset(items, c_target, s_star, checkpoints, block)
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -226,11 +252,11 @@ def balance_exact(seq: DegreeSequence | Sequence[int]) -> tuple[int, Partition]:
     if (c_target + 1) * (total + 1) > BALANCE_DP_BIT_LIMIT:
         raise TooLarge(f"balance DP needs {c_target + 1} rows of {total + 1} bits; limit {BALANCE_DP_BIT_LIMIT}")
     f, chosen = _small_split(values) if n <= 16 else _split(values, max(16, isqrt(n)))
-    in_i = set(chosen)
-    I = tuple(i + 1 for i in chosen)  # chosen ascends
-    J = tuple(i + 1 for i in range(n) if i not in in_i)
-    sum_i = sum(values[i] for i in in_i)
-    part = Partition(I, J, sum_i, total - sum_i)
+    side = bytearray(n)
+    for i in chosen:
+        side[i] = 1
+    sum_i = sum(map(values.__getitem__, chosen))
+    part = Partition(bytes(side), sum_i, total - sum_i)
     if part.diff != f:
         raise InternalInvariant("witness does not attain the computed balance")
     return f, part
@@ -247,8 +273,9 @@ def _greedy_pairs(buckets, side: bytearray) -> tuple[int, int]:
 
     ``buckets`` lists (value, ascending indices) by ascending value, so their
     concatenation is the (value, index) order; a virtual item of value 0 and
-    index ``len(side) - 1`` goes first when the count is odd.  Sets
-    ``side[i] = 1`` for every index given to I and returns the two sums.
+    index ``len(side) - 1`` goes first when the count is odd, so that last
+    byte is no index's and the caller drops it.  Sets ``side[i] = 1`` for
+    every index given to I and returns the two sums.
     Both sums grow alike over the pairs of one value, so such a run of pairs
     all goes the same way; only a pair that straddles two values is decided
     on its own.
@@ -287,15 +314,6 @@ def _greedy_pairs(buckets, side: bytearray) -> tuple[int, int]:
     return s_i, s_j
 
 
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
-def _side_partition(side: bytearray, n: int, s_i: int, s_j: int) -> Partition:
-    """I = the indices i with side[i - 1] set, J the rest (1-based, ascending)."""
-    ids = range(1, n + 1)
-    return Partition(tuple(compress(ids, side)), tuple(compress(ids, side.translate(_FLIP))), s_i, s_j)
-
-
 def greedy_pair_partition(seq: DegreeSequence | Sequence[int]) -> Partition:
     """Near-equicardinal partition with |sum(I) - sum(J)| <= max(seq)."""
     values = _values_of(seq)
@@ -303,7 +321,9 @@ def greedy_pair_partition(seq: DegreeSequence | Sequence[int]) -> Partition:
     for i, v in enumerate(values):
         buckets.setdefault(v, []).append(i)
     side = bytearray(len(values) + 1)
-    return _side_partition(side, len(values), *_greedy_pairs(sorted(buckets.items()), side))
+    s_i, s_j = _greedy_pairs(sorted(buckets.items()), side)
+    del side[-1]
+    return Partition(bytes(side), s_i, s_j)
 
 
 def ones_twos_partition(seq: DegreeSequence | Sequence[int]) -> Partition:
@@ -346,8 +366,12 @@ def ones_twos_partition(seq: DegreeSequence | Sequence[int]) -> Partition:
         s_j += light_sum
     for i in to_i:
         side[i] = 1
-    part = _side_partition(side, n, s_i, s_j)
-    if part.diff > 2 or part.card_diff > 1:
+    del side[-1]
+    part = Partition(bytes(side), s_i, s_j)
+    # The block sums added above are those of the indices given out only when
+    # t <= m, that is |d| <= m + 1 (the greedy bound gives |d| <= m); for any
+    # d they leave |s_i - s_j| <= 1, so the sums themselves need no check.
+    if t > m or part.card_diff > 1:
         raise InternalInvariant("ones/twos construction exceeded its bound")
     return part
 
@@ -358,10 +382,7 @@ def ones_twos_partition(seq: DegreeSequence | Sequence[int]) -> Partition:
 
 def partition_coloring(part: Partition) -> KColoring:
     """Color class 1 = I, class 2 = J (every vertex not in I)."""
-    col = [0, *[2] * (len(part.I) + len(part.J))]
-    for v in part.I:
-        col[v] = 1
-    return KColoring(2, col)
+    return KColoring(2, list(b"\0" + part.side.translate(_COLOR)))
 
 
 def is_balanced_graph(g: Graph) -> Optional[KColoring]:
@@ -370,15 +391,13 @@ def is_balanced_graph(g: Graph) -> Optional[KColoring]:
     Balancedness depends only on the degree sequence: any partition with
     near-equal cardinalities and degree sums within two yields a balanced
     coloring.  When the sequence has enough ones and twos the constructive
-    partition is used directly; otherwise the exact DP decides.
+    partition is used directly; otherwise the exact DP decides.  A graph
+    with no vertices gets the empty coloring, which is balanced.
     """
-    if g.n == 0:
-        return None
-    degrees = _Degrees(g.degree_sequence())
-    m = max(degrees)
+    degrees = _Degrees(g._degrees)
+    m = g.max_degree
     if m >= 1 and degrees.count(1) >= m and degrees.count(2) >= m:
-        part = ones_twos_partition(degrees)
-        return partition_coloring(part)
+        return partition_coloring(ones_twos_partition(degrees))
     f, part = balance_exact(degrees)
     if f > 2:
         return None
@@ -399,8 +418,6 @@ def brute_force_balanced(g: Graph) -> bool:
     n = g.n
     if n > BRUTE_FORCE_VERTEX_LIMIT:
         raise TooLarge(f"n={n} exceeds brute-force limit {BRUTE_FORCE_VERTEX_LIMIT}")
-    if n == 1:
-        return True
     edge_masks = [(1 << (u - 1)) | (1 << (v - 1)) for u, v in g.edges()]
     for subset in itertools.combinations(range(n), n // 2):
         mask = 0

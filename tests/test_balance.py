@@ -6,10 +6,14 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arbor import balance as balance_module
 from arbor.balance import (
     DegreeSequence,
+    Partition,
     _best_split_sum,
     _dp_rows,
+    _greedy_pairs,
+    _split,
     _trace_subset,
     balance_exact,
     brute_force_balanced,
@@ -21,7 +25,7 @@ from arbor.balance import (
     verify_balanced,
 )
 from arbor.colorings import KColoring
-from arbor.errors import HypothesisViolated, PartialColoring, PreconditionViolated, TooLarge
+from arbor.errors import HypothesisViolated, InternalInvariant, PartialColoring, PreconditionViolated, TooLarge
 from arbor.random_trees import enumerate_labeled_trees, enumerate_unlabeled_trees, sample_labeled_tree
 from arbor.trees import build_graph, build_tree, complete_graph, double_star, induced_subtree, path, star
 
@@ -81,6 +85,24 @@ class TestBalanceExact:
         values = [rng.randrange(1, 50) for _ in range(900)]
         f, part = balance_exact(values)
         assert part.diff == f and part.card_diff <= 1
+
+    def test_degree_sequence_len_and_repr(self):
+        seq = DegreeSequence([3, 1, 2, 1])
+        assert len(seq) == 4 and repr(seq) == "DegreeSequence([3, 1, 2, 1])"
+
+    def test_shifted_split_matches_unshifted(self):
+        # _split runs the DP on the values less their minimum; the DP on the
+        # values themselves must give the same F and the same traced indices
+        rng = random.Random(8)
+        for _ in range(300):
+            n = rng.randint(1, 60)
+            lo = rng.choice((0, 1, 3, 17, 200))
+            values = [rng.randint(lo, lo + rng.choice((0, 2, 9, 40))) for _ in range(n)]
+            block = max(2, isqrt(n))
+            c = n // 2
+            rows, checkpoints = _dp_rows(values, c, block)
+            f, s = _best_split_sum(rows[c], sum(values))
+            assert _split(values, block) == (f, _trace_subset(values, c, s, checkpoints, block)), values
 
     def test_far_apart_values(self):
         # the best split sum is found with a few bit operations, not by
@@ -217,6 +239,14 @@ class TestGraphBalance:
     def test_double_stars(self, p, q, expect):
         assert (is_balanced_graph(double_star(p, q)) is not None) is expect
 
+    def test_no_vertices(self):
+        # induced_subtree makes a graph with no vertices; its empty coloring
+        # has no vertex and no edge in either class, as the oracle agrees
+        empty = induced_subtree(path(2), {1, 2}).graph
+        col = is_balanced_graph(empty)
+        assert col == KColoring(2, [0])
+        assert verify_balanced(empty, col).balanced and brute_force_balanced(empty)
+
     def test_verdict_depends_only_on_degrees(self):
         a = build_tree([(1, 2), (2, 3), (3, 4), (4, 5)], 5)
         b = build_tree([(5, 4), (4, 3), (3, 2), (2, 1)], 5)
@@ -282,6 +312,8 @@ class TestBruteForce:
         assert brute_force_balanced(star(5)) is True
         assert brute_force_balanced(star(6)) is False
         assert brute_force_balanced(path(2)) is True
+        # one vertex: the empty side and no edges, found by the general loop
+        assert brute_force_balanced(path(1)) is True
 
     def test_guard(self):
         with pytest.raises(TooLarge):
@@ -390,3 +422,146 @@ class TestPartitionColoring:
         if f <= 2:
             rep = verify_balanced(t, partition_coloring(part))
             assert rep.balanced
+
+
+FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def loop_coloring(I, n):
+    """The per-vertex coloring loop: class 2 everywhere, then class 1 on I."""
+    col = [0, *[2] * n]
+    for v in I:
+        col[v] = 1
+    return col
+
+
+class TestPartitionSides:
+    """``Partition`` keeps side bytes and derives I and J; these are checked
+    against the tuples ``compress`` made from the filled side array, and the
+    coloring against the per-vertex loop."""
+
+    def seeded_values(self):
+        rng = random.Random(15)
+        for n in range(1, 80):
+            for _ in range(3):
+                yield [rng.randint(1, rng.choice((2, 6, 40))) for _ in range(n)]
+
+    def test_greedy_sides_against_compress(self):
+        virtual_set = 0
+        for values in self.seeded_values():
+            n = len(values)
+            buckets: dict = {}
+            for i, v in enumerate(values):
+                buckets.setdefault(v, []).append(i)
+            side = bytearray(n + 1)
+            sums = _greedy_pairs(sorted(buckets.items()), side)
+            ids = range(1, n + 1)
+            I, J = tuple(itertools.compress(ids, side)), tuple(itertools.compress(ids, side.translate(FLIP)))
+            part = greedy_pair_partition(values)
+            assert (part.I, part.J, (part.sum_I, part.sum_J)) == (I, J, sums)
+            assert part.card_diff == abs(len(I) - len(J)) <= 1
+            col = partition_coloring(part).col
+            assert col == loop_coloring(I, n)  # n + 1 entries: the virtual slot is not among them
+            virtual_set += side[n]
+        assert virtual_set  # some odd length gave the virtual item to I
+
+    def test_ones_twos_and_exact_sides(self):
+        rng = random.Random(16)
+        for n in range(6, 120):
+            m = rng.randint(2, n // 3)
+            values = [m] + [1] * m + [2] * m + [rng.randint(1, m) for _ in range(n - 2 * m - 1)]
+            rng.shuffle(values)
+            for part in (ones_twos_partition(values), balance_exact(values)[1]):
+                assert len(part.side) == n and set(part.side) <= {0, 1}  # no virtual slot
+                ids = range(1, n + 1)
+                assert part.I == tuple(v for v in ids if part.side[v - 1])
+                in_i = set(part.I)
+                assert part.J == tuple(v for v in ids if v not in in_i)
+                assert part.sum_I == sum(values[v - 1] for v in part.I)
+                assert part.sum_J == sum(values[v - 1] for v in part.J)
+                assert partition_coloring(part).col == loop_coloring(part.I, n)
+
+    def test_equality_and_hash_follow_the_fields(self):
+        parts = []
+        for values in itertools.islice(self.seeded_values(), 0, None, 7):
+            parts += [greedy_pair_partition(values), greedy_pair_partition(values), balance_exact(values)[1]]
+        parts.append(Partition(b"\x01\x00", 3, 4))
+        parts.append(Partition(b"\x01\x00", 3, 5))
+        parts.append(Partition(b"\x00\x01", 3, 4))
+        for p, q in itertools.product(parts, repeat=2):
+            same = (p.I, p.J, p.sum_I, p.sum_J) == (q.I, q.J, q.sum_I, q.sum_J)
+            assert (p == q) is same
+            assert not same or hash(p) == hash(q)
+        assert len(set(parts)) == len({(p.I, p.J, p.sum_I, p.sum_J) for p in parts})
+
+    def test_repr_names_the_sides(self):
+        assert repr(Partition(b"\x00\x01\x01", 5, 1)) == "Partition(I=(2, 3), J=(1,), sum_I=5, sum_J=1)"
+
+
+class TestBalanceGuards:
+    """Each ``InternalInvariant`` guard of the balance constructions, reached
+    by making the step before it return a wrong answer."""
+
+    values = list(range(3, 23))  # n > 16, so the memoized short path is not taken
+
+    def test_trace_lost_its_state(self, monkeypatch):
+        best = balance_module._best_split_sum
+        monkeypatch.setattr(balance_module, "_best_split_sum", lambda row, total: (best(row, total)[0], 10**6))
+        with pytest.raises(InternalInvariant, match="lost its state"):
+            balance_exact(self.values)
+
+    def test_trace_did_not_empty(self, monkeypatch):
+        dp_rows = balance_module._dp_rows
+
+        def every_state_at_the_start(items, c_max, block):
+            # the first checkpoint claims every (count, sum) before any item
+            rows, checkpoints = dp_rows(items, c_max, block)
+            checkpoints[0] = [(1 << 200) - 1] * len(checkpoints[0])
+            return rows, checkpoints
+
+        monkeypatch.setattr(balance_module, "_dp_rows", every_state_at_the_start)
+        with pytest.raises(InternalInvariant, match="did not empty"):
+            balance_exact(self.values)
+
+    def test_empty_dp_row(self, monkeypatch):
+        dp_rows = balance_module._dp_rows
+        monkeypatch.setattr(balance_module, "_dp_rows", lambda items, c_max, block: ([0] * (c_max + 1), dp_rows(items, c_max, block)[1]))
+        with pytest.raises(InternalInvariant, match="empty DP row"):
+            balance_exact(self.values)
+
+    def test_witness_misses_the_balance(self, monkeypatch):
+        best = balance_module._best_split_sum
+
+        def two_off(row, total):
+            f, s = best(row, total)
+            return f + 2, s
+
+        monkeypatch.setattr(balance_module, "_best_split_sum", two_off)
+        with pytest.raises(InternalInvariant, match="witness does not attain"):
+            balance_exact(self.values)
+
+    def test_ones_twos_greedy_bound(self, monkeypatch):
+        pairs = balance_module._greedy_pairs
+
+        def heavy_i(buckets, side):
+            # a remainder difference of 3m (here m = 3), which the block of
+            # m ones and m twos cannot cancel; the block still gives I m
+            # indices, so only the greedy-bound half of the guard sees it
+            s_i, s_j = pairs(buckets, side)
+            return s_i + 9, s_j
+
+        monkeypatch.setattr(balance_module, "_greedy_pairs", heavy_i)
+        with pytest.raises(InternalInvariant, match="exceeded its bound"):
+            ones_twos_partition((1, 1, 1, 2, 2, 2, 3, 3))
+
+    def test_ones_twos_card_bound(self, monkeypatch):
+        pairs = balance_module._greedy_pairs
+
+        def all_to_i(buckets, side):
+            sums = pairs(buckets, side)
+            side[:] = b"\x01" * len(side)
+            return sums
+
+        monkeypatch.setattr(balance_module, "_greedy_pairs", all_to_i)
+        with pytest.raises(InternalInvariant, match="exceeded its bound"):
+            ones_twos_partition((1, 1, 1, 2, 2, 2, 3, 3))

@@ -32,6 +32,15 @@ class TestRepr:
         assert repr(KColoring(3, assignment)).startswith("KColoring(k=3, ")
 
 
+class TestEquality:
+    def test_by_k_and_colors(self):
+        assert KColoring(2, [0, 1, 2]) == KColoring(2, [0, 1, 2])
+        assert KColoring(2, [0, 1, 2]) != KColoring(3, [0, 1, 2])
+        # any other type is left to its own comparison, so a bare list differs
+        assert KColoring(2, [0, 1, 2]).__eq__([0, 1, 2]) is NotImplemented
+        assert KColoring(2, [0, 1, 2]) != [0, 1, 2]
+
+
 def tally(g, coloring):
     return coloring.tally(g)
 
