@@ -29,9 +29,9 @@ K_BRUTE_DEFAULT_LIMIT = 3**15
 
 
 class DegreeSequence:
-    """Sequence of positive integers with cached tallies."""
+    """Sequence of positive integers."""
 
-    __slots__ = ("values", "max_value", "total", "ones_count", "twos_count")
+    __slots__ = ("values",)
 
     def __init__(self, values: Iterable[int]):
         vals = tuple(int(v) for v in values)
@@ -40,10 +40,6 @@ class DegreeSequence:
         if any(v < 1 for v in vals):
             raise BadArgument("values must be positive")
         self.values = vals
-        self.max_value = max(vals)
-        self.total = sum(vals)
-        self.ones_count = sum(1 for v in vals if v == 1)
-        self.twos_count = sum(1 for v in vals if v == 2)
 
     @classmethod
     def from_graph(cls, g: Graph) -> "DegreeSequence":
@@ -219,7 +215,7 @@ def _split(values: Sequence[int], block: int) -> tuple[int, list]:
     themselves, in rows c * low bits shorter, and the same trace.
     """
     c_target = len(values) // 2
-    low = min(values, default=0)
+    low = min(values)
     items = [v - low for v in values] if low else values
     rows, checkpoints = _dp_rows(items, c_target, block)
     f, s_star = _best_split_sum(rows[c_target], sum(values) - 2 * c_target * low)
@@ -391,8 +387,7 @@ def is_balanced_graph(g: Graph) -> Optional[KColoring]:
     Balancedness depends only on the degree sequence: any partition with
     near-equal cardinalities and degree sums within two yields a balanced
     coloring.  When the sequence has enough ones and twos the constructive
-    partition is used directly; otherwise the exact DP decides.  A graph
-    with no vertices gets the empty coloring, which is balanced.
+    partition is used directly; otherwise the exact DP decides.
     """
     degrees = _Degrees(g._degrees)
     m = g.max_degree
@@ -448,8 +443,6 @@ def brute_force_k_balanced(g: Graph, k: int, limit: int = K_BRUTE_DEFAULT_LIMIT)
         raise BadArgument("k must be at least 2")
     if k**n > limit:
         raise TooLarge(f"{k}^{n} exceeds search limit {limit}")
-    if n == 0:  # no vertex to start the search from; the empty coloring is k-balanced
-        return KColoring(k, [0])
     cap_hi = -(-n // k)
     q_lo = n // k
     start = max(range(1, n + 1), key=lambda v: (len(g.adj[v]), -v))

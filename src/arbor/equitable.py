@@ -89,8 +89,6 @@ def _search_colors(
     constraints: Sequence[tuple] = (),
 ) -> Optional[dict]:
     n = len(vertices)
-    if n == 0:
-        return {}
     vset = set(vertices)
     start = max(vertices, key=lambda v: (sum(1 for w in adj[v] if w in vset), -v))
     order = []
@@ -151,7 +149,7 @@ def brute_force_equitable(t: Graph, k: int, limit: int = EQUITABLE_BRUTE_DEFAULT
     if k < 2:
         raise BadArgument("k must be at least 2")
     n = t.n
-    if n >= 1 and k**n > limit:
+    if k**n > limit:
         raise TooLarge(f"{k}^{n} exceeds search limit {limit}")
     colors = _search_colors(list(range(1, n + 1)), t.adj, k, balanced_targets(n, k))
     if colors is None:

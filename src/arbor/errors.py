@@ -10,7 +10,9 @@ class NotATree(ArborError):
 
     ``reason`` is one of ``cycle``, ``disconnected``, ``self-loop``,
     ``duplicate-edge``, ``bad-vertex-id``, and for malformed tree text
-    ``empty``, ``bad-header``, ``bad-edge-line``, ``not-an-integer``.
+    ``empty``, ``bad-header``, ``bad-edge-line``, ``not-an-integer``,
+    ``trailing-line`` (a line after the ``P:`` code line, which would
+    otherwise go unread).
     """
 
     def __init__(self, reason: str, detail: str = ""):

@@ -278,12 +278,3 @@ def run_max_degree(cfg: ExperimentConfig) -> ExperimentSummary:
         extras={"histogram": {str(k): hist[k] for k in sorted(hist)}, **bands},
         failure_examples=[],
     )
-
-
-def balanced_fraction_profile(ns: Sequence[int], trials: int, seed: int, workers: int = 1) -> list:
-    """Soft monotonicity report: balancedness fraction across tree sizes."""
-    out = []
-    for n in ns:
-        s = run_balanced_fraction(ExperimentConfig(n=n, trials=trials, seed=seed, workers=workers))
-        out.append((n, s.fraction_success))
-    return out

@@ -104,10 +104,8 @@ def trial_rng(master_seed: int, trial: int = 0) -> np.random.Generator:
 
 
 def random_prufer(n: int, rng: np.random.Generator) -> list[int]:
-    if n <= 2:
-        if n < 2:
-            raise BadEntry(f"need n >= 2, got {n}")
-        return []
+    if n < 2:
+        raise BadEntry(f"need n >= 2, got {n}")
     return rng.integers(1, n + 1, size=n - 2).tolist()
 
 
@@ -150,9 +148,6 @@ def enumerate_labeled_trees(n: int) -> Iterator[Tree]:
         raise TooLarge(f"n={n} exceeds enumeration limit {ENUMERATION_LIMIT}")
     if n < 2:
         raise BadEntry(f"need n >= 2, got {n}")
-    if n == 2:
-        yield prufer_decode([], 2)
-        return
     for entries in itertools.product(range(1, n + 1), repeat=n - 2):
         yield prufer_decode(list(entries), n)
 
@@ -174,7 +169,7 @@ def stats_from_prufer(entries: Sequence[int], n: int) -> TreeStats:
 
     deg(v) = multiplicity(v) + 1, so the degree histogram is a bincount.
     """
-    counts = np.bincount(np.asarray(entries, dtype=np.int64), minlength=n + 1) if len(entries) else np.zeros(n + 1, dtype=np.int64)
+    counts = np.bincount(np.asarray(entries, dtype=np.int64), minlength=n + 1)
     degs = counts[1 : n + 1] + 1
     return TreeStats(int(degs.max()), int((degs == 1).sum()), int((degs == 2).sum()))
 
@@ -246,10 +241,6 @@ def _rooted_shapes(n: int, max_shape: tuple | None, cache: dict) -> list[tuple]:
     key = (n, max_shape)
     if key in cache:
         return cache[key]
-    if n == 1:
-        out = [()] if max_shape is None or () <= max_shape else []
-        cache[key] = out
-        return out
     out = []
     # children listed in non-increasing encoding order
     def extend(remaining: int, bound: tuple | None, acc: list):
@@ -287,8 +278,6 @@ def _shape_to_tree(shape: tuple) -> Tree:
 
 def enumerate_unlabeled_trees(n: int) -> list[Tree]:
     """One representative per isomorphism class of trees on n vertices."""
-    if n == 1:
-        return [Tree(1, ((), ()), 0)]
     cache: dict = {}
     seen = set()
     out = []

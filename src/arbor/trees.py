@@ -23,7 +23,7 @@ class VertexClass(enum.Enum):
 
 
 class Graph:
-    """Finite simple graph on vertices 1..n.
+    """Finite simple graph on vertices 1..n, n >= 1.
 
     A graph keeps the form it was built from: sorted adjacency rows
     (``Graph(n, adj, edge_count)``) or an edge list as two aligned end
@@ -41,7 +41,7 @@ class Graph:
 
     @classmethod
     def from_ends(cls, n: int, us: Sequence[int], vs: Sequence[int], degrees: list | None = None) -> "Graph":
-        """Graph on 1..n whose edge i joins ``us[i]`` and ``vs[i]``, with
+        """Graph on 1..n, n >= 1, whose edge i joins ``us[i]`` and ``vs[i]``, with
         degree list ``degrees`` (index i holds deg of vertex i+1) if given.
         They are kept, not copied or checked, and must describe a simple
         graph."""
@@ -99,7 +99,7 @@ class Graph:
         elif name == "_degrees":
             value = list(map(len, self.adj[1:]))
         elif name == "_max_deg":
-            value = max(self._degrees, default=0)
+            value = max(self._degrees)
         else:
             raise AttributeError(name)
         setattr(self, name, value)
@@ -136,12 +136,7 @@ class Graph:
         i; every edge appears once, in no promised order or orientation."""
         return self._ends
 
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges())
-
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
         seen = bytearray(self.n + 1)
         stack = [1]
         seen[1] = 1
@@ -269,11 +264,13 @@ class InducedSubgraph:
 
 
 def induced_subtree(t: Graph, removed: Iterable[int]) -> InducedSubgraph:
-    """Delete ``removed`` and relabel the rest to 1..m (a forest in general)."""
+    """Delete ``removed``, not every vertex, and relabel the rest to 1..m (a forest in general)."""
     removed = set(removed)
     for v in removed:
         if not (1 <= v <= t.n):
             raise NotATree("bad-vertex-id", f"vertex {v}")
+    if len(removed) == t.n:
+        raise NotATree("bad-vertex-id", f"removing all {t.n} vertices leaves no graph")
     kept = [v for v in range(1, t.n + 1) if v not in removed]
     old_to_new = {v: i + 1 for i, v in enumerate(kept)}
     adj = [()]
@@ -348,8 +345,6 @@ def complete_forest_to_tree(f: Graph, degree_cap: int) -> Tree:
     ``join_forest``).  A cap below the forest's maximum degree raises
     ``CapInfeasible`` before a cycle raises ``NotATree("cycle")``.
     """
-    if f.n == 0:
-        raise PreconditionViolated("a forest with no vertices has no tree completion")
     if degree_cap < f.max_degree:
         raise CapInfeasible(f"cap {degree_cap} below forest max degree {f.max_degree}")
     adj = list(map(list, f.adj))
@@ -369,7 +364,8 @@ def parse_tree_text(text: str) -> Tree:
     ``empty`` (no line left), ``bad-header`` (the first line is not a
     vertex count of at least 1), ``bad-edge-line`` (an edge line without
     exactly two fields), ``not-an-integer`` (an edge or code token that is
-    not an integer), ``disconnected`` (fewer than n-1 edge lines), and the
+    not an integer), ``trailing-line`` (a line after the code line, which
+    must be the last), ``disconnected`` (fewer than n-1 edge lines), and the
     reasons of ``build_tree``.  A code line with an entry outside 1..n
     raises ``BadEntry``.
     """
@@ -385,6 +381,8 @@ def parse_tree_text(text: str) -> Tree:
         raise NotATree("bad-header", f"first line must be the vertex count, got {lines[0]!r}")
     body = lines[1:]
     if body and body[0].startswith("P:"):
+        if len(body) > 1:
+            raise NotATree("trailing-line", f"nothing may follow the code line, got {body[1]!r}")
         from .random_trees import prufer_decode
 
         try:

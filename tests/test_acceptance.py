@@ -236,7 +236,7 @@ def test_criterion_11_prufer_bijection_and_counts():
     for i in range(50_000):
         n = 2 + i % 39
         t = sample_labeled_tree(n, seed=9, trial=i)
-        if prufer_decode(prufer_encode(t), n).edge_set() != t.edge_set():
+        if set(prufer_decode(prufer_encode(t), n).edges()) != set(t.edges()):
             bad += 1
     counts_ok = all(sum(1 for _ in enumerate_labeled_trees(n)) == n ** (n - 2) for n in range(2, 9))
     ok = bad == 0 and counts_ok

@@ -27,7 +27,7 @@ from arbor.balance import (
 from arbor.colorings import KColoring
 from arbor.errors import HypothesisViolated, InternalInvariant, PartialColoring, PreconditionViolated, TooLarge
 from arbor.random_trees import enumerate_labeled_trees, enumerate_unlabeled_trees, sample_labeled_tree
-from arbor.trees import build_graph, build_tree, complete_graph, double_star, induced_subtree, path, star
+from arbor.trees import build_graph, build_tree, complete_graph, double_star, path, star
 
 
 def exact_by_enumeration(values):
@@ -216,7 +216,8 @@ class TestOnesTwos:
         for trial in range(40):
             t = sample_labeled_tree(200, seed=11, trial=trial)
             seq = DegreeSequence.from_graph(t)
-            if seq.ones_count >= seq.max_value and seq.twos_count >= seq.max_value:
+            m = max(seq.values)
+            if seq.values.count(1) >= m and seq.values.count(2) >= m:
                 assert ones_twos_partition(seq).diff <= 2
                 if trial % 10 == 0:  # spot-check against the exact optimum
                     f, _ = balance_exact(seq)
@@ -238,14 +239,6 @@ class TestGraphBalance:
     @pytest.mark.parametrize("p,q,expect", [(2, 5, True), (2, 6, False), (1, 4, True), (1, 5, False)])
     def test_double_stars(self, p, q, expect):
         assert (is_balanced_graph(double_star(p, q)) is not None) is expect
-
-    def test_no_vertices(self):
-        # induced_subtree makes a graph with no vertices; its empty coloring
-        # has no vertex and no edge in either class, as the oracle agrees
-        empty = induced_subtree(path(2), {1, 2}).graph
-        col = is_balanced_graph(empty)
-        assert col == KColoring(2, [0])
-        assert verify_balanced(empty, col).balanced and brute_force_balanced(empty)
 
     def test_verdict_depends_only_on_degrees(self):
         a = build_tree([(1, 2), (2, 3), (3, 4), (4, 5)], 5)
@@ -368,11 +361,6 @@ class TestKBalancedBrute:
     def test_guard(self):
         with pytest.raises(TooLarge):
             brute_force_k_balanced(path(20), 3)
-
-    def test_no_vertices(self):
-        empty = induced_subtree(path(2), {1, 2}).graph
-        w = brute_force_k_balanced(empty, 2)
-        assert w == KColoring(2, [0]) and w.tally(empty) == ((0, 0), (0, 0))
 
     def test_disconnected_against_enumeration(self):
         # two edges and an isolated vertex: the search starts at 1 and has to

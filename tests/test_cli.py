@@ -244,6 +244,7 @@ class TestCheckCommand:
             ("3\n1 2\n2\n", "bad-edge-line"),
             ("2\na b\n", "not-an-integer"),
             ("5\nP: 1 x 2\n", "not-an-integer"),
+            ("4\nP: 1 1\n2 3\nP: 2 2\n", "trailing-line"),
         ],
     )
     def test_malformed_text(self, capsys, tmp_path, text, reason):

@@ -32,7 +32,7 @@ from arbor.errors import (
     TooLarge,
 )
 from arbor.random_trees import enumerate_unlabeled_trees, sample_labeled_tree
-from arbor.trees import Tree, build_graph, build_tree, double_star, induced_subtree, parse_tree_text, path, pre_leaves, star
+from arbor.trees import Tree, build_graph, build_tree, double_star, parse_tree_text, path, pre_leaves, star
 from test_golden import crowded_tree, every_construction, planted_hub_tree
 
 
@@ -377,11 +377,6 @@ class TestBruteForceEquitable:
     def test_single_vertex(self):
         w = brute_force_equitable(Tree(1, ((), ()), 0), 5)
         assert w is not None and w.color(1) in range(1, 6)
-
-    def test_no_vertices(self):
-        empty = induced_subtree(path(2), {1, 2}).graph
-        w = brute_force_equitable(empty, 3)
-        assert w == KColoring(3, [0]) and w.tally(empty) == ((0, 0, 0), (0, 0, 0))
 
     def test_guard(self):
         with pytest.raises(TooLarge):

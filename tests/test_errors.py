@@ -10,7 +10,7 @@ from arbor.balance import (
 from arbor.equitable import brute_force_equitable, equitable_coloring, hub_pair_coloring
 from arbor.errors import ArborError, BadArgument, BadEntry, NotATree, PreconditionViolated
 from arbor.experiments import ExperimentConfig, run_equitable_fraction
-from arbor.random_trees import enumerate_labeled_trees, prufer_encode
+from arbor.random_trees import enumerate_labeled_trees, prufer_decode, prufer_encode
 from arbor.trees import (
     Graph,
     branch,
@@ -62,6 +62,8 @@ REFUSALS = {
     "classify-vertex-id": (lambda: classify_vertex(path(3), 4), NotATree, "bad-vertex-id"),
     "branch-vertex-id": (lambda: branch(path(3), 2, 0), NotATree, "bad-vertex-id"),
     "induced-subtree-vertex-id": (lambda: induced_subtree(path(3), {5}), NotATree, "bad-vertex-id"),
+    # no graph has no vertices, so removing every vertex is refused
+    "induced-subtree-every-vertex": (lambda: induced_subtree(path(2), {1, 2}), NotATree, "bad-vertex-id"),
     "path-order-not-a-path": (lambda: path_order(star(4)), PreconditionViolated, None),
     "forest-completion-cycle": (
         lambda: complete_forest_to_tree(build_graph([(1, 2), (2, 3), (1, 3)], 4), 3),
@@ -69,6 +71,7 @@ REFUSALS = {
         "cycle",
     ),
     "prufer-encode-one-vertex": (lambda: prufer_encode(build_tree([], 1)), BadEntry, None),
+    "prufer-decode-one-vertex": (lambda: prufer_decode([], 1), BadEntry, None),
     "enumerate-one-vertex": (lambda: next(enumerate_labeled_trees(1)), BadEntry, None),
     # hubs 1 and 2 of degree 3 >= 6/3; leaf 3 is not a pre-leaf, 1 and 2 are
     "hub-pair-p-not-pre-leaf": (lambda: hub_pair_coloring(double_star(2, 2), 1, 2, 3, 2), PreconditionViolated, None),

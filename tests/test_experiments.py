@@ -8,7 +8,6 @@ from arbor.colorings import KColoring
 from arbor.errors import InternalInvariant
 from arbor.experiments import (
     ExperimentConfig,
-    balanced_fraction_profile,
     max_degree_bands,
     run_balanced_fraction,
     run_degree_stats,
@@ -73,6 +72,9 @@ class TestWilson:
             assert lo <= s / t <= hi
             assert 0.0 <= lo <= hi <= 1.0
 
+    def test_no_trials_is_the_unit_interval(self):
+        assert wilson_interval(0, 0) == (0.0, 1.0)
+
     def test_narrower_with_more_trials(self):
         lo1, hi1 = wilson_interval(90, 100)
         lo2, hi2 = wilson_interval(9000, 10000)
@@ -97,7 +99,10 @@ class TestBalancedFraction:
         assert s.counts["failure"] >= 1  # ~18 stars expected among 4000
 
     def test_profile_reports(self):
-        prof = balanced_fraction_profile([10, 20], trials=50, seed=3)
+        prof = [
+            (n, run_balanced_fraction(ExperimentConfig(n=n, trials=50, seed=3)).fraction_success)
+            for n in (10, 20)
+        ]
         assert len(prof) == 2 and all(0 <= f <= 1 for _, f in prof)
 
 
@@ -131,6 +136,29 @@ class TestEquitableFraction:
         assert s.counts["hit_fail"] == 0
         assert s.counts["miss"] == 0  # n <= 12 always gets a brute verdict
         assert s.counts["miss_witness"] + s.counts["miss_none"] + s.counts["hit_ok"] == 300
+
+    def test_large_n_miss_has_no_brute_verdict(self):
+        # above n = 12 a tree with max degree over n/k is a plain miss
+        s = run_equitable_fraction(ExperimentConfig(n=20, trials=100, seed=4, k=5))
+        assert s.counts["miss"] >= 1 and s.counts["miss_witness"] == s.counts["miss_none"] == 0
+        assert s.counts["miss"] + s.counts["hit_ok"] == 100
+
+    def test_construction_error_is_a_hit_fail_with_dump(self, monkeypatch):
+        real = experiments_module.equitable_coloring
+        calls = []
+
+        def fail_second(t, k):
+            calls.append(t)
+            if len(calls) == 2:
+                raise InternalInvariant("planted failure")
+            return real(t, k)
+
+        monkeypatch.setattr(experiments_module, "equitable_coloring", fail_second)
+        s = run_equitable_fraction(ExperimentConfig(n=30, trials=10, seed=0, k=3))
+        assert s.counts["hit_fail"] == 1 and s.counts["hit_ok"] == 9 and s.fraction_success == 0.9
+        (dump,) = s.failure_examples
+        assert dump.endswith("# planted failure\n")
+        assert parse_tree_text(dump) == calls[1]
 
 
 class TestDegreeStats:
@@ -183,7 +211,10 @@ class TestGoldenNumbers:
     def test_monotonicity_soft_report(self):
         # reported, not asserted: the balanced fraction should creep upward
         # with n; at these sizes it is already saturated at 1.0
-        prof = balanced_fraction_profile([50, 100, 200], trials=400, seed=17)
+        prof = [
+            (n, run_balanced_fraction(ExperimentConfig(n=n, trials=400, seed=17)).fraction_success)
+            for n in (50, 100, 200)
+        ]
         print("balanced fraction profile:", prof)
         assert all(0.9 <= f <= 1.0 for _, f in prof)
 
