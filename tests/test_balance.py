@@ -25,9 +25,9 @@ from arbor.balance import (
     verify_balanced,
 )
 from arbor.colorings import KColoring
-from arbor.errors import HypothesisViolated, InternalInvariant, PartialColoring, PreconditionViolated, TooLarge
+from arbor.errors import HypothesisViolated, InternalInvariant, NotATree, PartialColoring, PreconditionViolated, TooLarge
 from arbor.random_trees import enumerate_labeled_trees, enumerate_unlabeled_trees, sample_labeled_tree
-from arbor.trees import build_graph, build_tree, complete_graph, double_star, path, star
+from arbor.trees import build_graph, build_tree, complete_graph, double_star, induced_subtree, path, star
 
 
 def exact_by_enumeration(values):
@@ -240,6 +240,16 @@ class TestGraphBalance:
     def test_double_stars(self, p, q, expect):
         assert (is_balanced_graph(double_star(p, q)) is not None) is expect
 
+    def test_no_vertices(self):
+        # no graph has no vertices; the fewest induced_subtree leaves is one,
+        # whose coloring is balanced, as the oracle agrees
+        with pytest.raises(NotATree, match="bad-vertex-id"):
+            induced_subtree(path(2), {1, 2})
+        lone = induced_subtree(path(2), {1}).graph
+        col = is_balanced_graph(lone)
+        assert lone.n == 1 and col is not None
+        assert verify_balanced(lone, col).balanced and brute_force_balanced(lone)
+
     def test_verdict_depends_only_on_degrees(self):
         a = build_tree([(1, 2), (2, 3), (3, 4), (4, 5)], 5)
         b = build_tree([(5, 4), (4, 3), (3, 2), (2, 1)], 5)
@@ -361,6 +371,14 @@ class TestKBalancedBrute:
     def test_guard(self):
         with pytest.raises(TooLarge):
             brute_force_k_balanced(path(20), 3)
+
+    def test_no_vertices(self):
+        # no graph has no vertices; the search on one vertex puts it in class 0
+        with pytest.raises(NotATree, match="bad-vertex-id"):
+            induced_subtree(path(2), {1, 2})
+        lone = induced_subtree(path(2), {1}).graph
+        w = brute_force_k_balanced(lone, 2)
+        assert w.class_sizes == (1, 0) and w.tally(lone) == ((1, 0), (0, 0))
 
     def test_disconnected_against_enumeration(self):
         # two edges and an isolated vertex: the search starts at 1 and has to

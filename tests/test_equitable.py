@@ -27,12 +27,23 @@ from arbor.errors import (
     IndependentSetNotFound,
     InternalInvariant,
     NoTwoPreLeaves,
+    NotATree,
     PartialColoring,
     PreconditionViolated,
     TooLarge,
 )
 from arbor.random_trees import enumerate_unlabeled_trees, sample_labeled_tree
-from arbor.trees import Tree, build_graph, build_tree, double_star, parse_tree_text, path, pre_leaves, star
+from arbor.trees import (
+    Tree,
+    build_graph,
+    build_tree,
+    double_star,
+    induced_subtree,
+    parse_tree_text,
+    path,
+    pre_leaves,
+    star,
+)
 from test_golden import crowded_tree, every_construction, planted_hub_tree
 
 
@@ -377,6 +388,14 @@ class TestBruteForceEquitable:
     def test_single_vertex(self):
         w = brute_force_equitable(Tree(1, ((), ()), 0), 5)
         assert w is not None and w.color(1) in range(1, 6)
+
+    def test_no_vertices(self):
+        # no graph has no vertices; the search on one vertex puts it in class 0
+        with pytest.raises(NotATree, match="bad-vertex-id"):
+            induced_subtree(path(2), {1, 2})
+        lone = induced_subtree(path(2), {1}).graph
+        w = brute_force_equitable(lone, 3)
+        assert w.class_sizes == (1, 0, 0) and w.tally(lone) == ((1, 0, 0), (0, 0, 0))
 
     def test_guard(self):
         with pytest.raises(TooLarge):

@@ -234,6 +234,14 @@ class TestForestCompletion:
         with pytest.raises(CapInfeasible):
             complete_forest_to_tree(star(4), 2)
 
+    def test_empty_forest_refused(self):
+        # the empty forest cannot be made; a one-vertex forest is its own tree
+        with pytest.raises(NotATree, match="bad-vertex-id"):
+            induced_subtree(path(2), {1, 2})
+        lone = induced_subtree(path(2), {1}).graph
+        out = complete_forest_to_tree(lone, 0)
+        assert type(out) is Tree and out == lone
+
     def test_cap_one_three_singletons(self):
         with pytest.raises(CapInfeasible):
             complete_forest_to_tree(build_graph([], 3), 1)
