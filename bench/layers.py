@@ -8,8 +8,7 @@ Run from the repository root:
 Rows (seconds per call; each call's input is made before the timing, so
 only the named layer is timed):
 
-- ``peel3``: ``_Machine(t.adj, t)`` (``_Machine(t)`` in a checkout whose
-  machine takes the tree alone) then ``run3(None)``, the k=3 peel and unwind,
+- ``peel3``: ``_Machine(t.adj, t)`` then ``run3(None)``, the k=3 peel and unwind,
   on one tree of each ``PEEL_SHAPES`` shape of ``tests/test_equitable.py``
   at n = 120, 2,000, 10^4 and 10^5.  The random shape takes trees of
   seeds 1, 2, ...; the others repeat their one tree.  A shape whose maximum
@@ -19,7 +18,9 @@ only the named layer is timed):
   the check.  Shape ``random`` builds each tree from its edge list, so its
   rows exist before the call; shape ``decoded`` (n = 120 only) decodes each
   tree from its Prüfer code before every repeat, untimed, so the call gets
-  it as ``run_equitable_fraction`` does, with no rows built yet.
+  it as ``run_equitable_fraction`` does, with no rows built yet.  Shape
+  ``path`` colors the path 1-2-...-n at k = 3 and 4 and n = 120, 2,000
+  and 10^5, a route that builds no peeling machine.
 - The balanced trial of ``run_balanced_fraction``, on random trees at
   n = 200, 10^3 and 10^4: ``prufer_decode`` (shape ``code``, the decode
   itself), and ``is_balanced_graph`` and ``verify_balanced`` (shape
@@ -62,6 +63,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PEEL_SIZES = (120, 2_000, 10_000, 100_000)
 REDUCE_KS = (4, 5, 6)
 REDUCE_SIZES = (120, 2_000)
+PATH_KS = (3, 4)
+PATH_SIZES = (120, 2_000, 100_000)
 BALANCE_SIZES = (200, 1_000, 10_000)
 SEQ_LENGTHS = (100, 400, 2_000)
 SEQ_RANGES = ((3, 39), (3, 8))
@@ -108,12 +111,11 @@ def machine() -> dict:
 
 
 def peel3(equitable):
-    """The ``peel3`` call of one side, for either constructor of its machine."""
+    """The ``peel3`` call of one side."""
     machine = equitable._Machine
-    rows_first = machine.__init__.__code__.co_argcount == 3  # self, adj, t
 
     def run(t):
-        m = machine(t.adj, t) if rows_first else machine(t)
+        m = machine(t.adj, t)
         m.run3(None)
         return m.col
 
@@ -142,6 +144,10 @@ def cases(shapes, sample_labeled_tree, prufer_encode):
     n = REDUCE_SIZES[0]
     for k in REDUCE_KS:
         yield "equitable", "decoded", n, k, [prufer_encode(t) for t in trees[n] if t.max_degree * k <= n]
+    for n in PATH_SIZES:
+        edges = [(i, i + 1) for i in range(1, n)]
+        for k in PATH_KS:
+            yield "equitable", "path", n, k, [edges] * max(1, WORK_PER_REPEAT // n)
     for n in BALANCE_SIZES:
         codes = [prufer_encode(sample_labeled_tree(n, seed)) for seed in range(1, WORK_PER_REPEAT // n + 1)]
         yield "prufer_decode", "code", n, None, codes

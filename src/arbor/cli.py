@@ -178,7 +178,7 @@ def _cmd_balance(args) -> int:
             raise BadArgument(f"--seq takes integers, got {args.seq!r}") from None
         seq = DegreeSequence(values)
     elif args.infile:
-        seq = DegreeSequence.from_graph(_read_tree(args.infile))
+        seq = _read_tree(args.infile).degree_sequence()  # a lone vertex has degree 0
     else:
         raise ArborError("balance needs --seq or --in")
     f, part = balance_exact(seq)

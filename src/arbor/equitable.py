@@ -161,31 +161,18 @@ def brute_force_equitable(t: Graph, k: int, limit: int = EQUITABLE_BRUTE_DEFAULT
 # Direct colorings of path-shaped trees.
 
 
-def _round_robin_colors(order: Sequence[int], k: int) -> dict:
-    return {v: (i % k) + 1 for i, v in enumerate(order)}
-
-
-def _path3_colors(order: Sequence[int], constraint: Optional[tuple]) -> dict:
-    """Equitable 3-coloring of a path; the two pre-leaves (second and
-    second-to-last vertices) get distinct colors when a constraint is given."""
+def _path_colors(order: Sequence[int], k: int, constraint: Optional[tuple] = None) -> list:
+    """Colors of an equitable k-coloring of a path, in the walk ``order``:
+    round robin, and at k = 3 the two pre-leaves (second and second-to-last
+    vertices) get distinct colors when a constraint is given."""
     L = len(order)
-    plain = _round_robin_colors(order, 3)
+    colors = [i % k + 1 for i in range(L)]
     if constraint is None or L < 4:
-        return plain
-    pos = {v: i for i, v in enumerate(order)}
-    a, b = constraint
-    if {pos[a], pos[b]} != {1, L - 2}:
+        return colors
+    if set(constraint) != {order[1], order[L - 2]}:
         raise InternalInvariant("path constraint endpoints are not its pre-leaves")
-    if (1 - (L - 2)) % 3 != 0:
-        return plain  # round robin already separates them
-    if L == 6:
-        pat = [1, 2, 3, 1, 3, 2]
-        return {v: pat[i] for i, v in enumerate(order)}
-    # L divisible by 3, L >= 9: round robin head, swapped tail of six
-    colors = {}
-    tail = [1, 3, 2, 1, 3, 2]
-    for i, v in enumerate(order):
-        colors[v] = (i % 3) + 1 if i < L - 6 else tail[i - (L - 6)]
+    if L % 3 == 0:  # otherwise round robin already separates them
+        colors[L - 6 :] = [1, 2, 3, 1, 3, 2] if L == 6 else [1, 3, 2, 1, 3, 2]  # a swapped tail of six
     return colors
 
 
@@ -442,22 +429,17 @@ class _Machine:
     def active_vertices(self) -> list:
         return [v for v, d in enumerate(self.deg) if d]  # deg[0] is 0
 
-    def _active_path_order(self) -> list:
-        order = [0, self._min_leaf()]
-        while len(order) <= self.n_act:  # the next vertex is xr of the last one XOR the one before
-            order.append(self.xr[order[-1]] ^ order[-2])
-        return order[1:]
-
     def _fail(self, message: str) -> InternalInvariant:
         return InternalInvariant(message, dump=format_tree_text(self.tree))
 
     # -- base colorings ----------------------------------------------------
 
-    def _commit(self, colors: dict) -> None:
+    def _commit(self, colors: Iterable[tuple]) -> None:  # (vertex, color) pairs
         col, sizes = self.col, self.sizes
-        for v, c in colors.items():
+        for v, c in colors:
             col[v] = c
             sizes[c] += 1
+
     def _base_search(self, constraints: Sequence[tuple]) -> None:
         vertices = self.active_vertices()
         targets = balanced_targets(self.n_act, 3)
@@ -465,12 +447,15 @@ class _Machine:
         if colors is None:
             raise self._fail("exhaustive base search found no equitable coloring")
         self.trace.append("direct:search")
-        self._commit(colors)
+        self._commit(colors.items())
 
     def _base_path(self, pair: Optional[tuple]) -> None:
-        order = self._active_path_order()
+        order = [0, self._min_leaf()]
+        while len(order) <= self.n_act:  # the next vertex is xr of the last one XOR the one before
+            order.append(self.xr[order[-1]] ^ order[-2])
+        del order[0]
         self.trace.append("direct:path")
-        self._commit(_path3_colors(order, pair))
+        self._commit(zip(order, _path_colors(order, 3, pair)))
 
     # -- the two-hub construction (two vertices of degree >= n/3 get
     # distinct colors, two pre-leaves get distinct colors) -----------------
@@ -586,7 +571,7 @@ class _Machine:
             if not final:
                 raise self._fail("spine coloring infeasible")
         self.trace.append("direct:spine")
-        self._commit(final)
+        self._commit(final.items())
 
     # -- top-level three-coloring flow --------------------------------------
 
@@ -598,7 +583,8 @@ class _Machine:
         deg, xr, nleaf, leaves_at, pre_heap = self.deg, self.xr, self.nleaf, self.leaves_at, self.pre_heap
         by_degree, src, delete = self.by_degree, self.adj, self.delete_leaves
         record, note = self.records.append, self.trace.append
-        done = any(self._peel_one(pair) for _ in range(self.n_act % 3))
+        # a path (two leaves: a vertex of degree >= 3 makes three) goes to _base_path as it is
+        done = self.leaves != 2 and any(self._peel_one(pair) for _ in range(self.n_act % 3))
         while not done:
             n = self.n_act
             if self.leaves == 2:  # no vertex of degree >= 3
@@ -851,15 +837,22 @@ def _certify(t: Graph, col: list, k: int, trace: Iterable[str], apart: Iterable[
     return cert
 
 
-def _three_colors(adj: Sequence[Sequence[int]], t: Graph, is_path: bool, constraint: Optional[tuple] = None) -> tuple:
+def _three_colors(adj: Sequence[Sequence[int]], t: Graph, constraint: Optional[tuple] = None) -> tuple:
     """Color list of an equitable 3-coloring of the tree (two or more vertices)
-    that the ascending rows ``adj`` span, a path iff ``is_path``, and its trace, unverified."""
+    that the ascending rows ``adj`` span, and its trace, unverified."""
     m = _Machine(adj, t)
-    if is_path:
-        m._base_path(constraint)
-    else:
-        m.run3(constraint)
+    m.run3(constraint)
     return m.col, tuple(m.trace)
+
+
+def _path_certificate(t: Graph, k: int, constraint: Optional[tuple] = None) -> EquitableCertificate:
+    """Verified round-robin k-coloring of a path-shaped tree (two or more
+    vertices), which at k = 3 separates the pre-leaf pair ``constraint``."""
+    order = path_order(t)
+    col = [0] * (t.n + 1)
+    for v, c in zip(order, _path_colors(order, k, constraint)):
+        col[v] = c
+    return _certify(t, col, k, ("direct:path",), () if constraint is None else (constraint,))
 
 
 def equitable_three(t: Tree, constraint: Optional[tuple] = None) -> EquitableCertificate:
@@ -869,7 +862,7 @@ def equitable_three(t: Tree, constraint: Optional[tuple] = None) -> EquitableCer
     coloring additionally separates p and q.
     """
     n = t.n
-    if n >= 2 and t.max_degree * 3 > n:
+    if t.max_degree * 3 > n:
         raise DegreeTooHigh(f"max degree {t.max_degree} exceeds n/3 = {n / 3:.2f}")
     if constraint is not None:
         p, q = constraint
@@ -877,7 +870,9 @@ def equitable_three(t: Tree, constraint: Optional[tuple] = None) -> EquitableCer
             raise NoTwoPreLeaves(f"({p}, {q}) is not a pair of distinct pre-leaf vertices")
     if n == 1:
         return _certify(t, [0, 1], 3, ("direct:trivial",))
-    col, trace = _three_colors(t.adj, t, is_path_graph(t), constraint)
+    if is_path_graph(t):
+        return _path_certificate(t, 3, constraint)
+    col, trace = _three_colors(t.adj, t, constraint)
     return _certify(t, col, 3, trace, () if constraint is None else (constraint,))
 
 
@@ -943,15 +938,14 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
     if k < 3:
         raise BadArgument("k must be at least 3")
     n = t.n
-    if n >= 2 and t.max_degree * k > n:
+    if t.max_degree * k > n:
         raise DegreeTooHigh(f"max degree {t.max_degree} exceeds n/k = {n / k:.2f}")
     if n == 1:
         return _certify(t, [0, 1], k, ("direct:trivial",))
     if k == 3:
         return equitable_three(t)
     if is_path_graph(t):
-        colors = _round_robin_colors(path_order(t), k)
-        return _certify(t, [0, *map(colors.__getitem__, range(1, n + 1))], k, ("direct:path",))
+        return _path_certificate(t, k)
     trace: list = []
     col = [0] * (n + 1)  # nonzero exactly at the shed vertices
     adj: list = [[] for _ in range(n + 1)]
@@ -970,5 +964,5 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
         trace.append(f"reduce:k{k_level}")
     for v in kept:
         adj[v].sort()
-    col3, trace3 = _three_colors(adj, t, top <= 2)
+    col3, trace3 = _three_colors(adj, t)
     return _certify(t, list(map(or_, col, col3)), k, (*trace, *trace3))  # col3 is 0 at the shed vertices

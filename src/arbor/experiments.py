@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -99,6 +98,7 @@ def _map_trials(fn: Callable, args: Sequence, workers: int):
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor  # here, so that importing arbor loads no multiprocessing
     chunk = max(1, len(args) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, args, chunksize=chunk))

@@ -44,6 +44,17 @@ class TestBalanceCommand:
         assert code == 0
         assert json.loads(out)["balanced"] is True
 
+    def test_one_vertex_tree_file(self, capsys, tmp_path):
+        # a lone vertex has degree 0: a tree file may hold one, a --seq value may not
+        f = tmp_path / "t.tree"
+        f.write_text("1\n")
+        code, out, _ = run(capsys, "balance", "--in", str(f))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["F"], payload["partition_I"], payload["partition_J"], payload["balanced"]) == (0, [], [1], True)
+        code, out, err = run(capsys, "balance", "--seq", "0")
+        assert code == 2 and out == "" and err == "error: values must be positive\n"
+
     def test_missing_args(self, capsys):
         code, _, err = run(capsys, "balance")
         assert code == 2 and "error" in err

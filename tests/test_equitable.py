@@ -13,6 +13,7 @@ from arbor.colorings import KColoring
 from arbor.equitable import (
     _bundle_split,
     _independent_low_degree,
+    _path_colors,
     _search_colors,
     _skeleton_colors,
     balanced_targets,
@@ -149,6 +150,24 @@ class TestPeelingGuards:
         t = first_route_tree("ext:pendant")
         monkeypatch.setattr(equitable_module._Machine, "_min_leaf", lambda m, nbr_not_in=(): None)
         self.assert_guard(t, "no leaf clear of the pendant pre-leaf and its neighbor")
+
+    def test_fewer_than_two_pre_leaves(self, monkeypatch):
+        t = sample_labeled_tree(32, 1)  # n = 2 (mod 3): two opening peels, then a level that picks a pair
+        assert t.max_degree * 3 <= t.n and t.max_degree > 2
+        peel_one = equitable_module._Machine._peel_one
+
+        def emptied(m, pair):
+            colored = peel_one(m, pair)
+            m.pre_heap.clear()
+            return colored
+
+        monkeypatch.setattr(equitable_module._Machine, "_peel_one", emptied)
+        self.assert_guard(t, "fewer than two pre-leaves at an inner level")
+
+    def test_no_leaf_to_peel(self, monkeypatch):
+        t = sample_labeled_tree(32, 1)
+        monkeypatch.setattr(equitable_module._Machine, "_min_leaf", lambda m, nbr_not_in=(): None)
+        self.assert_guard(t, "no leaf available to peel")
 
     def test_unknown_record(self, monkeypatch):
         commit = equitable_module._Machine._commit
@@ -375,6 +394,95 @@ class TestEquitableK:
             q, r = divmod(n, k)
             sizes = sorted(equitable_coloring(t, k).coloring.class_sizes, reverse=True)
             assert sizes == [q + 1] * r + [q] * (k - r)
+
+
+def reference_round_robin(order, k):
+    """The round-robin path colorer that ``_path_colors`` replaced."""
+    return {v: (i % k) + 1 for i, v in enumerate(order)}
+
+
+def reference_path3(order, constraint):
+    """The constrained 3-coloring of a path that ``_path_colors`` replaced."""
+    L = len(order)
+    plain = reference_round_robin(order, 3)
+    if constraint is None or L < 4:
+        return plain
+    if (1 - (L - 2)) % 3 != 0:
+        return plain
+    if L == 6:
+        pat = [1, 2, 3, 1, 3, 2]
+        return {v: pat[i] for i, v in enumerate(order)}
+    tail = [1, 3, 2, 1, 3, 2]
+    return {v: (i % 3) + 1 if i < L - 6 else tail[i - (L - 6)] for i, v in enumerate(order)}
+
+
+def shuffled_path(n, seed):
+    """A path whose walk visits the ids 1..n in a seeded order."""
+    walk = random.Random(seed).sample(range(1, n + 1), n)
+    return build_tree(list(zip(walk, walk[1:])), n)
+
+
+class TestPathRoute:
+    """Every path is colored by ``_path_colors``, and a path-shaped input
+    builds no peeling machine."""
+
+    def test_path_colors_match_the_old_colorers(self):
+        for L in range(1, 41):
+            order = random.Random(L).sample(range(1, 2 * L + 1), L)
+            for k in range(3, 9):
+                assert _path_colors(order, k) == [reference_round_robin(order, k)[v] for v in order]
+            if L >= 2:
+                for pair in ((order[1], order[L - 2]), (order[L - 2], order[1])):
+                    assert _path_colors(order, 3, pair) == [reference_path3(order, pair)[v] for v in order]
+
+    def test_path_colors_guard(self):
+        order = [5, 3, 9, 1, 7, 2, 8, 4, 6]
+        for pair in ((5, 4), (3, 6), (3, 3), (9, 8), (3, 10)):
+            with pytest.raises(InternalInvariant, match="path constraint endpoints are not its pre-leaves"):
+                _path_colors(order, 3, pair)
+
+    def test_no_machine_for_a_path(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a path-shaped tree built a peeling machine")
+
+        monkeypatch.setattr(equitable_module, "_Machine", refused)
+        for n in range(6, 31):  # max degree 2 <= n/3
+            t = shuffled_path(n, n)
+            cert = equitable_three(t)
+            assert cert.trace == ("direct:path",)
+            assert_good(t, cert, 3)
+            pair = tuple(t.adj[v][0] for v in range(1, n + 1) if t.degree(v) == 1)
+            cert = equitable_three(t, pair)
+            assert cert.trace == ("direct:path",)
+            assert_good(t, cert, 3, constraint=pair)
+            for k in range(4, n // 2 + 1):
+                cert = equitable_coloring(t, k)
+                assert cert.trace == ("direct:path",)
+                assert_good(t, cert, k)
+
+    def test_reduction_to_a_path_peels_nothing(self, monkeypatch):
+        # a k>=4 reduction that leaves a path, of any length mod 3, goes
+        # straight to the path coloring, with no single-leaf peel first
+        three = equitable_module._three_colors
+        lengths = []  # of the path left, or None for another tree
+
+        def colored(adj, tree, constraint=None):
+            kept = sum(1 for row in adj if row)
+            lengths.append(kept if max(map(len, adj)) <= 2 else None)
+            return three(adj, tree, constraint)
+
+        monkeypatch.setattr(equitable_module, "_three_colors", colored)
+        seen = set()
+        for n in range(8, 15):
+            for t in enumerate_unlabeled_trees(n):
+                for k in range(4, 7):
+                    if t.max_degree <= 2 or t.max_degree * k > n:
+                        continue
+                    cert = equitable_coloring(t, k)
+                    if lengths[-1] is not None:
+                        assert cert.trace == (*(f"reduce:k{j}" for j in range(k, 3, -1)), "direct:path")
+                        seen.add(lengths[-1] % 3)
+        assert seen == {0, 1, 2}
 
 
 class TestBruteForceEquitable:
@@ -678,14 +786,14 @@ def observed_reduction(monkeypatch, t, k):
         assert top == max(2, *map(len, map(adj.__getitem__, vertices)))
         return top
 
-    def colored(adj, tree, is_path, constraint=None):
-        assert tree is t
+    def colored(adj, tree, constraint=None):
+        assert tree is t and constraint is None
         gone = {x for picks, _ in layers for x in picks}
         assert all(not adj[x] for x in gone)  # a shed vertex is gone from the tree the machine peels
         kept = [v for v in range(1, t.n + 1) if v not in gone]
         new_id = {v: i for i, v in enumerate(kept, 1)}
         rows.append(((),) + tuple(tuple(new_id[w] for w in adj[v]) for v in kept))  # relabeled 1..m, order kept
-        return three(adj, tree, is_path, constraint)
+        return three(adj, tree, constraint)
 
     with monkeypatch.context() as patch:
         patch.setattr(equitable_module, "_independent_low_degree", shed)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -53,7 +54,7 @@ class TestWorkerCap:
             def map(self, fn, args, chunksize=1):
                 return map(fn, args)
 
-        monkeypatch.setattr(experiments_module, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         return sizes
 
     @pytest.mark.parametrize("cores,workers,expected", [(4, 100_000, [4]), (4, 3, [3]), (1, 100_000, []), (None, 8, [])])
