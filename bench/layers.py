@@ -8,11 +8,19 @@ Run from the repository root:
 Rows (seconds per call; each call's input is made before the timing, so
 only the named layer is timed):
 
-- ``peel3``: ``_Machine(t.adj, t)`` then ``run3(None)``, the k=3 peel and unwind,
+- ``peel3``: a ``_Machine`` then ``run3(None)``, the k=3 peel and unwind,
   on one tree of each ``PEEL_SHAPES`` shape of ``tests/test_equitable.py``
   at n = 120, 2,000, 10^4 and 10^5.  The random shape takes trees of
   seeds 1, 2, ...; the others repeat their one tree.  A shape whose maximum
-  degree exceeds n/3 at some n has no row there.
+  degree exceeds n/3 at some n has no row there.  A side with
+  ``_source_lists`` builds its machine from the tree's degree and XOR
+  lists, an older side from the tree's rows.
+- ``machine``: that set-up alone, on random trees at n = 2,000, 10^4 and
+  10^5 decoded before every repeat, untimed, so the rows an older side
+  reads are built in the timed call, as in a coloring of a decoded tree.
+- ``parse_tree_text`` on the text of random trees at n = 2,000, 10^4 and
+  10^5: shape ``edges``, the edge lines shuffled and each flipped with
+  probability 1/2; shape ``code``, a ``P:`` code line.
 - ``equitable``: ``equitable_coloring(t, k)`` for k = 4, 5 and 6 on random
   trees at n = 120 and 2,000: the k>=4 reduction plus the 3-coloring and
   the check.  Shape ``random`` builds each tree from its edge list, so its
@@ -61,6 +69,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PEEL_SIZES = (120, 2_000, 10_000, 100_000)
+SETUP_SIZES = (2_000, 10_000, 100_000)
 REDUCE_KS = (4, 5, 6)
 REDUCE_SIZES = (120, 2_000)
 PATH_KS = (3, 4)
@@ -110,22 +119,38 @@ def machine() -> dict:
     }
 
 
+def machine_maker(equitable):
+    """One side's k=3 machine of a tree: from its degree and XOR lists, or,
+    on a side without ``_source_lists``, from its rows."""
+    machine = equitable._Machine
+    lists = getattr(equitable, "_source_lists", None)
+    if lists is None:
+        return lambda t: machine(t.adj, t)
+    return lambda t: machine(t, *lists(t))
+
+
 def peel3(equitable):
     """The ``peel3`` call of one side."""
-    machine = equitable._Machine
+    make = machine_maker(equitable)
 
     def run(t):
-        m = machine(t.adj, t)
+        m = make(t)
         m.run3(None)
         return m.col
 
     return run
 
 
+def machine_state(m) -> tuple:
+    """What two sides' fresh machines must agree on."""
+    return m.deg, m.xr, m.nleaf, m.leaf_heap, m.pre_heap, m.n_act, m.leaves
+
+
 def cases(shapes, sample_labeled_tree, prufer_encode):
     """(layer, shape, n, k, items) for every row: the edge list of each
     call's tree, one list object per distinct tree, its Prüfer code (shapes
-    ``decoded`` and ``code``), or its value sequence (``balance_exact``)."""
+    ``decoded`` and ``code``), its text (``parse_tree_text``), or its value
+    sequence (``balance_exact``)."""
     for n in PEEL_SIZES:
         calls = max(1, WORK_PER_REPEAT // n)
         for shape in sorted(shapes):
@@ -137,6 +162,17 @@ def cases(shapes, sample_labeled_tree, prufer_encode):
                 continue
             edges = [list(t.edges()) for t in trees]
             yield "peel3", shape, n, 3, edges if shape == "random" else edges * calls
+    for n in SETUP_SIZES:
+        made = [sample_labeled_tree(n, seed) for seed in range(1, max(1, WORK_PER_REPEAT // n) + 1)]
+        yield "machine", "decoded", n, 3, [prufer_encode(t) for t in made]
+        rng = random.Random(n)
+        texts = []
+        for t in made:
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges()]
+            rng.shuffle(edges)
+            texts.append(f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        yield "parse_tree_text", "edges", n, None, texts
+        yield "parse_tree_text", "code", n, None, [f"{n}\nP: " + " ".join(map(str, prufer_encode(t))) + "\n" for t in made]
     trees = {n: [sample_labeled_tree(n, seed) for seed in range(1, WORK_PER_REPEAT // n + 1)] for n in REDUCE_SIZES}
     for n in REDUCE_SIZES:
         for k in REDUCE_KS:
@@ -181,6 +217,8 @@ def layer_call(modules, layer: str, shape: str, n: int, k: int, items: list):
         return (lambda: items), (lambda code: random_trees.prufer_decode(code, n)), (lambda t: sorted(t.edges()))
     if layer == "balance_exact":
         return (lambda: items), balance.balance_exact, (lambda result: (result[0], result[1].I))
+    if layer == "parse_tree_text":
+        return (lambda: items), trees.parse_tree_text, (lambda t: (sorted(t.edges()), t.degree_sequence()))
     make = tree_maker(trees, random_trees, shape, n, items)
     if layer == "is_balanced_graph":
         return make, balance.is_balanced_graph, (lambda coloring: None if coloring is None else coloring.col)
@@ -192,6 +230,8 @@ def layer_call(modules, layer: str, shape: str, n: int, k: int, items: list):
         return colored, (lambda pair: balance.verify_balanced(*pair)), dataclasses.astuple
     if layer == "peel3":
         return make, peel3(equitable), list
+    if layer == "machine":
+        return make, machine_maker(equitable), machine_state
     return make, (lambda t: equitable.equitable_coloring(t, k)), (lambda cert: cert.coloring.col)
 
 

@@ -39,6 +39,7 @@ from .errors import (
 from .trees import (
     Graph,
     Tree,
+    _neighbor_xors,
     format_tree_text,
     is_path_graph,
     is_pre_leaf,
@@ -295,16 +296,19 @@ def _skeleton_colors(
 
 
 # ---------------------------------------------------------------------------
-# The peeling machine, on the source tree that the ascending rows ``adj``
-# span; a failure dumps ``tree``, the caller's input.  It only deletes leaves,
-# and an edge goes only with one of its ends, so the active tree is the source
-# tree on the vertices of active degree ``deg > 0`` (a vertex that the k >= 4
-# reduction shed has none), and a full row is a source row filtered by it.
-# Per vertex it keeps ``deg``, the XOR ``xr`` of the active neighbors (a
-# leaf's neighbor is ``xr[w]``), the count ``nleaf`` of leaf neighbors and a
-# lazy min-heap ``leaves_at`` of them; besides, a leaf count and lazy
-# min-heaps of leaves and pre-leaves.  A pre-leaf stays one until it is a
-# leaf, so it is pushed once, on becoming one.  A vertex that the special
+# The peeling machine, on a source tree given by its degree list ``deg`` and
+# the XOR ``xr`` of each vertex's neighbors; a failure dumps ``tree``, the
+# caller's input.  It only deletes leaves, and an edge goes only with one of
+# its ends, so the active tree is the source tree on the vertices of active
+# degree ``deg > 0`` (a vertex that the k >= 4 reduction shed has none), and
+# a full row is a source row filtered by it.  The common routes read no row:
+# a leaf's neighbor is ``xr[w]``.  The rare ones (the special heap, the spine
+# and the hub peel) read the ascending source rows ``adj``: ``rows`` if
+# given, else the tree's own, derived on first read.  Per vertex it keeps
+# ``deg``, ``xr`` of the active neighbors, the count ``nleaf`` of leaf
+# neighbors and a lazy min-heap ``leaves_at`` of them; besides, a leaf count
+# and lazy min-heaps of leaves and pre-leaves.  A pre-leaf stays one until it
+# is a leaf, so it is pushed once, on becoming one.  A vertex that the special
 # case has met as the maximal-degree vertex v0 also gets a lazy min-heap in
 # ``special_at`` of its special neighbors (degree two with a leaf).  A vertex
 # stays special until it is a leaf, so it enters a neighbor's heap once.
@@ -335,15 +339,13 @@ class _Machine:
         "trace",
         "col",
         "sizes",
-        "adj",
+        "rows",
         "tree",
     )
 
-    def __init__(self, adj: Sequence[Sequence[int]], t: Graph):
-        n = len(adj) - 1
-        self.adj, self.tree = adj, t
-        self.deg = deg = [len(row) for row in adj]
-        self.xr = xr = [reduce(xor, row, 0) for row in adj]
+    def __init__(self, t: Graph, deg: list, xr: list, rows: Optional[Sequence[Sequence[int]]] = None):
+        n = len(deg) - 1
+        self.tree, self.deg, self.xr, self.rows = t, deg, xr, rows
         self.nleaf = nleaf = [0] * (n + 1)
         self.leaf_heap = [v for v in range(1, n + 1) if deg[v] == 1]  # ascending, so already a heap
         self.leaves_at = [[] for _ in range(n + 1)]
@@ -354,13 +356,19 @@ class _Machine:
         self.leaves = len(self.leaf_heap)
         self.pre_heap = [v for v in range(1, n + 1) if deg[v] >= 2 and nleaf[v] >= deg[v] - 1]
         self.special_at: dict = {}
-        # run3's level loop, its one reader, runs at n_act >= 12, n_act = 0 (mod 3), so at
-        # k = n_act // 3 >= 4, and stops at the first vertex of source degree < k
-        self.by_degree = sorted([v for v in range(1, n + 1) if deg[v] >= 4], key=deg.__getitem__, reverse=True)
+        # (source degree, vertex), descending: run3's level loop, its one reader, runs at
+        # n_act >= 12, n_act = 0 (mod 3), so at k = n_act // 3 >= 4, and stops at the first
+        # vertex of source degree < k
+        self.by_degree = sorted([(d, v) for v, d in enumerate(deg) if d >= 4], reverse=True)
         self.records: list = []
         self.trace: list = []
         self.col = [0] * (n + 1)
         self.sizes = [0, 0, 0, 0]
+
+    @property
+    def adj(self) -> Sequence[Sequence[int]]:
+        """The ascending source rows, read only on the rare routes."""
+        return self.tree.adj if self.rows is None else self.rows
 
     # -- incremental maintenance ------------------------------------------
 
@@ -441,9 +449,26 @@ class _Machine:
             sizes[c] += 1
 
     def _base_search(self, constraints: Sequence[tuple]) -> None:
+        """Search the active tree, at most 12 vertices, whose ascending rows
+        are rebuilt from ``deg`` and ``xr`` by peeling its leaves."""
         vertices = self.active_vertices()
+        deg = {v: self.deg[v] for v in vertices}
+        xr = {v: self.xr[v] for v in vertices}
+        rows: dict = {v: [] for v in vertices}
+        stack = [v for v in vertices if deg[v] == 1]
+        for _ in range(len(vertices) - 1):  # one edge a peeled leaf
+            w = stack.pop()
+            z = xr[w]
+            rows[w].append(z)
+            rows[z].append(w)
+            deg[z] -= 1
+            xr[z] ^= w
+            if deg[z] == 1:
+                stack.append(z)
+        for row in rows.values():
+            row.sort()
         targets = balanced_targets(self.n_act, 3)
-        colors = _search_colors(vertices, self.adj, 3, targets, constraints)
+        colors = _search_colors(vertices, rows, 3, targets, constraints)
         if colors is None:
             raise self._fail("exhaustive base search found no equitable coloring")
         self.trace.append("direct:search")
@@ -581,7 +606,7 @@ class _Machine:
         when it is None; a pendant level hands the next one None."""
         heappush, heappop = heapq.heappush, heapq.heappop  # read per call, so a patched heapq sees them
         deg, xr, nleaf, leaves_at, pre_heap = self.deg, self.xr, self.nleaf, self.leaves_at, self.pre_heap
-        by_degree, src, delete = self.by_degree, self.adj, self.delete_leaves
+        by_degree, delete = self.by_degree, self.delete_leaves
         record, note = self.records.append, self.trace.append
         # a path (two leaves: a vertex of degree >= 3 makes three) goes to _base_path as it is
         done = self.leaves != 2 and any(self._peel_one(pair) for _ in range(self.n_act % 3))
@@ -613,8 +638,8 @@ class _Machine:
             # the two smallest vertices of degree k, among those of source degree >= k
             k = n // 3
             h1 = h2 = 0
-            for x in by_degree:
-                if len(src[x]) < k:
+            for d, x in by_degree:
+                if d < k:
                     break
                 if deg[x] == k:
                     if not h1 or x < h1:
@@ -837,10 +862,15 @@ def _certify(t: Graph, col: list, k: int, trace: Iterable[str], apart: Iterable[
     return cert
 
 
-def _three_colors(adj: Sequence[Sequence[int]], t: Graph, constraint: Optional[tuple] = None) -> tuple:
+def _source_lists(t: Graph) -> tuple:
+    """The degree list and the neighbor-XOR list of t, indexed by vertex."""
+    return [0, *t._degrees], _neighbor_xors(t)
+
+
+def _three_colors(t: Graph, deg: list, xr: list, rows=None, constraint: Optional[tuple] = None) -> tuple:
     """Color list of an equitable 3-coloring of the tree (two or more vertices)
-    that the ascending rows ``adj`` span, and its trace, unverified."""
-    m = _Machine(adj, t)
+    given to ``_Machine``, and its trace, unverified."""
+    m = _Machine(t, deg, xr, rows)
     m.run3(constraint)
     return m.col, tuple(m.trace)
 
@@ -872,7 +902,7 @@ def equitable_three(t: Tree, constraint: Optional[tuple] = None) -> EquitableCer
         return _certify(t, [0, 1], 3, ("direct:trivial",))
     if is_path_graph(t):
         return _path_certificate(t, 3, constraint)
-    col, trace = _three_colors(t.adj, t, constraint)
+    col, trace = _three_colors(t, *_source_lists(t), constraint=constraint)
     return _certify(t, col, 3, trace, () if constraint is None else (constraint,))
 
 
@@ -886,7 +916,7 @@ def hub_pair_coloring(t: Tree, u: int, v: int, p: int, q: int) -> EquitableCerti
         raise PreconditionViolated("both designated vertices need degree at least n/3")
     if p == q or not (1 <= p <= n and 1 <= q <= n) or not (is_pre_leaf(t, p) and is_pre_leaf(t, q)):
         raise PreconditionViolated("p and q must be distinct pre-leaf vertices")
-    m = _Machine(t.adj, t)
+    m = _Machine(t, *_source_lists(t))
     m.lemma_run(u, v, p, q)
     m._unwind()
     return _certify(t, m.col, 3, tuple(m.trace), ((u, v), (p, q)))
@@ -962,7 +992,12 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
         if top * (k_level - 1) > len(kept):
             raise InternalInvariant("degree cap lost during forest completion", dump=format_tree_text(t))
         trace.append(f"reduce:k{k_level}")
+    deg = [0] * (n + 1)
+    xr = [0] * (n + 1)
     for v in kept:
-        adj[v].sort()
-    col3, trace3 = _three_colors(adj, t)
+        row = adj[v]
+        row.sort()
+        deg[v] = len(row)
+        xr[v] = reduce(xor, row, 0)
+    col3, trace3 = _three_colors(t, deg, xr, adj)
     return _certify(t, list(map(or_, col, col3)), k, (*trace, *trace3))  # col3 is 0 at the shed vertices

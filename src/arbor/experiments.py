@@ -123,8 +123,8 @@ def _equitable_trial(args: tuple) -> tuple:
     n, k, seed, trial = args
     t = prufer_decode(trial_code(n, seed, trial), n)
     if t.max_degree * k > n:
-        if n <= 12:
-            witness = brute_force_equitable(t, k)
+        if n <= 12:  # this gate, not k^n, bounds the pruned search
+            witness = brute_force_equitable(t, k, limit=k**n)
             return ("miss_witness" if witness is not None else "miss_none", None)
         return ("miss", None)
     try:

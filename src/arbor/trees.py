@@ -136,20 +136,6 @@ class Graph:
         i; every edge appears once, in no promised order or orientation."""
         return self._ends
 
-    def is_connected(self) -> bool:
-        seen = bytearray(self.n + 1)
-        stack = [1]
-        seen[1] = 1
-        found = 1
-        while stack:
-            u = stack.pop()
-            for w in self.adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    found += 1
-                    stack.append(w)
-        return found == self.n
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -174,13 +160,60 @@ def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
 
 
 def build_tree(edges: Iterable[tuple[int, int]], n: int) -> Tree:
-    """Validated tree; rejects cyclic, disconnected, or non-simple input."""
-    g = Tree.from_edges(edges, n)
-    if g.edge_count > n - 1:
-        raise NotATree("cycle", f"{g.edge_count} edges on {n} vertices")
-    if g.edge_count < n - 1 or not g.is_connected():
-        raise NotATree("disconnected", f"{g.edge_count} edges on {n} vertices")
-    return g
+    """Validated tree; rejects cyclic, disconnected, or non-simple input.
+
+    One pass in file order checks each edge's ids, then its ends, then
+    joins them in a union-find with path halving (Tarjan, J. ACM 1975), so
+    the first offending edge is the one reported, with its first fault, as
+    ``Graph.from_edges`` reports it.  Only two ends already joined can
+    repeat an edge: the first time that happens a set of the earlier edges
+    is built to tell a duplicate from a cycle.  With every edge simple,
+    more than n - 1 edges is a cycle, and fewer, or a cycle among them, is
+    a disconnected graph.  The tree keeps the edge list and the degrees;
+    no adjacency row is built.
+    """
+    if n < 1:
+        raise NotATree("bad-vertex-id", f"n={n}")
+    root = list(range(n + 1))
+    deg = [0] * (n + 1)
+    us: list = []
+    vs: list = []
+    pairs = None  # the earlier edges as (min, max), once two ends were joined already
+    closed = False  # some edge closed a cycle
+    for u, v in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise NotATree("bad-vertex-id", f"edge ({u},{v}) outside 1..{n}")
+        if u == v:
+            raise NotATree("self-loop", f"vertex {u}")
+        a = u
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        b = v
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            root[a] = b
+            if pairs is not None:
+                pairs.add((u, v) if u < v else (v, u))
+        else:
+            if pairs is None:
+                pairs = {(x, y) if x < y else (y, x) for x, y in zip(us, vs)}
+            key = (u, v) if u < v else (v, u)
+            if key in pairs:
+                raise NotATree("duplicate-edge", f"edge ({u},{v})")
+            pairs.add(key)
+            closed = True
+        deg[u] += 1
+        deg[v] += 1
+        us.append(u)
+        vs.append(v)
+    m = len(us)
+    if m > n - 1:
+        raise NotATree("cycle", f"{m} edges on {n} vertices")
+    if m < n - 1 or closed:
+        raise NotATree("disconnected", f"{m} edges on {n} vertices")
+    del deg[0]
+    return Tree.from_ends(n, us, vs, deg)
 
 
 def classify_vertex(t: Graph, v: int) -> VertexClass:
@@ -235,20 +268,34 @@ def is_path_graph(t: Graph) -> bool:
     return t.max_degree <= 2
 
 
+def _neighbor_xors(g: Graph) -> list:
+    """The XOR of each vertex's neighbors, indexed by vertex, from g's edge
+    list: a leaf's neighbor, read without a row."""
+    xr = [0] * (g.n + 1)
+    for u, v in zip(*g.edge_ends()):
+        xr[u] ^= v
+        xr[v] ^= u
+    return xr
+
+
 def path_order(t: Graph) -> list[int]:
-    """Vertices of a path-shaped tree in order, starting at the smaller end."""
-    if t.n == 1:
+    """Vertices of a path-shaped tree in order, starting at the smaller end.
+
+    The walk reads no row: the next vertex is the XOR of the current one's
+    neighbors with the one before, which is 0 past the far end."""
+    n = t.n
+    if n == 1:
         return [1]
-    ends = [v for v in range(1, t.n + 1) if len(t.adj[v]) == 1]
-    if len(ends) != 2 or not is_path_graph(t):
+    degrees = t._degrees
+    if not is_path_graph(t) or degrees.count(1) != 2:
         raise PreconditionViolated("not a path-shaped tree")
-    cur = min(ends)
-    order = [cur]
-    prev = 0
-    while len(order) < t.n:
-        nxt = [w for w in t.adj[cur] if w != prev]
-        prev, cur = cur, nxt[0]
-        order.append(cur)
+    xr = _neighbor_xors(t)
+    order = [0, degrees.index(1) + 1]
+    for _ in range(n - 1):
+        order.append(xr[order[-1]] ^ order[-2])
+    del order[0]
+    if 0 in order:  # the walk left a path component short of n vertices
+        raise PreconditionViolated("not a path-shaped tree")
     return order
 
 

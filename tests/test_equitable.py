@@ -1,6 +1,8 @@
 import collections
+import functools
 import heapq
 import itertools
+import operator
 import random
 import types
 from collections import deque
@@ -46,6 +48,7 @@ from arbor.trees import (
     star,
 )
 from test_golden import crowded_tree, every_construction, planted_hub_tree
+from test_trees import held
 
 
 def assert_good(t, cert, k, constraint=None):
@@ -168,6 +171,15 @@ class TestPeelingGuards:
         t = sample_labeled_tree(32, 1)
         monkeypatch.setattr(equitable_module._Machine, "_min_leaf", lambda m, nbr_not_in=(): None)
         self.assert_guard(t, "no leaf available to peel")
+
+    def test_base_search_found_nothing(self, monkeypatch):
+        trees = (sample_labeled_tree(30, seed) for seed in range(1, 100))
+        t = next(t for t in trees if equitable_three(t).trace[-1] == "direct:search")
+        monkeypatch.setattr(equitable_module, "_search_colors", lambda *args: None)
+        self.assert_guard(t, "exhaustive base search found no equitable coloring")
+        with pytest.raises(InternalInvariant, match="exhaustive base search found no equitable coloring") as exc:
+            equitable_coloring(t, 4)  # the machine on the reduction's rows dumps t too
+        assert parse_tree_text(exc.value.dump) == t
 
     def test_unknown_record(self, monkeypatch):
         commit = equitable_module._Machine._commit
@@ -466,10 +478,11 @@ class TestPathRoute:
         three = equitable_module._three_colors
         lengths = []  # of the path left, or None for another tree
 
-        def colored(adj, tree, constraint=None):
-            kept = sum(1 for row in adj if row)
-            lengths.append(kept if max(map(len, adj)) <= 2 else None)
-            return three(adj, tree, constraint)
+        def colored(tree, deg, xr, rows=None, constraint=None):
+            assert deg == [len(row) for row in rows]
+            kept = sum(1 for row in rows if row)
+            lengths.append(kept if max(map(len, rows)) <= 2 else None)
+            return three(tree, deg, xr, rows, constraint)
 
         monkeypatch.setattr(equitable_module, "_three_colors", colored)
         seen = set()
@@ -786,14 +799,16 @@ def observed_reduction(monkeypatch, t, k):
         assert top == max(2, *map(len, map(adj.__getitem__, vertices)))
         return top
 
-    def colored(adj, tree, constraint=None):
+    def colored(tree, deg, xr, adj=None, constraint=None):
         assert tree is t and constraint is None
         gone = {x for picks, _ in layers for x in picks}
         assert all(not adj[x] for x in gone)  # a shed vertex is gone from the tree the machine peels
+        # the machine's lists are those of the rows it reads on its rare routes
+        assert deg == [len(row) for row in adj] and xr == [functools.reduce(operator.xor, row, 0) for row in adj]
         kept = [v for v in range(1, t.n + 1) if v not in gone]
         new_id = {v: i for i, v in enumerate(kept, 1)}
         rows.append(((),) + tuple(tuple(new_id[w] for w in adj[v]) for v in kept))  # relabeled 1..m, order kept
-        return three(adj, tree, constraint)
+        return three(tree, deg, xr, adj, constraint)
 
     with monkeypatch.context() as patch:
         patch.setattr(equitable_module, "_independent_low_degree", shed)
@@ -933,9 +948,9 @@ class TestSpecialHeap:
         real_init = equitable_module._Machine.__init__
         special = equitable_module._Machine._case_special
 
-        def init(self, adj, tree):
+        def init(self, tree, deg, xr, rows=None):
             nonlocal machine
-            real_init(self, adj, tree)
+            real_init(self, tree, deg, xr, rows)
             machine = self
 
         def scanned(m, p, q, v0):
@@ -987,9 +1002,9 @@ class TestPeelOperationCounts:
         taken = set()  # live pre-leaves that picking a pair popped and owes back
         real_init = equitable_module._Machine.__init__
 
-        def init(self, adj, tree):
+        def init(self, tree, deg, xr, rows=None):
             nonlocal machine
-            real_init(self, adj, tree)
+            real_init(self, tree, deg, xr, rows)
             machine = self
             entries.update(self.pre_heap)
 
@@ -1026,3 +1041,64 @@ class TestPeelOperationCounts:
         # of one row per level would be quadratic
         assert CountedRow.reads[0] <= 8 * n, CountedRow.reads[0] / n
         assert max(entries.values()) == 1  # a vertex enters the pre-leaf heap once
+
+
+# ---------------------------------------------------------------------------
+# The machine is built from a degree list and an XOR list; rows are read only
+# on the rare routes.
+
+ROWLESS_ROUTES = {"ext:leaf", "ext:pendant", "ext:triple", "direct:path", "direct:search"}
+
+
+class TestRowFreeMachine:
+    def test_k3_coloring_builds_no_rows(self):
+        checked = 0
+        for seed in range(1, 40):
+            decoded = sample_labeled_tree(300, seed)
+            if decoded.max_degree * 3 > decoded.n:
+                continue
+            edges = list(decoded.edges())
+            random.Random(seed).shuffle(edges)
+            parsed = parse_tree_text(f"{decoded.n}\n" + "".join(f"{v} {u}\n" if (u + v) % 2 else f"{u} {v}\n" for u, v in edges))
+            certs = [equitable_coloring(t, 3) for t in (decoded, parsed)]
+            if not set(certs[0].trace) <= ROWLESS_ROUTES:
+                continue
+            for t, cert in zip((decoded, parsed), certs):
+                assert_good(t, cert, 3)
+                assert held(t) == {"n", "edge_count", "_ends", "_degrees", "_max_deg"}  # no "adj"
+            assert certs[0].coloring == certs[1].coloring and certs[0].trace == certs[1].trace
+            checked += 1
+        assert checked >= 20
+
+    def test_base_search_gets_the_active_rows(self, monkeypatch):
+        # the rows rebuilt by peeling are the source rows filtered to the
+        # active vertices, the form _search_colors reads them in
+        search, base = equitable_module._search_colors, equitable_module._Machine._base_search
+        machines = []
+        routes = collections.Counter()
+
+        def based(m, constraints):
+            machines.append(m)
+            base(m, constraints)
+
+        def searched(vertices, adj, k, targets, constraints=()):
+            m = machines[-1]
+            assert vertices == m.active_vertices() and len(vertices) <= 12
+            assert {v: list(adj[v]) for v in vertices} == {v: [w for w in m.adj[v] if m.deg[w]] for v in vertices}
+            return search(vertices, adj, k, targets, constraints)
+
+        monkeypatch.setattr(equitable_module._Machine, "_base_search", based)
+        monkeypatch.setattr(equitable_module, "_search_colors", searched)
+        rng = random.Random(21)
+        for n in range(10, 41):
+            for seed in range(1, 9):
+                t = sample_labeled_tree(n, seed)
+                for k in range(3, 7):
+                    if t.max_degree * k <= n:
+                        routes.update(equitable_coloring(t, k).trace)
+            for _ in range(3):
+                t = planted_hub_tree(rng)
+                for tag, k, pair, hubs, cert in every_construction(t):
+                    routes.update(cert.trace)
+        assert routes["direct:search"] > 100 and routes["delegate:hubs"] > 0, routes
+        assert len(machines) == routes["direct:search"]

@@ -138,6 +138,15 @@ class TestEquitableFraction:
         assert s.counts["miss"] == 0  # n <= 12 always gets a brute verdict
         assert s.counts["miss_witness"] + s.counts["miss_none"] + s.counts["hit_ok"] == 300
 
+    @pytest.mark.parametrize("n,k,trials", [(10, 4, 300), (12, 8, 50), (8, 6, 100), (12, 5, 60)])
+    def test_small_n_miss_at_large_k_gets_a_verdict(self, n, k, trials):
+        # k^n is above the search's default limit here; the n <= 12 gate
+        # bounds the search, so every miss still gets a brute-force verdict
+        s = run_equitable_fraction(ExperimentConfig(n=n, trials=trials, seed=1, k=k))
+        assert s.counts["miss"] == s.counts["hit_fail"] == 0
+        assert s.counts["miss_witness"] + s.counts["miss_none"] >= 1
+        assert s.counts["miss_witness"] + s.counts["miss_none"] + s.counts["hit_ok"] == trials
+
     def test_large_n_miss_has_no_brute_verdict(self):
         # above n = 12 a tree with max degree over n/k is a plain miss
         s = run_equitable_fraction(ExperimentConfig(n=20, trials=100, seed=4, k=5))

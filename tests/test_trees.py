@@ -1,4 +1,5 @@
 import pickle
+import random
 import tracemalloc
 
 import pytest
@@ -74,6 +75,105 @@ class TestBuildTree:
         assert exc.value.reason == reason
 
 
+def reference_build_tree(edges, n):
+    """``build_tree`` as it was before its one union-find pass: a set per
+    vertex and sorted rows from ``Graph.from_edges``, then a walk of the rows
+    for connectivity."""
+    g = Tree.from_edges(edges, n)
+    if g.edge_count > n - 1:
+        raise NotATree("cycle", f"{g.edge_count} edges on {n} vertices")
+    if g.edge_count < n - 1 or not is_connected(g):
+        raise NotATree("disconnected", f"{g.edge_count} edges on {n} vertices")
+    return g
+
+
+def outcome(build, edges, n):
+    """The tree's n, edge list and degrees, or the type and message of its refusal."""
+    try:
+        t = build(list(edges), n)
+    except ArborError as exc:
+        return type(exc), str(exc)
+    return t.n, sorted(t.edges()), t.degree_sequence()
+
+
+def mutated_edge_lists(seed, count):
+    """Seeded (edges, n): shuffled, flipped edge lists of random trees with
+    up to three faults planted: a duplicate (as written or reversed), a
+    loop, an id out of range (on a loop or not), an extra, dropped or
+    replaced edge."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 24)
+        t = prufer_decode([rng.randint(1, n) for _ in range(n - 2)], n) if n >= 2 else build_tree([], 1)
+        edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in t.edges()]
+        rng.shuffle(edges)
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            op = rng.choice(("duplicate", "reversed", "loop", "range", "extra", "drop", "replace"))
+            i = rng.randint(0, len(edges))
+            if op in ("duplicate", "reversed") and edges:
+                u, v = rng.choice(edges)
+                edges.insert(i, (u, v) if op == "duplicate" else (v, u))
+            elif op == "loop":
+                u = rng.randint(1, n)
+                edges.insert(i, (u, u))
+            elif op == "range":  # sometimes a loop too, which is reported as a bad id
+                bad = rng.choice((0, -1, n + 1, n + 7))
+                edges.insert(i, (bad, bad) if rng.random() < 0.3 else (bad, rng.randint(1, n)))
+            elif op in ("extra", "replace") and n >= 2:
+                u, v = rng.sample(range(1, n + 1), 2)
+                if op == "replace" and edges:
+                    edges[rng.randrange(len(edges))] = (u, v)
+                else:
+                    edges.insert(i, (u, v))
+            elif op == "drop" and edges:
+                del edges[rng.randrange(len(edges))]
+        yield edges, n
+
+
+class TestBuildTreeOracle:
+    """The one-pass ``build_tree`` keeps every tree, refusal reason and
+    message of the set-and-walk one."""
+
+    def test_mutated_edge_lists(self):
+        reasons = set()
+        for edges, n in mutated_edge_lists(21, 4_000):
+            got = outcome(build_tree, edges, n)
+            assert got == outcome(reference_build_tree, edges, n), (edges, n)
+            reasons.add(got[1].split(":")[0] if got[0] is NotATree else "tree")
+        assert reasons == {"tree", "bad-vertex-id", "self-loop", "duplicate-edge", "cycle", "disconnected"}
+
+    @pytest.mark.parametrize(
+        "edges,n,reason",
+        [
+            # a cycle closed before a later bad id, loop or duplicate: the later edge is reported
+            ([(1, 2), (2, 3), (3, 1), (1, 9)], 4, "bad-vertex-id"),
+            ([(1, 2), (2, 3), (3, 1), (4, 4)], 4, "self-loop"),
+            ([(1, 2), (2, 3), (3, 1), (2, 1)], 4, "duplicate-edge"),
+            ([(1, 2), (2, 3), (1, 3), (3, 4), (4, 3)], 5, "duplicate-edge"),
+            # a cycle inside exactly n - 1 edges leaves a vertex out
+            ([(1, 2), (2, 3), (3, 1)], 4, "disconnected"),
+            ([(2, 3), (3, 4), (4, 2), (5, 6), (1, 5)], 6, "disconnected"),
+            # a reversed duplicate, before and after the set of earlier edges exists
+            ([(1, 2), (2, 1)], 3, "duplicate-edge"),
+            ([(1, 2), (2, 3), (3, 1), (4, 3), (3, 4)], 5, "duplicate-edge"),
+            # more than n - 1 simple edges
+            ([(1, 2), (2, 3), (3, 1)], 3, "cycle"),
+            ([(1, 2), (4, 4)], 3, "bad-vertex-id"),
+            ([], 0, "bad-vertex-id"),
+        ],
+    )
+    def test_named_cases(self, edges, n, reason):
+        with pytest.raises(NotATree) as exc:
+            build_tree(edges, n)
+        assert exc.value.reason == reason
+        assert outcome(build_tree, edges, n) == outcome(reference_build_tree, edges, n)
+
+    def test_no_rows(self):
+        t = build_tree([(4, 1), (2, 5), (1, 5), (6, 3), (3, 5)], 6)
+        assert "adj" not in held(t) and t.degree_sequence() == [2, 1, 2, 1, 3, 1]
+        assert t == reference_build_tree([(4, 1), (2, 5), (1, 5), (6, 3), (3, 5)], 6)
+
+
 def held(g):
     """The slots g holds, read without deriving any it lacks."""
     out = set()
@@ -90,7 +190,7 @@ def held(g):
 GRAPH_ORIGINS = {
     "rows": (lambda: induced_subtree(double_star(3, 2), {2}).graph, {"adj"}),
     "build-graph": (lambda: build_graph([(4, 1), (2, 5), (1, 5), (6, 3)], 7), {"adj", "_ends"}),
-    "build-tree": (lambda: build_tree([(4, 1), (2, 5), (1, 5), (6, 3), (3, 5)], 6), {"adj", "_ends"}),
+    "build-tree": (lambda: build_tree([(4, 1), (2, 5), (1, 5), (6, 3), (3, 5)], 6), {"_ends", "_degrees"}),
     "decoded": (lambda: prufer_decode([4, 4, 1, 5], 6), {"_ends", "_degrees"}),
 }
 
@@ -186,6 +286,21 @@ class TestPaths:
     def test_path_order(self):
         assert path_order(path(5)) == [1, 2, 3, 4, 5]
         assert path_order(build_tree([], 1)) == [1]
+
+    def test_path_order_walks_by_xor(self):
+        # the walk of the rows it replaced, from the smaller end; no row is built
+        for n in range(2, 60):
+            walk = random.Random(n).sample(range(1, n + 1), n)
+            t = build_tree([(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(zip(walk, walk[1:]))], n)
+            order = path_order(t)
+            assert "adj" not in held(t)
+            assert order == (walk if walk[0] < walk[-1] else walk[::-1])
+
+    def test_path_order_refuses_a_path_beside_a_cycle(self):
+        # max degree 2 and two ends, but the walk stops short of n vertices
+        g = build_graph([(1, 2), (3, 4), (4, 5), (5, 3)], 5)
+        with pytest.raises(PreconditionViolated, match="not a path-shaped tree"):
+            path_order(g)
 
 
 class TestInducedSubtree:
@@ -394,6 +509,22 @@ def tree_text_strategy():
     return st.one_of(st.just("1\n"), trees)
 
 
+def is_connected(g):
+    """Whether every vertex of g is reached from vertex 1, by its rows."""
+    seen = bytearray(g.n + 1)
+    stack = [1]
+    seen[1] = 1
+    found = 1
+    while stack:
+        u = stack.pop()
+        for w in g.adj[u]:
+            if not seen[w]:
+                seen[w] = 1
+                found += 1
+                stack.append(w)
+    return found == g.n
+
+
 class TestParseFuzz:
     @settings(max_examples=400, deadline=None)
     @given(fuzzed(tree_text_strategy()))
@@ -403,7 +534,7 @@ class TestParseFuzz:
             t = parse_tree_text(text)
         except ArborError:
             return
-        assert isinstance(t, Tree) and t.n >= 1 and t.edge_count == t.n - 1 and t.is_connected()
+        assert isinstance(t, Tree) and t.n >= 1 and t.edge_count == t.n - 1 and is_connected(t)
         assert build_tree(list(t.edges()), t.n) == t
 
 

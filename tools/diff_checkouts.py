@@ -1,0 +1,201 @@
+"""Run one fixed, seeded corpus through two checkouts of arbor and report the
+first case whose outputs differ.
+
+    python3 tools/diff_checkouts.py --parent ../parent-checkout
+
+This checkout is imported as ``arbor`` and the other one, through
+``load_side`` of ``bench/layers.py``, under a second package name.  Each side
+builds its own trees from the same edge lists, texts and Prüfer codes, and
+each case compares what both sides return: colorings, traces, class sizes
+and monochromatic edge counts of a certificate; n, edges and degrees of a
+tree; or the type, message, reason and dump of an exception.  The corpus:
+
+- random trees decoded from Prüfer codes, and the same trees as shuffled,
+  flipped edge-list text, at n = 2..2,000, colored at k = 3..8;
+- paths on shuffled ids, n = 1..2,000, colored at k = 3..8 and at k = 3 under each
+  ordered pair of their pre-leaves;
+- planted-hub and crowded trees (``tests/test_golden.py``): every
+  construction of ``every_construction``, ``hub_pair_coloring`` included;
+- mutated edge lists (``tests/test_trees.py``) through ``build_tree`` and,
+  as text, ``parse_tree_text``;
+- the malformed texts of the ``parse_tree_text`` refusal tables of
+  ``tests/test_trees.py`` and ``tests/test_cli.py``.
+
+It prints a line per section, then the route tokens of perfbench's
+``ROUTES`` that no coloring of the corpus fired.  The exit code is 0 when
+every case agrees, 1 at the first difference.  A whole run, 90,446 cases,
+took 21 s on a 2-core host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import os
+import random
+import sys
+import time
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TREE_SIZES = (*range(2, 41), 60, 120, 300, 600, 1_000, 2_000)
+KS = range(3, 9)
+
+
+def outcome(fn, *args):
+    """What both sides must agree on: the result in plain data, or the exception."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # an unexpected type is compared too, by name
+        return ("raised", type(exc).__name__, str(exc), getattr(exc, "reason", None), getattr(exc, "dump", None))
+    if hasattr(result, "coloring"):
+        return ("certificate", result.coloring.col, result.trace, result.class_sizes, result.mono_edges)
+    if hasattr(result, "edge_ends"):
+        return ("graph", result.n, sorted(result.edges()), result.degree_sequence())
+    return ("value", result)
+
+
+class Sides:
+    """The two checkouts' modules, and the running tallies of a run."""
+
+    def __init__(self, parent: str):
+        sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
+        from layers import load_side
+
+        from arbor import equitable, random_trees, trees
+
+        self.change = (equitable, trees, random_trees)
+        self.parent = load_side("arbor_parent", os.path.abspath(parent))[:3]
+        self.cases = 0
+        self.routes: Counter = Counter()
+
+    def check(self, label: str, shown: str, call) -> tuple:
+        """Run ``call(equitable, trees, random_trees)`` on both sides; on a
+        difference print the case and its input ``shown``, and exit 1."""
+        got = call(*self.change)
+        want = call(*self.parent)
+        self.cases += 1
+        if got != want:
+            print(f"DIFFERENT: {label}\n--- input ---\n{shown}\n--- change ---\n{got!r}\n--- parent ---\n{want!r}")
+            sys.exit(1)
+        if got[0] == "certificate":
+            self.routes.update(got[2])
+        return got
+
+
+def tree_text(n: int, edges) -> str:
+    return f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def colorings(sides: Sides, label: str, shown: str, build) -> None:
+    """``equitable_coloring`` at every k of ``KS`` on the tree ``build(trees, random_trees)``."""
+    for k in KS:
+        sides.check(f"{label} k={k}", shown, lambda eq, tr, rt: outcome(lambda: eq.equitable_coloring(build(tr, rt), k)))
+
+
+def decoded_and_parsed(sides: Sides) -> None:
+    rng = random.Random(2_101)
+    for n in TREE_SIZES:
+        for trial in range(100 if n <= 40 else 40 if n <= 600 else 6):
+            code = [rng.randint(1, n) for _ in range(n - 2)]
+            shown = f"{n}\nP: {' '.join(map(str, code))}\n"
+            colorings(sides, f"decoded n={n} code {trial}", shown, lambda tr, rt: rt.prufer_decode(code, n))
+            tree = sides.change[2].prufer_decode(code, n)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in tree.edges()]
+            rng.shuffle(edges)
+            text = tree_text(n, edges)
+            colorings(sides, f"parsed n={n} text {trial}", text, lambda tr, rt: tr.parse_tree_text(text))
+
+
+def paths(sides: Sides) -> None:
+    rng = random.Random(2_102)
+    for n in (*range(1, 31), 59, 60, 61, 300, 2_000):
+        walk = rng.sample(range(1, n + 1), n)
+        text = tree_text(n, zip(walk, walk[1:]))
+        colorings(sides, f"path n={n}", text, lambda tr, rt: tr.parse_tree_text(text))
+        ends = (walk[1], walk[-2]) if n >= 4 else ()
+        for pair in itertools.permutations(ends):
+            sides.check(
+                f"path n={n} constraint {pair}",
+                text,
+                lambda eq, tr, rt: outcome(lambda: eq.equitable_three(tr.parse_tree_text(text), pair)),
+            )
+
+
+def constructions(sides: Sides) -> None:
+    """Every construction of ``every_construction`` on planted-hub and crowded trees."""
+    from test_golden import crowded_tree, planted_hub_tree
+
+    def every(eq, tr, t):
+        out = []
+        for k in (3, 4, 5):
+            out.append(outcome(eq.equitable_coloring, t, k))
+        if t.max_degree * 3 > t.n:
+            return ("runs", out)
+        pls = tr.pre_leaves(t)
+        for pair in itertools.combinations(pls, 2):
+            out.append(outcome(eq.equitable_three, t, pair))
+        hubs = [x for x in range(1, t.n + 1) if 3 * t.degree(x) >= t.n]
+        for u, v in itertools.combinations(hubs, 2):
+            for pair in itertools.combinations(pls, 2):
+                out.append(outcome(eq.hub_pair_coloring, t, u, v, *pair))
+        return ("runs", out)
+
+    rng = random.Random(2_103)
+    made = [("planted", planted_hub_tree(rng)) for _ in range(300)]
+    made += [("crowded", crowded_tree(rng, hubs)) for hubs in (False, True) * 600]
+    for i, (kind, t) in enumerate(made):
+        if t is None:
+            continue
+        text = tree_text(t.n, t.edges())
+        got = sides.check(f"{kind} tree {i}", text, lambda eq, tr, rt: every(eq, tr, tr.parse_tree_text(text)))
+        for run in got[1]:
+            if run[0] == "certificate":
+                sides.routes.update(run[2])
+
+
+def mutated(sides: Sides) -> None:
+    from test_trees import mutated_edge_lists
+
+    for i, (edges, n) in enumerate(mutated_edge_lists(2_104, 20_000)):
+        shown = f"n={n} edges={edges!r}"
+        sides.check(f"mutated edge list {i}", shown, lambda eq, tr, rt: outcome(tr.build_tree, list(edges), n))
+        text = tree_text(n, edges)
+        sides.check(f"mutated edge text {i}", text, lambda eq, tr, rt: outcome(tr.parse_tree_text, text))
+
+
+def malformed(sides: Sides) -> None:
+    """The texts of every parametrized ``parse_tree_text`` refusal table."""
+    import test_cli
+    import test_trees
+
+    tables = (test_trees.TestTextFormat.test_malformed_text_reason, test_cli.TestCheckCommand.test_malformed_text)
+    for test in tables:
+        (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
+        for text, _ in mark.args[1]:
+            sides.check(f"malformed text {text!r}", text, lambda eq, tr, rt: outcome(tr.parse_tree_text, text))
+
+
+SECTIONS = (decoded_and_parsed, paths, constructions, mutated, malformed)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, help="the other checkout")
+    args = p.parse_args(argv)
+    sides = Sides(args.parent)
+    t0 = time.perf_counter()
+    for section in SECTIONS:
+        before = sides.cases
+        section(sides)
+        print(f"{section.__name__:20} {sides.cases - before:7} cases agree  ({time.perf_counter() - t0:.0f} s)", flush=True)
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from spans import ROUTES
+
+    missing = [tok for tok in ROUTES if not sides.routes[tok]]
+    print(f"{sides.cases} cases agree; route tokens not reached: {', '.join(missing) or 'none'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
