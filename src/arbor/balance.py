@@ -41,10 +41,6 @@ class DegreeSequence:
             raise BadArgument("values must be positive")
         self.values = vals
 
-    @classmethod
-    def from_graph(cls, g: Graph) -> "DegreeSequence":
-        return cls(g.degree_sequence())
-
     def __len__(self) -> int:
         return len(self.values)
 

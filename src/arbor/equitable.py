@@ -39,6 +39,7 @@ from .errors import (
 from .trees import (
     Graph,
     Tree,
+    _neighbor_lists,
     _neighbor_xors,
     format_tree_text,
     is_path_graph,
@@ -978,10 +979,7 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
         return _path_certificate(t, k)
     trace: list = []
     col = [0] * (n + 1)  # nonzero exactly at the shed vertices
-    adj: list = [[] for _ in range(n + 1)]
-    for u, v in zip(*t.edge_ends()):
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = _neighbor_lists(t)
     kept = range(1, n + 1)
     top = t.max_degree
     for k_level in range(k, 3, -1):

@@ -64,7 +64,7 @@ def prufer_decode(entries: Sequence[int], n: int) -> Tree:
             ptr = leaf = index(1, ptr + 1)
     parent[leaf] = n
     # the decoding always yields a tree, so skip re-validation
-    return Tree.from_ends(n, range(1, n), parent[1:n], degrees)
+    return Tree(n, range(1, n), parent[1:n], degrees)
 
 
 def prufer_encode(t: Tree) -> list[int]:

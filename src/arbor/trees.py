@@ -1,13 +1,13 @@
 """Graph and tree data model: validation, vertex taxonomy, branches,
 induced subgraphs, and completion of forests to trees.
 
-Vertices are integers 1..n throughout; adjacency lists are kept sorted so
-that every derived object is reproducible byte for byte.
+Vertices are integers 1..n throughout; a graph is its edge list and its
+degrees, and its adjacency rows, derived on first use, are sorted so that
+every derived object is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
-import copyreg
 import enum
 import heapq
 from typing import Iterable, Iterator, Sequence
@@ -25,107 +25,44 @@ class VertexClass(enum.Enum):
 class Graph:
     """Finite simple graph on vertices 1..n, n >= 1.
 
-    A graph keeps the form it was built from: sorted adjacency rows
-    (``Graph(n, adj, edge_count)``) or an edge list as two aligned end
-    sequences (``from_ends``); ``from_edges`` keeps both.  The other form,
-    the degree list and the maximum degree are derived from it once, on
-    first use (see ``__getattr__``).
+    A graph is its edge list, two aligned end sequences, and its degree
+    list (index i holds deg of vertex i+1), kept as given, not copied or
+    checked: they must describe a simple graph, as ``build_graph`` checks.
+    The sorted adjacency rows are derived from them once, on first use of
+    ``adj`` (see ``__getattr__``).
     """
 
-    __slots__ = ("n", "adj", "edge_count", "_ends", "_degrees", "_max_deg")
+    __slots__ = ("n", "edge_count", "max_degree", "_ends", "_degrees", "adj")
 
-    def __init__(self, n: int, adj: tuple, edge_count: int):
+    def __init__(self, n: int, us: Sequence[int], vs: Sequence[int], degrees: list):
         self.n = n
-        self.adj = adj  # adj[0] unused; adj[v] = sorted tuple of neighbors
-        self.edge_count = edge_count
-
-    @classmethod
-    def from_ends(cls, n: int, us: Sequence[int], vs: Sequence[int], degrees: list | None = None) -> "Graph":
-        """Graph on 1..n, n >= 1, whose edge i joins ``us[i]`` and ``vs[i]``, with
-        degree list ``degrees`` (index i holds deg of vertex i+1) if given.
-        They are kept, not copied or checked, and must describe a simple
-        graph."""
-        g = cls.__new__(cls)
-        g.n = n
-        g.edge_count = len(us)
-        g._ends = (us, vs)
-        if degrees is not None:
-            g._degrees = degrees
-        return g
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[tuple[int, int]], n: int) -> "Graph":
-        """Validate simplicity (no loops, no parallel edges, ids in 1..n)."""
-        if n < 1:
-            raise NotATree("bad-vertex-id", f"n={n}")
-        nbr: list[set] = [set() for _ in range(n + 1)]
-        us: list = []
-        vs: list = []
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise NotATree("bad-vertex-id", f"edge ({u},{v}) outside 1..{n}")
-            if u == v:
-                raise NotATree("self-loop", f"vertex {u}")
-            if v in nbr[u]:
-                raise NotATree("duplicate-edge", f"edge ({u},{v})")
-            nbr[u].add(v)
-            nbr[v].add(u)
-            us.append(u)
-            vs.append(v)
-        g = cls.from_ends(n, tuple(us), tuple(vs))
-        g.adj = tuple(tuple(sorted(s)) for s in nbr)
-        return g
+        self.edge_count = len(us)
+        self.max_degree = max(degrees)
+        self._ends = (us, vs)
+        self._degrees = degrees
 
     def __getattr__(self, name: str):
-        # Python calls this only for an unset slot: a form the graph was not
-        # built with, derived here once and kept in its slot.
-        if name == "adj":
-            rows: list = [[] for _ in range(self.n + 1)]
-            for u, v in zip(*self._ends):
-                rows[u].append(v)
-                rows[v].append(u)
-            for row in rows:
-                row.sort()
-            value = tuple(map(tuple, rows))
-        elif name == "_ends":
-            us: list = []
-            vs: list = []
-            for u, row in enumerate(self.adj):
-                for v in row:
-                    if u < v:
-                        us.append(u)
-                        vs.append(v)
-            value = (us, vs)
-        elif name == "_degrees":
-            value = list(map(len, self.adj[1:]))
-        elif name == "_max_deg":
-            value = max(self._degrees)
-        else:
+        # Python calls this only for an unset slot: the rows, derived here
+        # once and kept in their slot.
+        if name != "adj":
             raise AttributeError(name)
-        setattr(self, name, value)
-        return value
+        rows = _neighbor_lists(self)
+        for row in rows:
+            row.sort()
+        # adj[0] unused; adj[v] = sorted tuple of neighbors
+        self.adj = adj = tuple(map(tuple, rows))
+        return adj
 
-    def __reduce_ex__(self, protocol):
-        # The default state would read every slot, and so derive each form
-        # the graph lacks; the slots it holds are enough to rebuild it.
-        held = {}
-        for name in Graph.__slots__:
-            try:
-                held[name] = object.__getattribute__(self, name)
-            except AttributeError:
-                pass
-        return copyreg.__newobj__, (type(self),), (None, held)
+    def __reduce__(self):
+        # the edge list and degrees rebuild the graph; derived rows are not kept
+        return type(self), (self.n, *self._ends, self._degrees)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self._degrees[v - 1]
 
     def degree_sequence(self) -> list[int]:
         """Degrees listed by vertex id (index i holds deg of vertex i+1)."""
         return list(self._degrees)
-
-    @property
-    def max_degree(self) -> int:
-        return self._max_deg
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once as (u, v) with u < v, in no promised order."""
@@ -154,23 +91,16 @@ class Tree(Graph):
     __slots__ = ()
 
 
-def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
-    """Simple graph from an edge list; may be disconnected."""
-    return Graph.from_edges(edges, n)
+def _simple_edges(edges: Iterable[tuple[int, int]], n: int) -> tuple:
+    """The ends, the degree list (index i holds deg of vertex i+1) and
+    whether some edge closed a cycle, of a simple graph's edge list on 1..n.
 
-
-def build_tree(edges: Iterable[tuple[int, int]], n: int) -> Tree:
-    """Validated tree; rejects cyclic, disconnected, or non-simple input.
-
-    One pass in file order checks each edge's ids, then its ends, then
+    One pass in list order checks each edge's ids, then its ends, then
     joins them in a union-find with path halving (Tarjan, J. ACM 1975), so
-    the first offending edge is the one reported, with its first fault, as
-    ``Graph.from_edges`` reports it.  Only two ends already joined can
-    repeat an edge: the first time that happens a set of the earlier edges
-    is built to tell a duplicate from a cycle.  With every edge simple,
-    more than n - 1 edges is a cycle, and fewer, or a cycle among them, is
-    a disconnected graph.  The tree keeps the edge list and the degrees;
-    no adjacency row is built.
+    the first offending edge is the one reported, with its first fault.
+    Only two ends already joined can repeat an edge: the first time that
+    happens a set of the earlier edges is built to tell a duplicate from a
+    cycle.
     """
     if n < 1:
         raise NotATree("bad-vertex-id", f"n={n}")
@@ -207,13 +137,29 @@ def build_tree(edges: Iterable[tuple[int, int]], n: int) -> Tree:
         deg[v] += 1
         us.append(u)
         vs.append(v)
+    del deg[0]
+    return us, vs, deg, closed
+
+
+def build_graph(edges: Iterable[tuple[int, int]], n: int) -> Graph:
+    """Simple graph from an edge list; may be disconnected (see ``_simple_edges``)."""
+    return Graph(n, *_simple_edges(edges, n)[:3])
+
+
+def build_tree(edges: Iterable[tuple[int, int]], n: int) -> Tree:
+    """Validated tree; rejects cyclic, disconnected, or non-simple input.
+
+    The edges are checked as ``build_graph`` checks them (``_simple_edges``).
+    With every edge simple, more than n - 1 edges is a cycle, and fewer, or
+    a cycle among them, is a disconnected graph.
+    """
+    us, vs, degrees, closed = _simple_edges(edges, n)
     m = len(us)
     if m > n - 1:
         raise NotATree("cycle", f"{m} edges on {n} vertices")
     if m < n - 1 or closed:
         raise NotATree("disconnected", f"{m} edges on {n} vertices")
-    del deg[0]
-    return Tree.from_ends(n, us, vs, deg)
+    return Tree(n, us, vs, degrees)
 
 
 def classify_vertex(t: Graph, v: int) -> VertexClass:
@@ -268,6 +214,16 @@ def is_path_graph(t: Graph) -> bool:
     return t.max_degree <= 2
 
 
+def _neighbor_lists(g: Graph) -> list:
+    """Each vertex's neighbors as a list, indexed by vertex (entry 0 empty),
+    in g's edge order."""
+    adj: list = [[] for _ in range(g.n + 1)]
+    for u, v in zip(*g.edge_ends()):
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def _neighbor_xors(g: Graph) -> list:
     """The XOR of each vertex's neighbors, indexed by vertex, from g's edge
     list: a leaf's neighbor, read without a row."""
@@ -320,14 +276,19 @@ def induced_subtree(t: Graph, removed: Iterable[int]) -> InducedSubgraph:
         raise NotATree("bad-vertex-id", f"removing all {t.n} vertices leaves no graph")
     kept = [v for v in range(1, t.n + 1) if v not in removed]
     old_to_new = {v: i + 1 for i, v in enumerate(kept)}
-    adj = [()]
-    count = 0
-    for u in kept:
-        row = tuple(old_to_new[w] for w in t.adj[u] if w not in removed)
-        count += len(row)
-        adj.append(row)  # already sorted: relabeling preserves order
-    g = Graph(len(kept), tuple(adj), count // 2)
-    return InducedSubgraph(g, old_to_new, tuple([0] + kept))
+    get = old_to_new.get
+    us: list = []
+    vs: list = []
+    deg = [0] * (len(kept) + 1)
+    for u, v in t.edges():
+        a, b = get(u), get(v)
+        if a and b:  # relabeling preserves order: a < b
+            us.append(a)
+            vs.append(b)
+            deg[a] += 1
+            deg[b] += 1
+    del deg[0]
+    return InducedSubgraph(Graph(len(kept), us, vs, deg), old_to_new, tuple([0] + kept))
 
 
 def join_forest(adj: list, vertices: Iterable[int], degree_cap: int) -> int:
@@ -394,9 +355,11 @@ def complete_forest_to_tree(f: Graph, degree_cap: int) -> Tree:
     """
     if degree_cap < f.max_degree:
         raise CapInfeasible(f"cap {degree_cap} below forest max degree {f.max_degree}")
-    adj = list(map(list, f.adj))
+    adj = _neighbor_lists(f)
     join_forest(adj, range(1, f.n + 1), degree_cap)
-    return Tree(f.n, tuple(tuple(sorted(row)) for row in adj), f.n - 1)
+    us = [u for u, row in enumerate(adj) for v in row if u < v]
+    vs = [v for u, row in enumerate(adj) for v in row if u < v]
+    return Tree(f.n, us, vs, list(map(len, adj[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +417,7 @@ def parse_tree_text(text: str) -> Tree:
 
 def format_tree_text(t: Graph) -> str:
     """The text format with edge lines sorted: (u, v), u < v, ascending."""
-    lines = [str(t.n)]
-    adj = t.adj
-    for u in range(1, t.n + 1):
-        lines.extend(f"{u} {v}" for v in adj[u] if u < v)
-    return "\n".join(lines) + "\n"
+    return "\n".join([str(t.n), *(f"{u} {v}" for u, v in sorted(t.edges()))]) + "\n"
 
 
 # Small constructors used all over the test corpus.

@@ -10,7 +10,6 @@ import random
 import time
 
 from arbor.balance import (
-    DegreeSequence,
     balance_exact,
     brute_force_balanced,
     greedy_pair_partition,
@@ -85,7 +84,7 @@ def test_criterion_03_characterization_oracle_equivalence():
     for n in range(2, 9):
         for t in enumerate_labeled_trees(n):
             trees += 1
-            f, _ = balance_exact(DegreeSequence.from_graph(t))
+            f, _ = balance_exact(t.degree_sequence())
             if brute_force_balanced(t) != (f <= 2):
                 mismatches += 1
     rng = random.Random(12345)

@@ -77,7 +77,7 @@ class TestBalanceExact:
     def test_tree_degree_sequences_have_even_balance(self):
         for trial in range(30):
             t = sample_labeled_tree(20, seed=4, trial=trial)
-            f, _ = balance_exact(DegreeSequence.from_graph(t))
+            f, _ = balance_exact(t.degree_sequence())
             assert f % 2 == 0
 
     def test_large_sequence_witness(self):
@@ -215,9 +215,9 @@ class TestOnesTwos:
         hit = 0
         for trial in range(40):
             t = sample_labeled_tree(200, seed=11, trial=trial)
-            seq = DegreeSequence.from_graph(t)
-            m = max(seq.values)
-            if seq.values.count(1) >= m and seq.values.count(2) >= m:
+            seq = t.degree_sequence()
+            m = max(seq)
+            if seq.count(1) >= m and seq.count(2) >= m:
                 assert ones_twos_partition(seq).diff <= 2
                 if trial % 10 == 0:  # spot-check against the exact optimum
                     f, _ = balance_exact(seq)
@@ -326,7 +326,7 @@ class TestBruteForce:
         # balancedness is equivalent to degree-sequence balance <= 2
         for n in range(2, 13):
             for t in enumerate_unlabeled_trees(n):
-                f, _ = balance_exact(DegreeSequence.from_graph(t))
+                f, _ = balance_exact(t.degree_sequence())
                 assert brute_force_balanced(t) == (f <= 2), (n, sorted(t.edges()))
 
     def test_characterization_on_random_graphs(self):
@@ -423,8 +423,7 @@ class TestPartitionColoring:
         # any near-equicardinal partition with degree sums within two gives a
         # balanced coloring, not just the optimal one
         t = sample_labeled_tree(n, seed)
-        seq = DegreeSequence.from_graph(t)
-        f, part = balance_exact(seq)
+        f, part = balance_exact(t.degree_sequence())
         if f <= 2:
             rep = verify_balanced(t, partition_coloring(part))
             assert rep.balanced

@@ -91,13 +91,23 @@ def tree_codes():
         yield [rng.randint(1, n) for _ in range(n - 2)], n
 
 
+def in_row_order(g, cls=Graph):
+    """g rebuilt with its edges in the order of its rows, (u, v) with u < v
+    ascending: a third edge order beside decoding and edge-list order."""
+    rows = g.adj
+    us = [u for u, row in enumerate(rows) for v in row if u < v]
+    vs = [v for u, row in enumerate(rows) for v in row if u < v]
+    return cls(g.n, us, vs, g.degree_sequence())
+
+
 def tree_triples():
     """The decoded tree of each of ``tree_codes()``, each with
-    ``build_tree`` on the same edges and a tree that has only their rows."""
+    ``build_tree`` on the same edges and the tree with its edges in row
+    order."""
     for code, n in tree_codes():
         t = prufer_decode(code, n)
         built = build_tree(list(t.edges()), n)
-        yield t, built, Tree(n, built.adj, n - 1)
+        yield t, built, in_row_order(built, Tree)
 
 
 def error_message(g, coloring):
@@ -109,23 +119,23 @@ def error_message(g, coloring):
 class TestTallyGather:
     """The tally gathers colors over ``edge_ends()``; it must count what a
     loop over the edges counts, on decoded trees, trees built from an edge
-    list and trees that have only rows."""
+    list and trees with their edges in row order."""
 
     def test_matches_edge_loop(self):
         rng = random.Random(5)
         mono_total = 0
-        for decoded, built, rows in tree_triples():
+        for decoded, built, ordered in tree_triples():
             n = decoded.n
             for k in range(2, 7):
                 coloring = KColoring(k, [0, *(rng.randint(1, k) for _ in range(n))])
                 want = loop_tally(built, coloring)
-                assert coloring.tally(decoded) == coloring.tally(built) == coloring.tally(rows) == want, (n, k)
+                assert coloring.tally(decoded) == coloring.tally(built) == coloring.tally(ordered) == want, (n, k)
                 mono_total += sum(want[1])
         assert mono_total > 0
 
     def test_same_errors_on_every_tree(self):
         rng = random.Random(6)
-        for decoded, built, rows in tree_triples():
+        for decoded, built, ordered in tree_triples():
             n = decoded.n
             k = rng.randint(2, 6)
             full = [0, *(rng.randint(1, k) for _ in range(n))]
@@ -140,21 +150,21 @@ class TestTallyGather:
             for col in bad:
                 coloring = KColoring(k, col)
                 message = error_message(decoded, coloring)
-                assert message == error_message(built, coloring) == error_message(rows, coloring), (n, col)
+                assert message == error_message(built, coloring) == error_message(ordered, coloring), (n, col)
 
     def test_edge_ends_are_the_edges(self):
         # each graph with its edges as a set of (u, v), u < v, made without edge_ends()
         rng = random.Random(7)
         cases = []
-        for (code, n), (decoded, built, rows) in zip(tree_codes(), tree_triples()):
+        for (code, n), (decoded, built, ordered) in zip(tree_codes(), tree_triples()):
             edges = heap_decode(code, n)
-            cases += [(decoded, edges), (built, edges), (rows, edges)]
+            cases += [(decoded, edges), (built, edges), (ordered, edges)]
         cases.append((build_graph([], 4), set()))
         for n in (2, 5, 30):
             pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
             edges = rng.sample(pairs, max(1, len(pairs) // 3))
             g = build_graph([(v, u) for u, v in edges], n)
-            cases += [(g, set(edges)), (Graph(n, g.adj, g.edge_count), set(edges))]
+            cases += [(g, set(edges)), (in_row_order(g), set(edges))]
         for g, edges in cases:
             us, vs = g.edge_ends()
             assert len(us) == len(vs) == len(edges)

@@ -12,7 +12,6 @@ from arbor.errors import ArborError, BadArgument, BadEntry, NotATree, Preconditi
 from arbor.experiments import ExperimentConfig, run_equitable_fraction
 from arbor.random_trees import enumerate_labeled_trees, prufer_decode, prufer_encode
 from arbor.trees import (
-    Graph,
     branch,
     build_graph,
     build_tree,
@@ -58,7 +57,7 @@ def test_caller_sequences_still_converted():
 
 # outside input refused with a typed error: (call, error type, NotATree reason)
 REFUSALS = {
-    "from-edges-no-vertices": (lambda: Graph.from_edges([], 0), NotATree, "bad-vertex-id"),
+    "from-edges-no-vertices": (lambda: build_graph([], 0), NotATree, "bad-vertex-id"),
     "classify-vertex-id": (lambda: classify_vertex(path(3), 4), NotATree, "bad-vertex-id"),
     "branch-vertex-id": (lambda: branch(path(3), 2, 0), NotATree, "bad-vertex-id"),
     "induced-subtree-vertex-id": (lambda: induced_subtree(path(3), {5}), NotATree, "bad-vertex-id"),

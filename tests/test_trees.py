@@ -75,11 +75,36 @@ class TestBuildTree:
         assert exc.value.reason == reason
 
 
+def reference_build_graph(edges, n, cls=Graph):
+    """``build_graph`` as it was before it shared ``build_tree``'s
+    union-find pass (the old ``Graph.from_edges``): a set of neighbors per
+    vertex, and the rows sorted from those sets."""
+    if n < 1:
+        raise NotATree("bad-vertex-id", f"n={n}")
+    nbr: list[set] = [set() for _ in range(n + 1)]
+    us: list = []
+    vs: list = []
+    for u, v in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise NotATree("bad-vertex-id", f"edge ({u},{v}) outside 1..{n}")
+        if u == v:
+            raise NotATree("self-loop", f"vertex {u}")
+        if v in nbr[u]:
+            raise NotATree("duplicate-edge", f"edge ({u},{v})")
+        nbr[u].add(v)
+        nbr[v].add(u)
+        us.append(u)
+        vs.append(v)
+    g = cls(n, us, vs, [len(s) for s in nbr[1:]])
+    g.adj = tuple(tuple(sorted(s)) for s in nbr)
+    return g
+
+
 def reference_build_tree(edges, n):
-    """``build_tree`` as it was before its one union-find pass: a set per
-    vertex and sorted rows from ``Graph.from_edges``, then a walk of the rows
-    for connectivity."""
-    g = Tree.from_edges(edges, n)
+    """``build_tree`` as it was before its one union-find pass: the set per
+    vertex of ``reference_build_graph``, then a walk of the rows for
+    connectivity."""
+    g = reference_build_graph(edges, n, Tree)
     if g.edge_count > n - 1:
         raise NotATree("cycle", f"{g.edge_count} edges on {n} vertices")
     if g.edge_count < n - 1 or not is_connected(g):
@@ -96,37 +121,58 @@ def outcome(build, edges, n):
     return t.n, sorted(t.edges()), t.degree_sequence()
 
 
+def plant_faults(rng, edges, n):
+    """Plant up to three faults in ``edges`` on 1..n, n >= 1, in place: a
+    duplicate (as written or reversed), a loop, an id out of range (on a
+    loop or not), an extra, dropped or replaced edge."""
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        op = rng.choice(("duplicate", "reversed", "loop", "range", "extra", "drop", "replace"))
+        i = rng.randint(0, len(edges))
+        if op in ("duplicate", "reversed") and edges:
+            u, v = rng.choice(edges)
+            edges.insert(i, (u, v) if op == "duplicate" else (v, u))
+        elif op == "loop":
+            u = rng.randint(1, n)
+            edges.insert(i, (u, u))
+        elif op == "range":  # sometimes a loop too, which is reported as a bad id
+            bad = rng.choice((0, -1, n + 1, n + 7))
+            edges.insert(i, (bad, bad) if rng.random() < 0.3 else (bad, rng.randint(1, n)))
+        elif op in ("extra", "replace") and n >= 2:
+            u, v = rng.sample(range(1, n + 1), 2)
+            if op == "replace" and edges:
+                edges[rng.randrange(len(edges))] = (u, v)
+            else:
+                edges.insert(i, (u, v))
+        elif op == "drop" and edges:
+            del edges[rng.randrange(len(edges))]
+
+
 def mutated_edge_lists(seed, count):
     """Seeded (edges, n): shuffled, flipped edge lists of random trees with
-    up to three faults planted: a duplicate (as written or reversed), a
-    loop, an id out of range (on a loop or not), an extra, dropped or
-    replaced edge."""
+    up to three faults planted (``plant_faults``)."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, 24)
         t = prufer_decode([rng.randint(1, n) for _ in range(n - 2)], n) if n >= 2 else build_tree([], 1)
         edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in t.edges()]
         rng.shuffle(edges)
-        for _ in range(rng.choice((0, 1, 1, 2, 3))):
-            op = rng.choice(("duplicate", "reversed", "loop", "range", "extra", "drop", "replace"))
-            i = rng.randint(0, len(edges))
-            if op in ("duplicate", "reversed") and edges:
-                u, v = rng.choice(edges)
-                edges.insert(i, (u, v) if op == "duplicate" else (v, u))
-            elif op == "loop":
-                u = rng.randint(1, n)
-                edges.insert(i, (u, u))
-            elif op == "range":  # sometimes a loop too, which is reported as a bad id
-                bad = rng.choice((0, -1, n + 1, n + 7))
-                edges.insert(i, (bad, bad) if rng.random() < 0.3 else (bad, rng.randint(1, n)))
-            elif op in ("extra", "replace") and n >= 2:
-                u, v = rng.sample(range(1, n + 1), 2)
-                if op == "replace" and edges:
-                    edges[rng.randrange(len(edges))] = (u, v)
-                else:
-                    edges.insert(i, (u, v))
-            elif op == "drop" and edges:
-                del edges[rng.randrange(len(edges))]
+        plant_faults(rng, edges, n)
+        yield edges, n
+
+
+def mutated_graph_edge_lists(seed, count):
+    """Seeded (edges, n): flipped edge lists of random simple graphs of
+    every density on up to 12 vertices, many of them with cycles, with up
+    to three faults planted (``plant_faults``); one in twenty has n < 1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.05:
+            yield [(1, 2)] * rng.randint(0, 1), rng.choice((0, -1))
+            continue
+        n = rng.randint(1, 12)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in rng.sample(pairs, rng.randint(0, len(pairs)))]
+        plant_faults(rng, edges, n)
         yield edges, n
 
 
@@ -174,6 +220,54 @@ class TestBuildTreeOracle:
         assert t == reference_build_tree([(4, 1), (2, 5), (1, 5), (6, 3), (3, 5)], 6)
 
 
+class TestBuildGraphOracle:
+    """``build_graph`` checks its edges in ``build_tree``'s union-find pass
+    and keeps every graph, refusal reason and message of the set per vertex
+    it replaced."""
+
+    def test_mutated_graph_edge_lists(self):
+        kinds = set()
+        for edges, n in mutated_graph_edge_lists(22, 4_000):
+            got = outcome(build_graph, edges, n)
+            assert got == outcome(reference_build_graph, edges, n), (edges, n)
+            if got[0] is NotATree:
+                kinds.add(got[1].split(":")[0])
+            else:  # a graph with n or more edges holds a cycle
+                kinds.add("cyclic" if len(got[1]) >= n else "sparse")
+        assert kinds == {"cyclic", "sparse", "bad-vertex-id", "self-loop", "duplicate-edge"}
+
+    @pytest.mark.parametrize(
+        "edges,n,reason",
+        [
+            # a duplicate after a cycle closed, as written and reversed
+            ([(1, 2), (2, 3), (3, 1), (1, 2)], 3, "duplicate-edge"),
+            ([(1, 2), (2, 3), (3, 1), (3, 4), (3, 2)], 4, "duplicate-edge"),
+            ([(1, 2), (2, 1)], 2, "duplicate-edge"),
+            # a loop or bad id after a cycle closed
+            ([(1, 2), (2, 3), (3, 1), (4, 4)], 4, "self-loop"),
+            ([(1, 2), (2, 3), (3, 1), (1, 5)], 4, "bad-vertex-id"),
+            # an out-of-range loop is a bad id first
+            ([(5, 5)], 4, "bad-vertex-id"),
+            ([], 0, "bad-vertex-id"),
+            ([(1, 2)], -1, "bad-vertex-id"),
+            # graphs: two cycles beside a lone vertex, K5, no edges
+            ([(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 3)], 6, None),
+            ([(u, v) for u in range(1, 6) for v in range(u + 1, 6)], 5, None),
+            ([], 3, None),
+        ],
+    )
+    def test_named_cases(self, edges, n, reason):
+        assert outcome(build_graph, edges, n) == outcome(reference_build_graph, edges, n)
+        if reason is None:
+            g = build_graph(edges, n)
+            assert type(g) is Graph and held(g) == GRAPH_FORMS
+            assert g.adj == reference_build_graph(edges, n).adj
+            return
+        with pytest.raises(NotATree) as exc:
+            build_graph(edges, n)
+        assert exc.value.reason == reason
+
+
 def held(g):
     """The slots g holds, read without deriving any it lacks."""
     out = set()
@@ -186,22 +280,26 @@ def held(g):
     return out
 
 
-# each way a graph is made, with the forms it holds when made
+# the slots every graph holds when made: its edge list and degrees, no rows
+GRAPH_FORMS = {"n", "edge_count", "max_degree", "_ends", "_degrees"}
+
+# each way a graph is made ("rows" names induced_subtree, which once built rows only)
 GRAPH_ORIGINS = {
-    "rows": (lambda: induced_subtree(double_star(3, 2), {2}).graph, {"adj"}),
-    "build-graph": (lambda: build_graph([(4, 1), (2, 5), (1, 5), (6, 3)], 7), {"adj", "_ends"}),
-    "build-tree": (lambda: build_tree([(4, 1), (2, 5), (1, 5), (6, 3), (3, 5)], 6), {"_ends", "_degrees"}),
-    "decoded": (lambda: prufer_decode([4, 4, 1, 5], 6), {"_ends", "_degrees"}),
+    "rows": lambda: induced_subtree(double_star(3, 2), {2}).graph,
+    "build-graph": lambda: build_graph([(4, 1), (2, 5), (1, 5), (6, 3)], 7),
+    "build-tree": lambda: build_tree([(4, 1), (2, 5), (1, 5), (6, 3), (3, 5)], 6),
+    "decoded": lambda: prufer_decode([4, 4, 1, 5], 6),
+    "completed": lambda: complete_forest_to_tree(build_graph([(4, 1), (2, 5), (6, 3)], 7), 3),
 }
 
 
 class TestPickle:
-    @pytest.mark.parametrize("make,made_with", GRAPH_ORIGINS.values(), ids=GRAPH_ORIGINS.keys())
+    @pytest.mark.parametrize("make", GRAPH_ORIGINS.values(), ids=GRAPH_ORIGINS.keys())
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
-    def test_round_trip_builds_no_form(self, make, made_with, protocol):
+    def test_round_trip_builds_no_form(self, make, protocol):
         g = make()
         forms = held(g)
-        assert forms == {"n", "edge_count"} | made_with
+        assert forms == GRAPH_FORMS
         data = pickle.dumps(g, protocol)
         assert held(g) == forms
         back = pickle.loads(data)
@@ -538,7 +636,29 @@ class TestParseFuzz:
         assert build_tree(list(t.edges()), t.n) == t
 
 
+def reference_format_tree_text(t):
+    """``format_tree_text`` as it was, read from the rows."""
+    lines = [str(t.n)]
+    for u in range(1, t.n + 1):
+        lines.extend(f"{u} {v}" for v in t.adj[u] if u < v)
+    return "\n".join(lines) + "\n"
+
+
 class TestTextFormat:
+    def test_format_matches_rows(self):
+        # decoded, built, induced and completed graphs, none with rows when formatted
+        rng = random.Random(22)
+        for n in range(1, 80):
+            decoded = prufer_decode([rng.randint(1, n) for _ in range(n - 2)], n) if n >= 2 else build_tree([], 1)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in decoded.edges()]
+            rng.shuffle(edges)
+            induced = induced_subtree(decoded, rng.sample(range(1, n + 1), rng.randint(0, n - 1))).graph
+            made = [decoded, build_tree(edges, n), induced, complete_forest_to_tree(induced, max(induced.max_degree, 2))]
+            for g in made:
+                text = format_tree_text(g)
+                assert held(g) == GRAPH_FORMS
+                assert text == reference_format_tree_text(g)
+
     def test_round_trip(self):
         t = double_star(2, 3)
         assert set(parse_tree_text(format_tree_text(t)).edges()) == set(t.edges())

@@ -7,8 +7,9 @@ This checkout is imported as ``arbor`` and the other one, through
 ``load_side`` of ``bench/layers.py``, under a second package name.  Each side
 builds its own trees from the same edge lists, texts and Prüfer codes, and
 each case compares what both sides return: colorings, traces, class sizes
-and monochromatic edge counts of a certificate; n, edges and degrees of a
-tree; or the type, message, reason and dump of an exception.  The corpus:
+and monochromatic edge counts of a certificate; n, edges, degrees and rows
+of a graph; or the type, message, reason and dump of an exception.  The
+corpus:
 
 - random trees decoded from Prüfer codes, and the same trees as shuffled,
   flipped edge-list text, at n = 2..2,000, colored at k = 3..8;
@@ -18,12 +19,16 @@ tree; or the type, message, reason and dump of an exception.  The corpus:
   construction of ``every_construction``, ``hub_pair_coloring`` included;
 - mutated edge lists (``tests/test_trees.py``) through ``build_tree`` and,
   as text, ``parse_tree_text``;
+- mutated edge lists of graphs that are not trees (``tests/test_trees.py``)
+  through ``build_graph``, and induced subgraphs of decoded trees
+  (``induced_subtree``, with their vertex maps) and their completions
+  under a cap (``complete_forest_to_tree``);
 - the malformed texts of the ``parse_tree_text`` refusal tables of
   ``tests/test_trees.py`` and ``tests/test_cli.py``.
 
 It prints a line per section, then the route tokens of perfbench's
 ``ROUTES`` that no coloring of the corpus fired.  The exit code is 0 when
-every case agrees, 1 at the first difference.  A whole run, 90,446 cases,
+every case agrees, 1 at the first difference.  A whole run, 114,446 cases,
 took 21 s on a 2-core host.
 """
 
@@ -51,7 +56,7 @@ def outcome(fn, *args):
     if hasattr(result, "coloring"):
         return ("certificate", result.coloring.col, result.trace, result.class_sizes, result.mono_edges)
     if hasattr(result, "edge_ends"):
-        return ("graph", result.n, sorted(result.edges()), result.degree_sequence())
+        return ("graph", result.n, sorted(result.edges()), result.degree_sequence(), result.adj)
     return ("value", result)
 
 
@@ -164,6 +169,29 @@ def mutated(sides: Sides) -> None:
         sides.check(f"mutated edge text {i}", text, lambda eq, tr, rt: outcome(tr.parse_tree_text, text))
 
 
+def graphs(sides: Sides) -> None:
+    """Graph edge lists through ``build_graph``; induced subgraphs of decoded trees and their completions."""
+    from test_trees import mutated_graph_edge_lists
+
+    for i, (edges, n) in enumerate(mutated_graph_edge_lists(2_105, 20_000)):
+        shown = f"n={n} edges={edges!r}"
+        sides.check(f"mutated graph edge list {i}", shown, lambda eq, tr, rt: outcome(tr.build_graph, list(edges), n))
+    rng = random.Random(2_106)
+    for i in range(4_000):
+        n = rng.randint(1, 60)
+        code = [rng.randint(1, n) for _ in range(n - 2)]
+        removed = rng.sample(range(1, n + 1), rng.randint(0, n - 1))
+        cap = rng.choice((0, 1, 2, 2, 3, 4, 6))
+        shown = f"{n}\nP: {' '.join(map(str, code))}\n# removed {removed}, cap {cap}"
+
+        def induce(eq, tr, rt):
+            sub = tr.induced_subtree(rt.prufer_decode(code, n) if n >= 2 else tr.build_tree([], 1), removed)
+            completed = outcome(tr.complete_forest_to_tree, sub.graph, cap)
+            return outcome(lambda: sub.graph), sub.old_to_new, sub.new_to_old, completed
+
+        sides.check(f"induced subgraph {i}", shown, induce)
+
+
 def malformed(sides: Sides) -> None:
     """The texts of every parametrized ``parse_tree_text`` refusal table."""
     import test_cli
@@ -176,7 +204,7 @@ def malformed(sides: Sides) -> None:
             sides.check(f"malformed text {text!r}", text, lambda eq, tr, rt: outcome(tr.parse_tree_text, text))
 
 
-SECTIONS = (decoded_and_parsed, paths, constructions, mutated, malformed)
+SECTIONS = (decoded_and_parsed, paths, constructions, mutated, graphs, malformed)
 
 
 def main(argv=None) -> int:
