@@ -301,12 +301,13 @@ def _skeleton_colors(
 # the XOR ``xr`` of each vertex's neighbors; a failure dumps ``tree``, the
 # caller's input.  It only deletes leaves, and an edge goes only with one of
 # its ends, so the active tree is the source tree on the vertices of active
-# degree ``deg > 0`` (a vertex that the k >= 4 reduction shed has none), and
-# a full row is a source row filtered by it.  The common routes read no row:
-# a leaf's neighbor is ``xr[w]``.  The rare ones (the special heap, the spine
-# and the hub peel) read the ascending source rows ``adj``: ``rows`` if
-# given, else the tree's own, derived on first read.  Per vertex it keeps
-# ``deg``, ``xr`` of the active neighbors, the count ``nleaf`` of leaf
+# degree ``deg > 0`` (a vertex that the k >= 4 reduction shed has none).  The
+# common routes read no row: a leaf's neighbor is ``xr[w]``.  The rare ones
+# (the special heap, the spine, the hub peel, the base search) read ``adj``,
+# the ascending rows of the active tree as it stood at their first read,
+# rebuilt from ``deg`` and ``xr``.  As peeling only deletes, a later row is
+# that row filtered by ``deg``, and every reader filters it so.  Per vertex it
+# keeps ``deg``, ``xr`` of the active neighbors, the count ``nleaf`` of leaf
 # neighbors and a lazy min-heap ``leaves_at`` of them; besides, a leaf count
 # and lazy min-heaps of leaves and pre-leaves.  A pre-leaf stays one until it
 # is a leaf, so it is pushed once, on becoming one.  A vertex that the special
@@ -344,9 +345,9 @@ class _Machine:
         "tree",
     )
 
-    def __init__(self, t: Graph, deg: list, xr: list, rows: Optional[Sequence[Sequence[int]]] = None):
+    def __init__(self, t: Graph, deg: list, xr: list):
         n = len(deg) - 1
-        self.tree, self.deg, self.xr, self.rows = t, deg, xr, rows
+        self.tree, self.deg, self.xr, self.rows = t, deg, xr, None
         self.nleaf = nleaf = [0] * (n + 1)
         self.leaf_heap = [v for v in range(1, n + 1) if deg[v] == 1]  # ascending, so already a heap
         self.leaves_at = [[] for _ in range(n + 1)]
@@ -355,7 +356,7 @@ class _Machine:
             self.leaves_at[xr[w]].append(w)
         self.n_act = n + 1 - deg.count(0)  # deg[0] is 0
         self.leaves = len(self.leaf_heap)
-        self.pre_heap = [v for v in range(1, n + 1) if deg[v] >= 2 and nleaf[v] >= deg[v] - 1]
+        self.pre_heap = [v for v in range(1, n + 1) if deg[v] >= 2 and nleaf[v] >= deg[v] - 1]  # is_pre_leaf, inlined
         self.special_at: dict = {}
         # (source degree, vertex), descending: run3's level loop, its one reader, runs at
         # n_act >= 12, n_act = 0 (mod 3), so at k = n_act // 3 >= 4, and stops at the first
@@ -366,10 +367,34 @@ class _Machine:
         self.col = [0] * (n + 1)
         self.sizes = [0, 0, 0, 0]
 
-    @property
-    def adj(self) -> Sequence[Sequence[int]]:
-        """The ascending source rows, read only on the rare routes."""
-        return self.tree.adj if self.rows is None else self.rows
+    def is_pre_leaf(self, v: int) -> bool:
+        """v is active and all its active neighbors but at most one are leaves."""
+        return self.deg[v] >= 2 and self.nleaf[v] >= self.deg[v] - 1
+
+    def active_rows(self) -> list:
+        """The ascending rows of the active tree (``()`` off it) as it stands
+        at the first call, rebuilt by peeling its leaves from copies of
+        ``deg`` and ``xr``, and kept: see the header."""
+        if self.rows is None:
+            deg, xr, active = self.deg[:], self.xr[:], self.active_vertices()
+            self.rows = rows = [()] * len(deg)
+            for v in active:
+                rows[v] = []
+            stack = [v for v in active if deg[v] == 1]
+            for _ in range(len(active) - 1):  # one edge a peeled leaf
+                w = stack.pop()
+                z = xr[w]
+                rows[w].append(z)
+                rows[z].append(w)
+                deg[z] -= 1
+                xr[z] ^= w
+                if deg[z] == 1:
+                    stack.append(z)
+            for v in active:
+                rows[v].sort()
+        return self.rows
+
+    adj = property(active_rows)
 
     # -- incremental maintenance ------------------------------------------
 
@@ -436,7 +461,7 @@ class _Machine:
         return found
 
     def active_vertices(self) -> list:
-        return [v for v, d in enumerate(self.deg) if d]  # deg[0] is 0
+        return list(itertools.compress(range(len(self.deg)), self.deg))  # deg[0] is 0
 
     def _fail(self, message: str) -> InternalInvariant:
         return InternalInvariant(message, dump=format_tree_text(self.tree))
@@ -450,26 +475,8 @@ class _Machine:
             sizes[c] += 1
 
     def _base_search(self, constraints: Sequence[tuple]) -> None:
-        """Search the active tree, at most 12 vertices, whose ascending rows
-        are rebuilt from ``deg`` and ``xr`` by peeling its leaves."""
-        vertices = self.active_vertices()
-        deg = {v: self.deg[v] for v in vertices}
-        xr = {v: self.xr[v] for v in vertices}
-        rows: dict = {v: [] for v in vertices}
-        stack = [v for v in vertices if deg[v] == 1]
-        for _ in range(len(vertices) - 1):  # one edge a peeled leaf
-            w = stack.pop()
-            z = xr[w]
-            rows[w].append(z)
-            rows[z].append(w)
-            deg[z] -= 1
-            xr[z] ^= w
-            if deg[z] == 1:
-                stack.append(z)
-        for row in rows.values():
-            row.sort()
-        targets = balanced_targets(self.n_act, 3)
-        colors = _search_colors(vertices, rows, 3, targets, constraints)
+        """Search the active tree, at most 12 vertices."""
+        colors = _search_colors(self.active_vertices(), self.adj, 3, balanced_targets(self.n_act, 3), constraints)
         if colors is None:
             raise self._fail("exhaustive base search found no equitable coloring")
         self.trace.append("direct:search")
@@ -487,6 +494,7 @@ class _Machine:
     # distinct colors, two pre-leaves get distinct colors) -----------------
 
     def lemma_run(self, u: int, v: int, p: int, q: int) -> None:
+        self.active_rows()  # now: the hub-peel unwind reads rows of vertices that later peels delete
         while True:
             n = self.n_act
             if n <= 12:
@@ -868,14 +876,6 @@ def _source_lists(t: Graph) -> tuple:
     return [0, *t._degrees], _neighbor_xors(t)
 
 
-def _three_colors(t: Graph, deg: list, xr: list, rows=None, constraint: Optional[tuple] = None) -> tuple:
-    """Color list of an equitable 3-coloring of the tree (two or more vertices)
-    given to ``_Machine``, and its trace, unverified."""
-    m = _Machine(t, deg, xr, rows)
-    m.run3(constraint)
-    return m.col, tuple(m.trace)
-
-
 def _path_certificate(t: Graph, k: int, constraint: Optional[tuple] = None) -> EquitableCertificate:
     """Verified round-robin k-coloring of a path-shaped tree (two or more
     vertices), which at k = 3 separates the pre-leaf pair ``constraint``."""
@@ -895,16 +895,18 @@ def equitable_three(t: Tree, constraint: Optional[tuple] = None) -> EquitableCer
     n = t.n
     if t.max_degree * 3 > n:
         raise DegreeTooHigh(f"max degree {t.max_degree} exceeds n/3 = {n / 3:.2f}")
+    m = None if is_path_graph(t) else _Machine(t, *_source_lists(t))  # n = 1 is a path too
     if constraint is not None:
         p, q = constraint
-        if p == q or not (1 <= p <= n and 1 <= q <= n) or not (is_pre_leaf(t, p) and is_pre_leaf(t, q)):
+        pre_leaf = m.is_pre_leaf if m else lambda v: is_pre_leaf(t, v)
+        if p == q or not (1 <= p <= n and 1 <= q <= n) or not (pre_leaf(p) and pre_leaf(q)):
             raise NoTwoPreLeaves(f"({p}, {q}) is not a pair of distinct pre-leaf vertices")
     if n == 1:
         return _certify(t, [0, 1], 3, ("direct:trivial",))
-    if is_path_graph(t):
+    if m is None:
         return _path_certificate(t, 3, constraint)
-    col, trace = _three_colors(t, *_source_lists(t), constraint=constraint)
-    return _certify(t, col, 3, trace, () if constraint is None else (constraint,))
+    m.run3(constraint)
+    return _certify(t, m.col, 3, tuple(m.trace), () if constraint is None else (constraint,))
 
 
 def hub_pair_coloring(t: Tree, u: int, v: int, p: int, q: int) -> EquitableCertificate:
@@ -915,9 +917,9 @@ def hub_pair_coloring(t: Tree, u: int, v: int, p: int, q: int) -> EquitableCerti
         raise PreconditionViolated("u and v must be distinct vertices")
     if t.degree(u) * 3 < n or t.degree(v) * 3 < n:
         raise PreconditionViolated("both designated vertices need degree at least n/3")
-    if p == q or not (1 <= p <= n and 1 <= q <= n) or not (is_pre_leaf(t, p) and is_pre_leaf(t, q)):
-        raise PreconditionViolated("p and q must be distinct pre-leaf vertices")
     m = _Machine(t, *_source_lists(t))
+    if p == q or not (1 <= p <= n and 1 <= q <= n) or not (m.is_pre_leaf(p) and m.is_pre_leaf(q)):
+        raise PreconditionViolated("p and q must be distinct pre-leaf vertices")
     m.lemma_run(u, v, p, q)
     m._unwind()
     return _certify(t, m.col, 3, tuple(m.trace), ((u, v), (p, q)))
@@ -962,9 +964,9 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
     colors; class sizes come out exactly equitable by arithmetic.  Every
     layer is shed from neighbor lists over t's own ids, built once from t's
     edges, each pick as it is chosen, then joined in one walk
-    (``join_forest``); the 3-coloring peels these lists, sorted once.  Ids
-    keep their order, so the choices are those of relabeling every layer,
-    and a failure dumps t.
+    (``join_forest``); the 3-coloring peels the degrees and neighbor XORs
+    of these lists.  Ids keep their order, so the choices are those of
+    relabeling every layer, and a failure dumps t.
     """
     if k < 3:
         raise BadArgument("k must be at least 3")
@@ -994,8 +996,8 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
     xr = [0] * (n + 1)
     for v in kept:
         row = adj[v]
-        row.sort()
         deg[v] = len(row)
         xr[v] = reduce(xor, row, 0)
-    col3, trace3 = _three_colors(t, deg, xr, adj)
-    return _certify(t, list(map(or_, col, col3)), k, (*trace, *trace3))  # col3 is 0 at the shed vertices
+    m = _Machine(t, deg, xr)
+    m.run3(None)
+    return _certify(t, list(map(or_, col, m.col)), k, (*trace, *m.trace))  # m.col is 0 at the shed vertices

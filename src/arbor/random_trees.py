@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BadEntry, TooLarge
-from .trees import Graph, Tree, build_tree
+from .trees import Graph, Tree, _neighbor_xors, build_tree
 
 ENUMERATION_LIMIT = 8  # 8^6 = 262144 codes
 
@@ -68,25 +68,23 @@ def prufer_decode(entries: Sequence[int], n: int) -> Tree:
 
 
 def prufer_encode(t: Tree) -> list[int]:
-    """Inverse of decoding: strip the smallest leaf, record its neighbor."""
+    """Inverse of decoding: strip the smallest leaf and record its neighbor,
+    the XOR of its neighbors not yet stripped."""
     n = t.n
     if n < 2:
         raise BadEntry("encoding needs n >= 2")
-    deg = [len(t.adj[v]) for v in range(n + 1)]
-    removed = bytearray(n + 1)
-    leaves = [v for v in range(1, n + 1) if deg[v] == 1]
-    heapq.heapify(leaves)
+    deg = [0, *t._degrees]
+    xr = _neighbor_xors(t)
+    leaves = [v for v in range(1, n + 1) if deg[v] == 1]  # ascending, so already a heap
     out = []
     for _ in range(n - 2):
         v = heapq.heappop(leaves)
-        removed[v] = 1
-        for w in t.adj[v]:
-            if not removed[w]:
-                out.append(w)
-                deg[w] -= 1
-                if deg[w] == 1:
-                    heapq.heappush(leaves, w)
-                break
+        w = xr[v]
+        out.append(w)
+        xr[w] ^= v
+        deg[w] -= 1
+        if deg[w] == 1:
+            heapq.heappush(leaves, w)
     return out
 
 

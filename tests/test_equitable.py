@@ -128,6 +128,13 @@ def first_route_tree(route):
     raise AssertionError(f"no tree starts with {route}")
 
 
+def first_special_tree():
+    """The first tree of ``hub_arms_tree`` (8 arms) whose first step is the
+    special case."""
+    trees = (hub_arms_tree(seed, 8) for seed in range(50))
+    return next(t for t in trees if equitable_three(t).trace[0].startswith("ext:special"))
+
+
 class TestPeelingGuards:
     """Each guard of the k=3 level loop and the unwind, reached by making
     the step before it give a wrong answer."""
@@ -178,6 +185,33 @@ class TestPeelingGuards:
         self.assert_guard(t, "exhaustive base search found no equitable coloring")
         with pytest.raises(InternalInvariant, match="exhaustive base search found no equitable coloring") as exc:
             equitable_coloring(t, 4)  # the machine on the reduction's rows dumps t too
+        assert parse_tree_text(exc.value.dump) == t
+
+    def test_no_special_vertex_next_to_the_maximal_degree_vertex(self, monkeypatch):
+        t = first_special_tree()
+        special = equitable_module._Machine._case_special
+
+        def emptied_row(m, p, q, v0):
+            m.adj[v0].clear()  # the special heap of v0 is built from this row
+            return special(m, p, q, v0)
+
+        monkeypatch.setattr(equitable_module._Machine, "_case_special", emptied_row)
+        self.assert_guard(t, "no special vertex adjacent to the maximal-degree vertex")
+
+    def test_no_leaf_clear_of_the_special_vertex(self, monkeypatch):
+        t = first_special_tree()  # n = 0 (mod 3): the special case is the first step to pick a leaf
+        monkeypatch.setattr(equitable_module._Machine, "_min_leaf", lambda m, nbr_not_in=(): None)
+        self.assert_guard(t, "no leaf clear of the constraint pair and the special vertex")
+
+    def test_designated_pre_leaf_not_a_pendant_path_end(self, monkeypatch):
+        # hubs 1 and 2; pre-leaf 3 has two leaves, so the hub peel would take
+        # one of them before the spine coloring
+        t = build_tree([(1, 2), (1, 3), (3, 4), (3, 5), (1, 6), (1, 7), (1, 8), *((2, x) for x in range(9, 14))], 13)
+        assert_good(t, hub_pair_coloring(t, 1, 2, 3, 2), 3, constraint=(3, 2))
+        monkeypatch.setattr(equitable_module._Machine, "_leaf_at", lambda m, z: None)
+        monkeypatch.setattr(equitable_module._Machine, "_min_leaf", lambda m, nbr_not_in=(): None)
+        with pytest.raises(InternalInvariant, match="designated pre-leaf is not a pendant-path end") as exc:
+            hub_pair_coloring(t, 1, 2, 3, 2)
         assert parse_tree_text(exc.value.dump) == t
 
     def test_unknown_record(self, monkeypatch):
@@ -433,6 +467,31 @@ def shuffled_path(n, seed):
     return build_tree(list(zip(walk, walk[1:])), n)
 
 
+def peeled_rows(deg, xr):
+    """The ascending rows, indexed by vertex, of the tree that a degree list
+    and a neighbor-XOR list describe (a vertex of degree 0 is off it,
+    whatever its XOR), rebuilt by peeling leaves until both lists are all
+    zero."""
+    xr = [x if d else 0 for d, x in zip(deg, xr)]
+    deg = list(deg)
+    rows = [[] for _ in deg]
+    stack = [v for v, d in enumerate(deg) if d == 1]
+    while stack:
+        w = stack.pop()
+        if deg[w] != 1:
+            continue  # the last vertex, whose final neighbor was peeled first
+        z = xr[w]
+        rows[w].append(z)
+        rows[z].append(w)
+        deg[w], xr[w] = 0, 0
+        deg[z] -= 1
+        xr[z] ^= w
+        if deg[z] == 1:
+            stack.append(z)
+    assert not any(deg) and not any(xr), "the lists do not describe a tree"
+    return [sorted(row) for row in rows]
+
+
 class TestPathRoute:
     """Every path is colored by ``_path_colors``, and a path-shaped input
     builds no peeling machine."""
@@ -474,16 +533,17 @@ class TestPathRoute:
     def test_reduction_to_a_path_peels_nothing(self, monkeypatch):
         # a k>=4 reduction that leaves a path, of any length mod 3, goes
         # straight to the path coloring, with no single-leaf peel first
-        three = equitable_module._three_colors
+        real_init = equitable_module._Machine.__init__
         lengths = []  # of the path left, or None for another tree
 
-        def colored(tree, deg, xr, rows=None, constraint=None):
+        def init(self, tree, deg, xr):
+            rows = peeled_rows(deg, xr)
             assert deg == [len(row) for row in rows]
             kept = sum(1 for row in rows if row)
             lengths.append(kept if max(map(len, rows)) <= 2 else None)
-            return three(tree, deg, xr, rows, constraint)
+            real_init(self, tree, deg, xr)
 
-        monkeypatch.setattr(equitable_module, "_three_colors", colored)
+        monkeypatch.setattr(equitable_module._Machine, "__init__", init)
         seen = set()
         for n in range(8, 15):
             for t in enumerate_unlabeled_trees(n):
@@ -783,9 +843,11 @@ def reference_reduction(t, k):
 
 def observed_reduction(monkeypatch, t, k):
     """The same record of ``equitable_coloring(t, k)``'s own reduction, read
-    from its calls of the greedy, ``join_forest`` and ``_three_colors``."""
-    greedy, join, three = equitable_module._independent_low_degree, equitable_module.join_forest, equitable_module._three_colors
-    layers, rows = [], []
+    from its calls of the greedy and ``join_forest`` and from the lists it
+    builds its peeling machine from."""
+    greedy, join = equitable_module._independent_low_degree, equitable_module.join_forest
+    real_init, run3 = equitable_module._Machine.__init__, equitable_module._Machine.run3
+    layers, rows, joined_lists = [], [], []
 
     def shed(adj, vertices, m):
         layers.append((greedy(adj, vertices, m), set()))
@@ -796,23 +858,32 @@ def observed_reduction(monkeypatch, t, k):
         top = join(adj, vertices, cap)
         layers[-1][1].update((min(v, w), max(v, w)) for v in vertices for w in adj[v][before[v] :])
         assert top == max(2, *map(len, map(adj.__getitem__, vertices)))
+        joined_lists[:] = [adj]
         return top
 
-    def colored(tree, deg, xr, adj=None, constraint=None):
-        assert tree is t and constraint is None
+    def init(self, tree, deg, xr):
+        assert tree is t
+        (adj,) = joined_lists
         gone = {x for picks, _ in layers for x in picks}
-        assert all(not adj[x] for x in gone)  # a shed vertex is gone from the tree the machine peels
-        # the machine's lists are those of the rows it reads on its rare routes
+        assert all(not adj[x] and not deg[x] for x in gone)  # a shed vertex is gone from the tree the machine peels
+        # the machine's lists are those of the reduction's lists, and describe their tree
         assert deg == [len(row) for row in adj] and xr == [functools.reduce(operator.xor, row, 0) for row in adj]
+        tree_rows = peeled_rows(deg, xr)
+        assert tree_rows == [sorted(row) for row in adj]
         kept = [v for v in range(1, t.n + 1) if v not in gone]
         new_id = {v: i for i, v in enumerate(kept, 1)}
-        rows.append(((),) + tuple(tuple(new_id[w] for w in adj[v]) for v in kept))  # relabeled 1..m, order kept
-        return three(tree, deg, xr, adj, constraint)
+        rows.append(((),) + tuple(tuple(new_id[w] for w in tree_rows[v]) for v in kept))  # relabeled 1..m, order kept
+        real_init(self, tree, deg, xr)
+
+    def unconstrained(m, pair):
+        assert pair is None
+        run3(m, pair)
 
     with monkeypatch.context() as patch:
         patch.setattr(equitable_module, "_independent_low_degree", shed)
         patch.setattr(equitable_module, "join_forest", joined)
-        patch.setattr(equitable_module, "_three_colors", colored)
+        patch.setattr(equitable_module._Machine, "__init__", init)
+        patch.setattr(equitable_module._Machine, "run3", unconstrained)
         cert = equitable_coloring(t, k)
     assert_good(t, cert, k)
     return layers, rows[0]
@@ -947,9 +1018,9 @@ class TestSpecialHeap:
         real_init = equitable_module._Machine.__init__
         special = equitable_module._Machine._case_special
 
-        def init(self, tree, deg, xr, rows=None):
+        def init(self, tree, deg, xr):
             nonlocal machine
-            real_init(self, tree, deg, xr, rows)
+            real_init(self, tree, deg, xr)
             machine = self
 
         def scanned(m, p, q, v0):
@@ -976,8 +1047,8 @@ class TestSpecialHeap:
 
 
 class CountedRow(tuple):
-    """A source row that counts, in ``reads[0]``, the entries read by
-    iterating it."""
+    """A row of the machine's ``adj`` that counts, in ``reads[0]``, the
+    entries read by iterating it."""
 
     reads = [0]
 
@@ -993,19 +1064,24 @@ class TestPeelOperationCounts:
         n = 10_000
         t = PEEL_SHAPES[shape](n)
         assert t.n == n and t.max_degree * 3 <= n
-        t.adj = tuple(map(CountedRow, t.adj))
         monkeypatch.setattr(CountedRow, "reads", [0])
         ops = picks = 0
         machine = None
         entries = collections.Counter()  # pre-leaf heap entries by vertex, put-backs left out
         taken = set()  # live pre-leaves that picking a pair popped and owes back
-        real_init = equitable_module._Machine.__init__
+        real_init, real_rows = equitable_module._Machine.__init__, equitable_module._Machine.active_rows
+        counted = {}  # the machine's rows, each a CountedRow
 
-        def init(self, tree, deg, xr, rows=None):
+        def init(self, tree, deg, xr):
             nonlocal machine
-            real_init(self, tree, deg, xr, rows)
+            real_init(self, tree, deg, xr)
             machine = self
             entries.update(self.pre_heap)
+
+        def adj(m):
+            if m not in counted:
+                counted[m] = tuple(map(CountedRow, real_rows(m)))
+            return counted[m]
 
         def heappush(heap, item):
             nonlocal ops
@@ -1027,6 +1103,7 @@ class TestPeelOperationCounts:
             return item
 
         monkeypatch.setattr(equitable_module._Machine, "__init__", init)
+        monkeypatch.setattr(equitable_module._Machine, "adj", property(adj))
         monkeypatch.setattr(equitable_module, "heapq", types.SimpleNamespace(heappush=heappush, heappop=heappop))
         cert = equitable_coloring(t, 3)
         assert_good(t, cert, 3)
@@ -1036,8 +1113,8 @@ class TestPeelOperationCounts:
         # level after a pendant one picks a new pair from the pre-leaf heap.
         assert n // 2 <= ops <= 8 * n, ops / n
         assert picks >= sum(route.startswith("ext:pendant") for route in cert.trace) - 1 > 0
-        # source-row entries read, building the machine included: a rescan
-        # of one row per level would be quadratic
+        # row entries read through the machine's adj: a rescan of one row
+        # per level would be quadratic
         assert CountedRow.reads[0] <= 8 * n, CountedRow.reads[0] / n
         assert max(entries.values()) == 1  # a vertex enters the pre-leaf heap once
 
@@ -1047,6 +1124,19 @@ class TestPeelOperationCounts:
 # on the rare routes.
 
 ROWLESS_ROUTES = {"ext:leaf", "ext:pendant", "ext:triple", "direct:path", "direct:search"}
+ALL_ROUTES = ROWLESS_ROUTES | {
+    "direct:trivial",
+    "direct:spine",
+    "delegate:hubs",
+    "peel:hub-safe",
+    "ext:triple-capped",
+    "ext:pendant-capped",
+    "ext:special",
+    "ext:special-swap",
+    "reduce:k4",
+    "reduce:k5",
+    "reduce:k6",
+}
 
 
 class TestRowFreeMachine:
@@ -1070,8 +1160,8 @@ class TestRowFreeMachine:
         assert checked >= 20
 
     def test_base_search_gets_the_active_rows(self, monkeypatch):
-        # the rows rebuilt by peeling are the source rows filtered to the
-        # active vertices, the form _search_colors reads them in
+        # the machine's rows, filtered to the vertices _search_colors gets,
+        # are the rows of the active tree that deg and xr describe
         search, base = equitable_module._search_colors, equitable_module._Machine._base_search
         machines = []
         routes = collections.Counter()
@@ -1083,7 +1173,8 @@ class TestRowFreeMachine:
         def searched(vertices, adj, k, targets, constraints=()):
             m = machines[-1]
             assert vertices == m.active_vertices() and len(vertices) <= 12
-            assert {v: list(adj[v]) for v in vertices} == {v: [w for w in m.adj[v] if m.deg[w]] for v in vertices}
+            active = peeled_rows(m.deg, m.xr)
+            assert {v: [w for w in adj[v] if w in vertices] for v in vertices} == {v: active[v] for v in vertices}
             return search(vertices, adj, k, targets, constraints)
 
         monkeypatch.setattr(equitable_module._Machine, "_base_search", based)
@@ -1101,3 +1192,32 @@ class TestRowFreeMachine:
                     routes.update(cert.trace)
         assert routes["direct:search"] > 100 and routes["delegate:hubs"] > 0, routes
         assert len(machines) == routes["direct:search"]
+
+    def test_no_construction_derives_rows(self):
+        # every route, the rare ones included, reads only the rows that the
+        # machine rebuilds from its own lists; only a constrained path checks
+        # its pair on the tree's rows
+        routes = collections.Counter()
+        rng = random.Random(23)
+        draws = [planted_hub_tree(rng) for _ in range(30)] + [crowded_tree(rng, hubs) for hubs in (False, True) * 40]
+        draws += [hub_arms_tree(seed, 8) for seed in range(10)]
+        for twin in filter(None, draws):
+            for tag, k, pair, hubs, cert in every_construction(twin):  # whose pre-leaf scan derives the twin's rows
+                t = build_tree(list(twin.edges()), twin.n)
+                if hubs:
+                    again = hub_pair_coloring(t, *hubs, *pair)
+                elif pair:
+                    again = equitable_three(t, pair)
+                else:
+                    again = equitable_coloring(t, k)
+                assert (again.coloring, again.trace) == (cert.coloring, cert.trace)
+                assert held(t) == GRAPH_FORMS or pair and t.max_degree <= 2, tag
+                routes.update(again.trace)
+        for n in (1, *range(10, 61)):
+            for seed in range(1, 4):
+                for k in range(3, 7):
+                    t = sample_labeled_tree(n, seed) if n > 1 else build_tree([], 1)
+                    if t.max_degree * k <= n:
+                        routes.update(equitable_coloring(t, k).trace)
+                        assert held(t) == GRAPH_FORMS, (n, seed, k)
+        assert set(routes) == ALL_ROUTES, ALL_ROUTES - set(routes)

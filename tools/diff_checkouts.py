@@ -17,6 +17,10 @@ corpus:
   ordered pair of their pre-leaves;
 - planted-hub and crowded trees (``tests/test_golden.py``): every
   construction of ``every_construction``, ``hub_pair_coloring`` included;
+- decoded trees at n = 4..60 and planted-hub trees through
+  ``equitable_three`` and ``hub_pair_coloring`` (hubs: the two vertices
+  of largest degree) under every ordered pair of some pre-leaves, leaves,
+  internal vertices and out-of-range ids, equal ends included;
 - mutated edge lists (``tests/test_trees.py``) through ``build_tree`` and,
   as text, ``parse_tree_text``;
 - mutated edge lists of graphs that are not trees (``tests/test_trees.py``)
@@ -28,8 +32,8 @@ corpus:
 
 It prints a line per section, then the route tokens of perfbench's
 ``ROUTES`` that no coloring of the corpus fired.  The exit code is 0 when
-every case agrees, 1 at the first difference.  A whole run, 114,446 cases,
-took 21 s on a 2-core host.
+every case agrees, 1 at the first difference.  A whole run, 181,666 cases,
+took 23 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -159,6 +163,36 @@ def constructions(sides: Sides) -> None:
                 sides.routes.update(run[2])
 
 
+def pairs(sides: Sides) -> None:
+    """``equitable_three`` and ``hub_pair_coloring`` under pairs that are and
+    are not two distinct pre-leaves, on decoded and planted-hub trees."""
+    from test_golden import planted_hub_tree
+
+    rng = random.Random(2_107)
+    made = [(n, [rng.randint(1, n) for _ in range(n - 2)]) for n in range(4, 61) for _ in range(4)]
+    made += [(t.n, t) for t in (planted_hub_tree(rng) for _ in range(120))]
+    for i, (n, source) in enumerate(made):
+        t = sides.change[2].prufer_decode(source, n) if isinstance(source, list) else source
+        text = tree_text(n, t.edges())
+        pls = sides.change[1].pre_leaves(t)
+        leaves = [v for v in range(1, n + 1) if t.degree(v) == 1]
+        inner = [v for v in range(1, n + 1) if t.degree(v) > 1 and v not in pls]
+        hubs = sorted(range(1, n + 1), key=lambda v: (-t.degree(v), v))[:2]
+        ends = {*pls[:3], *leaves[:2], *inner[:2], 0, -1, n + 1}
+        for pair in itertools.product(sorted(ends), repeat=2):
+            shown = f"{text}# pair {pair}, hubs {hubs}"
+            sides.check(
+                f"pair tree {i} {pair}",
+                shown,
+                lambda eq, tr, rt: outcome(eq.equitable_three, tr.parse_tree_text(text), pair),
+            )
+            sides.check(
+                f"hub pair tree {i} {pair}",
+                shown,
+                lambda eq, tr, rt: outcome(eq.hub_pair_coloring, tr.parse_tree_text(text), *hubs, *pair),
+            )
+
+
 def mutated(sides: Sides) -> None:
     from test_trees import mutated_edge_lists
 
@@ -204,7 +238,7 @@ def malformed(sides: Sides) -> None:
             sides.check(f"malformed text {text!r}", text, lambda eq, tr, rt: outcome(tr.parse_tree_text, text))
 
 
-SECTIONS = (decoded_and_parsed, paths, constructions, mutated, graphs, malformed)
+SECTIONS = (decoded_and_parsed, paths, constructions, pairs, mutated, graphs, malformed)
 
 
 def main(argv=None) -> int:
