@@ -18,6 +18,10 @@ only the named layer is timed):
 - ``machine``: that set-up alone, on random trees at n = 2,000, 10^4 and
   10^5 decoded before every repeat, untimed, so the rows an older side
   reads are built in the timed call, as in a coloring of a decoded tree.
+- ``pre_leaves``, ``prufer_encode`` and ``active_rows`` (the machine's
+  rows of the whole tree) on random trees at n = 2,000, 10^4 and 10^5,
+  decoded before every repeat, untimed, and for ``active_rows`` given a
+  fresh machine, untimed.
 - ``parse_tree_text`` on the text of random trees at n = 2,000, 10^4 and
   10^5: shape ``edges``, the edge lines shuffled and each flipped with
   probability 1/2; shape ``code``, a ``P:`` code line.
@@ -164,7 +168,9 @@ def cases(shapes, sample_labeled_tree, prufer_encode):
             yield "peel3", shape, n, 3, edges if shape == "random" else edges * calls
     for n in SETUP_SIZES:
         made = [sample_labeled_tree(n, seed) for seed in range(1, max(1, WORK_PER_REPEAT // n) + 1)]
-        yield "machine", "decoded", n, 3, [prufer_encode(t) for t in made]
+        codes = [prufer_encode(t) for t in made]
+        for layer in ("machine", "pre_leaves", "prufer_encode", "active_rows"):
+            yield layer, "decoded", n, 3 if layer in ("machine", "active_rows") else None, codes
         rng = random.Random(n)
         texts = []
         for t in made:
@@ -232,6 +238,13 @@ def layer_call(modules, layer: str, shape: str, n: int, k: int, items: list):
         return make, peel3(equitable), list
     if layer == "machine":
         return make, machine_maker(equitable), machine_state
+    if layer == "pre_leaves":
+        return make, trees.pre_leaves, list
+    if layer == "prufer_encode":
+        return make, random_trees.prufer_encode, list
+    if layer == "active_rows":
+        machines = machine_maker(equitable)
+        return (lambda: [machines(t) for t in make()]), (lambda m: m.active_rows()), (lambda rows: list(map(tuple, rows)))
     return make, (lambda t: equitable.equitable_coloring(t, k)), (lambda cert: cert.coloring.col)
 
 

@@ -37,11 +37,13 @@ from .random_trees import (
     trial_code,
 )
 from .trees import (
-    classify_vertex,
+    _PRE_LEAF,
+    VertexClass,
+    _source_lists,
+    _vertex_classes,
     format_tree_text,
     is_path_graph,
     parse_tree_text,
-    pre_leaves,
 )
 
 SCHEMA = 1
@@ -102,9 +104,7 @@ def _cmd_sample(args) -> int:
 def _cmd_check(args) -> int:
     t = _read_tree(args.infile)
     s = tree_stats(t)
-    classes = {"leaf": 0, "pre-leaf": 0, "special-pre-leaf": 0, "internal": 0}
-    for v in range(1, t.n + 1):
-        classes[classify_vertex(t, v).value] += 1
+    classes = _vertex_classes(*_source_lists(t))[1:]
     payload = {
         "schema": SCHEMA,
         "n": t.n,
@@ -113,8 +113,8 @@ def _cmd_check(args) -> int:
         "x1": s.x1,
         "x2": s.x2,
         "is_path": is_path_graph(t),
-        "classes": classes,
-        "pre_leaves": pre_leaves(t),
+        "classes": {c.value: classes.count(c) for c in VertexClass},
+        "pre_leaves": [v for v, c in enumerate(classes, 1) if c in _PRE_LEAF],
         "prufer": prufer_encode(t) if t.n >= 2 else [],
     }
     _emit(_json(payload), args.out)

@@ -39,11 +39,12 @@ from .errors import (
 from .trees import (
     Graph,
     Tree,
+    _leaf_peel,
     _neighbor_lists,
-    _neighbor_xors,
+    _pre_leaf_pair,
+    _source_lists,
     format_tree_text,
     is_path_graph,
-    is_pre_leaf,
     join_forest,
     path_order,
 )
@@ -356,7 +357,7 @@ class _Machine:
             self.leaves_at[xr[w]].append(w)
         self.n_act = n + 1 - deg.count(0)  # deg[0] is 0
         self.leaves = len(self.leaf_heap)
-        self.pre_heap = [v for v in range(1, n + 1) if deg[v] >= 2 and nleaf[v] >= deg[v] - 1]  # is_pre_leaf, inlined
+        self.pre_heap = [v for v in range(1, n + 1) if deg[v] >= 2 and nleaf[v] >= deg[v] - 1]  # _vertex_classes' rule
         self.special_at: dict = {}
         # (source degree, vertex), descending: run3's level loop, its one reader, runs at
         # n_act >= 12, n_act = 0 (mod 3), so at k = n_act // 3 >= 4, and stops at the first
@@ -367,31 +368,17 @@ class _Machine:
         self.col = [0] * (n + 1)
         self.sizes = [0, 0, 0, 0]
 
-    def is_pre_leaf(self, v: int) -> bool:
-        """v is active and all its active neighbors but at most one are leaves."""
-        return self.deg[v] >= 2 and self.nleaf[v] >= self.deg[v] - 1
-
     def active_rows(self) -> list:
         """The ascending rows of the active tree (``()`` off it) as it stands
         at the first call, rebuilt by peeling its leaves from copies of
         ``deg`` and ``xr``, and kept: see the header."""
         if self.rows is None:
-            deg, xr, active = self.deg[:], self.xr[:], self.active_vertices()
-            self.rows = rows = [()] * len(deg)
-            for v in active:
-                rows[v] = []
-            stack = [v for v in active if deg[v] == 1]
-            for _ in range(len(active) - 1):  # one edge a peeled leaf
-                w = stack.pop()
-                z = xr[w]
+            self.rows = rows = [[] if d else () for d in self.deg]
+            for w, z in _leaf_peel(self.deg[:], self.xr[:]):
                 rows[w].append(z)
                 rows[z].append(w)
-                deg[z] -= 1
-                xr[z] ^= w
-                if deg[z] == 1:
-                    stack.append(z)
-            for v in active:
-                rows[v].sort()
+            for row in filter(None, rows):
+                row.sort()
         return self.rows
 
     adj = property(active_rows)
@@ -871,11 +858,6 @@ def _certify(t: Graph, col: list, k: int, trace: Iterable[str], apart: Iterable[
     return cert
 
 
-def _source_lists(t: Graph) -> tuple:
-    """The degree list and the neighbor-XOR list of t, indexed by vertex."""
-    return [0, *t._degrees], _neighbor_xors(t)
-
-
 def _path_certificate(t: Graph, k: int, constraint: Optional[tuple] = None) -> EquitableCertificate:
     """Verified round-robin k-coloring of a path-shaped tree (two or more
     vertices), which at k = 3 separates the pre-leaf pair ``constraint``."""
@@ -895,16 +877,17 @@ def equitable_three(t: Tree, constraint: Optional[tuple] = None) -> EquitableCer
     n = t.n
     if t.max_degree * 3 > n:
         raise DegreeTooHigh(f"max degree {t.max_degree} exceeds n/3 = {n / 3:.2f}")
-    m = None if is_path_graph(t) else _Machine(t, *_source_lists(t))  # n = 1 is a path too
+    path = is_path_graph(t)  # n = 1 is a path too
+    lists = None if path and constraint is None else _source_lists(t)
     if constraint is not None:
         p, q = constraint
-        pre_leaf = m.is_pre_leaf if m else lambda v: is_pre_leaf(t, v)
-        if p == q or not (1 <= p <= n and 1 <= q <= n) or not (pre_leaf(p) and pre_leaf(q)):
+        if not _pre_leaf_pair(*lists, p, q):
             raise NoTwoPreLeaves(f"({p}, {q}) is not a pair of distinct pre-leaf vertices")
     if n == 1:
         return _certify(t, [0, 1], 3, ("direct:trivial",))
-    if m is None:
+    if path:
         return _path_certificate(t, 3, constraint)
+    m = _Machine(t, *lists)
     m.run3(constraint)
     return _certify(t, m.col, 3, tuple(m.trace), () if constraint is None else (constraint,))
 
@@ -917,9 +900,10 @@ def hub_pair_coloring(t: Tree, u: int, v: int, p: int, q: int) -> EquitableCerti
         raise PreconditionViolated("u and v must be distinct vertices")
     if t.degree(u) * 3 < n or t.degree(v) * 3 < n:
         raise PreconditionViolated("both designated vertices need degree at least n/3")
-    m = _Machine(t, *_source_lists(t))
-    if p == q or not (1 <= p <= n and 1 <= q <= n) or not (m.is_pre_leaf(p) and m.is_pre_leaf(q)):
+    deg, xr = _source_lists(t)
+    if not _pre_leaf_pair(deg, xr, p, q):
         raise PreconditionViolated("p and q must be distinct pre-leaf vertices")
+    m = _Machine(t, deg, xr)
     m.lemma_run(u, v, p, q)
     m._unwind()
     return _certify(t, m.col, 3, tuple(m.trace), ((u, v), (p, q)))

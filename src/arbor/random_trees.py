@@ -11,7 +11,6 @@ decoding therefore samples labeled trees exactly uniformly.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -19,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BadEntry, TooLarge
-from .trees import Graph, Tree, _neighbor_xors, build_tree
+from .trees import Graph, Tree, _leaf_peel, _source_lists, build_tree
 
 ENUMERATION_LIMIT = 8  # 8^6 = 262144 codes
 
@@ -68,24 +67,11 @@ def prufer_decode(entries: Sequence[int], n: int) -> Tree:
 
 
 def prufer_encode(t: Tree) -> list[int]:
-    """Inverse of decoding: strip the smallest leaf and record its neighbor,
-    the XOR of its neighbors not yet stripped."""
-    n = t.n
-    if n < 2:
+    """Inverse of decoding: strip the smallest leaf and record its neighbor
+    (``_leaf_peel``), n - 2 times."""
+    if t.n < 2:
         raise BadEntry("encoding needs n >= 2")
-    deg = [0, *t._degrees]
-    xr = _neighbor_xors(t)
-    leaves = [v for v in range(1, n + 1) if deg[v] == 1]  # ascending, so already a heap
-    out = []
-    for _ in range(n - 2):
-        v = heapq.heappop(leaves)
-        w = xr[v]
-        out.append(w)
-        xr[w] ^= v
-        deg[w] -= 1
-        if deg[w] == 1:
-            heapq.heappush(leaves, w)
-    return out
+    return [w for _, w in itertools.islice(_leaf_peel(*_source_lists(t)), t.n - 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -162,31 +162,45 @@ def build_tree(edges: Iterable[tuple[int, int]], n: int) -> Tree:
     return Tree(n, us, vs, degrees)
 
 
-def classify_vertex(t: Graph, v: int) -> VertexClass:
-    """Leaf / pre-leaf / special pre-leaf / internal taxonomy.
+def _vertex_classes(deg: list, xr: list) -> list:
+    """The class of each vertex (entry 0 unused) of the graph whose degree
+    list and neighbor-XOR list, both indexed by vertex, are ``deg`` and
+    ``xr``: a leaf's neighbor is its ``xr``.  A non-leaf is a pre-leaf when
+    at least deg(v)-1 of its neighbors are leaves, a special one at degree
+    two; so the middle of a 3-vertex path is a (special) pre-leaf."""
+    nleaf = [0] * len(deg)
+    for v, d in enumerate(deg):
+        if d == 1:
+            nleaf[xr[v]] += 1
+    special, pre, inner = VertexClass.SPECIAL_PRE_LEAF, VertexClass.PRE_LEAF, VertexClass.INTERNAL
+    return [
+        VertexClass.LEAF if d == 1 else inner if d < 2 or c < d - 1 else special if d == 2 else pre
+        for d, c in zip(deg, nleaf)
+    ]
 
-    A non-leaf counts as a pre-leaf when at least deg(v)-1 of its neighbors
-    are leaves; degree-two pre-leaves are special.  The ``>=`` reading keeps
-    the middle vertex of a 3-vertex path inside the pre-leaf class.
-    """
+
+_PRE_LEAF = (VertexClass.PRE_LEAF, VertexClass.SPECIAL_PRE_LEAF)
+
+
+def _pre_leaf_pair(deg: list, xr: list, p: int, q: int) -> bool:
+    """p and q are two distinct pre-leaves of the graph of the lists."""
+    if p == q or not (0 < p < len(deg) and 0 < q < len(deg)):
+        return False
+    classes = _vertex_classes(deg, xr)
+    return classes[p] in _PRE_LEAF and classes[q] in _PRE_LEAF
+
+
+def classify_vertex(t: Graph, v: int) -> VertexClass:
+    """Leaf / pre-leaf / special pre-leaf / internal taxonomy (see
+    ``_vertex_classes``), one pass over the whole graph per call."""
     if not (1 <= v <= t.n):
         raise NotATree("bad-vertex-id", f"vertex {v}")
-    deg = len(t.adj[v])
-    if deg == 1:
-        return VertexClass.LEAF
-    leaf_nbrs = sum(1 for w in t.adj[v] if len(t.adj[w]) == 1)
-    if deg >= 2 and leaf_nbrs >= deg - 1:
-        return VertexClass.SPECIAL_PRE_LEAF if deg == 2 else VertexClass.PRE_LEAF
-    return VertexClass.INTERNAL
-
-
-def is_pre_leaf(t: Graph, v: int) -> bool:
-    return classify_vertex(t, v) in (VertexClass.PRE_LEAF, VertexClass.SPECIAL_PRE_LEAF)
+    return _vertex_classes(*_source_lists(t))[v]
 
 
 def pre_leaves(t: Graph) -> list[int]:
     """All pre-leaf vertices (special ones included), ascending."""
-    return [v for v in range(1, t.n + 1) if is_pre_leaf(t, v)]
+    return [v for v, c in enumerate(_vertex_classes(*_source_lists(t))) if c in _PRE_LEAF]
 
 
 def branch(t: Tree, v: int, u: int) -> frozenset:
@@ -224,14 +238,31 @@ def _neighbor_lists(g: Graph) -> list:
     return adj
 
 
-def _neighbor_xors(g: Graph) -> list:
-    """The XOR of each vertex's neighbors, indexed by vertex, from g's edge
-    list: a leaf's neighbor, read without a row."""
+def _source_lists(g: Graph) -> tuple:
+    """The degree list and the XOR of each vertex's neighbors, both indexed
+    by vertex, from g's edge list: a leaf's neighbor, read without a row."""
     xr = [0] * (g.n + 1)
     for u, v in zip(*g.edge_ends()):
         xr[u] ^= v
         xr[v] ^= u
-    return xr
+    return [0, *g._degrees], xr
+
+
+def _leaf_peel(deg: list, xr: list) -> Iterator[tuple]:
+    """Strip the smallest leaf of the forest that the degree list ``deg`` and
+    neighbor-XOR list ``xr`` describe (vertices of degree 0 are off it), in
+    place, and yield it with its neighbor, its ``xr``, until no edge is left:
+    each edge once, as (leaf, neighbor)."""
+    heap = [v for v, d in enumerate(deg) if d == 1]  # ascending, so already a heap
+    while heap:
+        v = heapq.heappop(heap)
+        w = xr[v]
+        if w:  # else v is the last vertex of its tree
+            xr[w] ^= v
+            deg[w] -= 1
+            if deg[w] == 1:
+                heapq.heappush(heap, w)
+            yield v, w
 
 
 def path_order(t: Graph) -> list[int]:
@@ -242,11 +273,10 @@ def path_order(t: Graph) -> list[int]:
     n = t.n
     if n == 1:
         return [1]
-    degrees = t._degrees
-    if not is_path_graph(t) or degrees.count(1) != 2:
+    if not is_path_graph(t) or t._degrees.count(1) != 2:
         raise PreconditionViolated("not a path-shaped tree")
-    xr = _neighbor_xors(t)
-    order = [0, degrees.index(1) + 1]
+    deg, xr = _source_lists(t)
+    order = [0, deg.index(1)]
     for _ in range(n - 1):
         order.append(xr[order[-1]] ^ order[-2])
     del order[0]

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 import tracemalloc
 
@@ -10,11 +11,11 @@ from arbor.cli import main
 from arbor.colorings import KColoring
 from arbor.equitable import verify_equitable
 from arbor.errors import ArborError
-from arbor.random_trees import enumerate_labeled_trees
-from arbor.trees import parse_tree_text
+from arbor.random_trees import enumerate_labeled_trees, prufer_encode, sample_labeled_tree
+from arbor.trees import format_tree_text, parse_tree_text
 
 from test_equitable import CROWDED_39, CROWDED_56
-from test_trees import fuzzed
+from test_trees import GRAPH_FORMS, fuzzed, held
 
 
 def run(capsys, *argv):
@@ -240,6 +241,31 @@ class TestCheckCommand:
         payload = json.loads(out)
         assert payload["n"] == 4 and payload["max_degree"] == 3
         assert payload["classes"]["leaf"] == 3 and payload["pre_leaves"] == [1]
+
+    def test_reads_no_rows(self, capsys, tmp_path, monkeypatch):
+        # the classes, pre-leaves and code come from the degree and XOR
+        # lists, so the tree that the command read keeps only them
+        read, got = cli._read_tree, []
+
+        def kept(path):
+            got.append(read(path))
+            return got[-1]
+
+        monkeypatch.setattr(cli, "_read_tree", kept)
+        t = sample_labeled_tree(300, 24)
+        edges = list(t.edges())
+        random.Random(24).shuffle(edges)
+        texts = {"code": f"300\nP: {' '.join(map(str, prufer_encode(t)))}\n", "edges": format_tree_text(t)}
+        texts["shuffled"] = "300\n" + "".join(f"{v} {u}\n" for u, v in edges)
+        outs = []
+        for name, text in texts.items():
+            f = tmp_path / f"{name}.tree"
+            f.write_text(text)
+            code, out, _ = run(capsys, "check", "--in", str(f))
+            assert code == 0 and held(got[-1]) == GRAPH_FORMS, name
+            outs.append(out)
+        assert len(got) == 3 and outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0])["prufer"] == prufer_encode(t)
 
     def test_invalid_tree(self, capsys, tmp_path):
         f = tmp_path / "bad.tree"

@@ -135,6 +135,31 @@ def first_special_tree():
     return next(t for t in trees if equitable_three(t).trace[0].startswith("ext:special"))
 
 
+def hub_swap_case(monkeypatch):
+    """(tree, hubs, pre-leaf pair) of the first planted-hub draw whose
+    ``hub_pair_coloring`` unwind swaps a far leaf into the deficient class."""
+    extend = equitable_module._Machine._extend_hub_peel
+    swaps = []
+
+    def watched(m, w, z, u, v, p, q):
+        col = m.col[:]
+        extend(m, w, z, u, v, p, q)
+        swaps.extend(x for x, (a, b) in enumerate(zip(col, m.col)) if a != b and x != w)
+
+    rng = random.Random(5)
+    with monkeypatch.context() as patched:
+        patched.setattr(equitable_module._Machine, "_extend_hub_peel", watched)
+        for _ in range(100):
+            t = planted_hub_tree(rng)
+            hubs = [x for x in range(1, t.n + 1) if 3 * t.degree(x) >= t.n][:2]
+            pair = pre_leaves(t)[:2]
+            if t.max_degree * 3 <= t.n and len(hubs) == len(pair) == 2:
+                assert_good(t, hub_pair_coloring(t, *hubs, *pair), 3, constraint=tuple(pair))
+                if swaps:
+                    return t, hubs, pair
+    raise AssertionError("no planted-hub draw swaps a leaf")
+
+
 class TestPeelingGuards:
     """Each guard of the k=3 level loop and the unwind, reached by making
     the step before it give a wrong answer."""
@@ -213,6 +238,53 @@ class TestPeelingGuards:
         with pytest.raises(InternalInvariant, match="designated pre-leaf is not a pendant-path end") as exc:
             hub_pair_coloring(t, 1, 2, 3, 2)
         assert parse_tree_text(exc.value.dump) == t
+
+    def test_constraint_pair_shares_a_color_during_unwind(self, monkeypatch):
+        t = sample_labeled_tree(30, 24)
+        assert equitable_three(t).trace[-2:] == ("ext:triple", "direct:path")
+        commit = equitable_module._Machine._commit
+
+        def merged(m, colors):  # the base coloring gives the newest triple's pair one color
+            commit(m, colors)
+            _, p, q, *_ = m.records[-1]
+            m.col[q] = m.col[p]
+
+        monkeypatch.setattr(equitable_module._Machine, "_commit", merged)
+        self.assert_guard(t, "constraint pair shares a color during unwind")
+
+    def assert_hub_guard(self, monkeypatch, extend, message):
+        """Run the first planted-hub case whose hub-peel unwind swaps a far
+        leaf with ``_extend_hub_peel`` patched to ``extend(original)``."""
+        t, hubs, pair = hub_swap_case(monkeypatch)
+        monkeypatch.setattr(equitable_module._Machine, "_extend_hub_peel", extend(equitable_module._Machine._extend_hub_peel))
+        with pytest.raises(InternalInvariant, match=message) as exc:
+            hub_pair_coloring(t, *hubs, *pair)
+        assert parse_tree_text(exc.value.dump) == t
+
+    def test_no_branch_avoids_the_deficient_color_class(self, monkeypatch):
+        def extend(original):
+            def no_branches(m, w, z, u, v, p, q):  # the rows show no branch off the hubs
+                m.adj[u].clear()
+                m.adj[v].clear()
+                original(m, w, z, u, v, p, q)
+
+            return no_branches
+
+        self.assert_hub_guard(monkeypatch, extend, "no branch avoids the deficient color class")
+
+    def test_swap_leaf_collides_with_a_constrained_vertex(self, monkeypatch):
+        def extend(original):
+            def named(m, w, z, u, v, p, q):  # the record names the swap leaf as its pre-leaf p
+                col, sizes = m.col[:], m.sizes[:]
+                original(m, w, z, u, v, p, q)
+                swapped = [x for x, (a, b) in enumerate(zip(col, m.col)) if a != b and x != w]
+                if swapped:
+                    m.col[:], m.sizes[:] = col, sizes
+                    original(m, w, z, u, v, swapped[0], q)
+
+            return named
+
+        self.assert_hub_guard(monkeypatch, extend, "swap leaf collides with a constrained vertex")
 
     def test_unknown_record(self, monkeypatch):
         commit = equitable_module._Machine._commit
@@ -1195,14 +1267,14 @@ class TestRowFreeMachine:
 
     def test_no_construction_derives_rows(self):
         # every route, the rare ones included, reads only the rows that the
-        # machine rebuilds from its own lists; only a constrained path checks
-        # its pair on the tree's rows
+        # machine rebuilds from its own lists, and every pair check, a
+        # constrained path's included, reads the degree and XOR lists
         routes = collections.Counter()
         rng = random.Random(23)
         draws = [planted_hub_tree(rng) for _ in range(30)] + [crowded_tree(rng, hubs) for hubs in (False, True) * 40]
-        draws += [hub_arms_tree(seed, 8) for seed in range(10)]
+        draws += [hub_arms_tree(seed, 8) for seed in range(10)] + [shuffled_path(n, n) for n in (4, 5, 6, 9, 31)]
         for twin in filter(None, draws):
-            for tag, k, pair, hubs, cert in every_construction(twin):  # whose pre-leaf scan derives the twin's rows
+            for tag, k, pair, hubs, cert in every_construction(twin):
                 t = build_tree(list(twin.edges()), twin.n)
                 if hubs:
                     again = hub_pair_coloring(t, *hubs, *pair)
@@ -1211,7 +1283,7 @@ class TestRowFreeMachine:
                 else:
                     again = equitable_coloring(t, k)
                 assert (again.coloring, again.trace) == (cert.coloring, cert.trace)
-                assert held(t) == GRAPH_FORMS or pair and t.max_degree <= 2, tag
+                assert held(t) == GRAPH_FORMS, tag
                 routes.update(again.trace)
         for n in (1, *range(10, 61)):
             for seed in range(1, 4):

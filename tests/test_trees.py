@@ -1,3 +1,5 @@
+import heapq
+import json
 import pickle
 import random
 import tracemalloc
@@ -5,8 +7,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arbor import cli
 from arbor.errors import ArborError, CapInfeasible, NotAdjacent, NotATree, PreconditionViolated
-from arbor.random_trees import prufer_decode, prufer_encode
+from arbor.random_trees import enumerate_labeled_trees, enumerate_unlabeled_trees, prufer_decode, prufer_encode
 from arbor.trees import (
     Graph,
     InducedSubgraph,
@@ -337,6 +340,121 @@ class TestClassify:
             for v in range(1, t.n + 1)
             if classify_vertex(t, v) in (VertexClass.PRE_LEAF, VertexClass.SPECIAL_PRE_LEAF)
         }
+
+
+def reference_classify_vertex(t, v):
+    """``classify_vertex`` as it was before it read the degree and XOR lists:
+    v's row and the rows of its neighbors."""
+    if not (1 <= v <= t.n):
+        raise NotATree("bad-vertex-id", f"vertex {v}")
+    deg = len(t.adj[v])
+    if deg == 1:
+        return VertexClass.LEAF
+    leaf_nbrs = sum(1 for w in t.adj[v] if len(t.adj[w]) == 1)
+    if deg >= 2 and leaf_nbrs >= deg - 1:
+        return VertexClass.SPECIAL_PRE_LEAF if deg == 2 else VertexClass.PRE_LEAF
+    return VertexClass.INTERNAL
+
+
+def reference_pre_leaves(t):
+    pre = (VertexClass.PRE_LEAF, VertexClass.SPECIAL_PRE_LEAF)
+    return [v for v in range(1, t.n + 1) if reference_classify_vertex(t, v) in pre]
+
+
+def reference_prufer_encode(t):
+    """``prufer_encode`` as it was before it peeled by XOR: a heap of
+    leaves, removed flags, and a scan of the stripped leaf's row for its
+    neighbor left."""
+    n = t.n
+    deg = [len(t.adj[v]) for v in range(n + 1)]
+    removed = bytearray(n + 1)
+    leaves = [v for v in range(1, n + 1) if deg[v] == 1]
+    heapq.heapify(leaves)
+    out = []
+    for _ in range(n - 2):
+        v = heapq.heappop(leaves)
+        removed[v] = 1
+        for w in t.adj[v]:
+            if not removed[w]:
+                out.append(w)
+                deg[w] -= 1
+                if deg[w] == 1:
+                    heapq.heappush(leaves, w)
+                break
+    return out
+
+
+def reference_check(t):
+    """The bytes ``arbor check`` wrote before it read the lists: a class
+    loop over ``reference_classify_vertex``, then the references above."""
+    classes = {"leaf": 0, "pre-leaf": 0, "special-pre-leaf": 0, "internal": 0}
+    for v in range(1, t.n + 1):
+        classes[reference_classify_vertex(t, v).value] += 1
+    degrees = t.degree_sequence()
+    payload = {
+        "schema": 1,
+        "n": t.n,
+        "edges": t.edge_count,
+        "max_degree": t.max_degree,
+        "x1": degrees.count(1),
+        "x2": degrees.count(2),
+        "is_path": t.max_degree <= 2,
+        "classes": classes,
+        "pre_leaves": reference_pre_leaves(t),
+        "prufer": reference_prufer_encode(t) if t.n >= 2 else [],
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def twin(t):
+    """The same tree built again, so a reference may derive its rows."""
+    return build_tree(list(t.edges()), t.n)
+
+
+def taxonomy_corpus():
+    """(label, tree): the one-vertex tree, every labeled tree with n <= 7
+    (n = 2 included), every unlabeled tree with n <= 10 (built again, as
+    its enumeration reads rows), and seeded random trees up to n = 2,000,
+    each decoded and as shuffled, flipped edge-list text."""
+    yield "n=1", build_tree([], 1)
+    for n in range(2, 8):
+        yield from ((f"labeled n={n} #{i}", t) for i, t in enumerate(enumerate_labeled_trees(n)))
+    for n in range(1, 11):
+        yield from ((f"unlabeled n={n} #{i}", twin(t)) for i, t in enumerate(enumerate_unlabeled_trees(n)))
+    rng = random.Random(24)
+    for n in (*range(8, 41), 60, 300, 1_000, 2_000):
+        for trial in range(3 if n <= 60 else 1):
+            t = prufer_decode([rng.randint(1, n) for _ in range(n - 2)], n)
+            yield f"decoded n={n} #{trial}", t
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges()]
+            rng.shuffle(edges)
+            yield f"parsed n={n} #{trial}", parse_tree_text(f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+
+
+class TestTaxonomyOracle:
+    """The vertex classes, pre-leaves, Prüfer code and ``arbor check`` bytes
+    read off the degree and XOR lists equal the rows-based references, and
+    reading them derives no rows."""
+
+    def test_classes_pre_leaves_and_codes(self):
+        seen = set()
+        for label, t in taxonomy_corpus():
+            ref = twin(t)
+            got = [classify_vertex(t, v) for v in range(1, t.n + 1)]
+            assert got == [reference_classify_vertex(ref, v) for v in range(1, t.n + 1)], label
+            assert pre_leaves(t) == reference_pre_leaves(ref), label
+            if t.n >= 2:
+                assert prufer_encode(t) == reference_prufer_encode(ref), label
+            assert held(t) == GRAPH_FORMS, label
+            seen.update(got)
+        assert seen == set(VertexClass)
+
+    def test_check_bytes(self, capsys, monkeypatch):
+        for label, t in taxonomy_corpus():
+            monkeypatch.setattr(cli, "_read_tree", lambda path, t=t: t)  # the corpus tree, as read
+            assert cli.main(["check", "--in", label]) == 0
+            assert capsys.readouterr().out == reference_check(twin(t)), label
+            assert held(t) == GRAPH_FORMS, label
 
 
 class TestBranch:

@@ -8,7 +8,8 @@ This checkout is imported as ``arbor`` and the other one, through
 builds its own trees from the same edge lists, texts and Prüfer codes, and
 each case compares what both sides return: colorings, traces, class sizes
 and monochromatic edge counts of a certificate; n, edges, degrees and rows
-of a graph; or the type, message, reason and dump of an exception.  The
+of a graph; vertex classes, pre-leaves, Prüfer codes and ``arbor check``
+output; or the type, message, reason and dump of an exception.  The
 corpus:
 
 - random trees decoded from Prüfer codes, and the same trees as shuffled,
@@ -21,6 +22,11 @@ corpus:
   ``equitable_three`` and ``hub_pair_coloring`` (hubs: the two vertices
   of largest degree) under every ordered pair of some pre-leaves, leaves,
   internal vertices and out-of-range ids, equal ends included;
+- decoded trees and the same trees as edge-list text at n = 2..2,000, and
+  ``adversarial_labels`` draws (``tests/test_equitable.py``) at n = 4..600:
+  ``classify_vertex`` of every vertex and of ids 0 and n + 1,
+  ``pre_leaves``, ``prufer_encode`` and the exit code and bytes of
+  ``arbor check``; the draws are colored at k = 3..8 too;
 - mutated edge lists (``tests/test_trees.py``) through ``build_tree`` and,
   as text, ``parse_tree_text``;
 - mutated edge lists of graphs that are not trees (``tests/test_trees.py``)
@@ -32,17 +38,19 @@ corpus:
 
 It prints a line per section, then the route tokens of perfbench's
 ``ROUTES`` that no coloring of the corpus fired.  The exit code is 0 when
-every case agrees, 1 at the first difference.  A whole run, 181,666 cases,
-took 23 s on a 2-core host.
+every case agrees, 1 at the first difference.  A whole run, 183,686 cases,
+took 33 s on a 2-core host.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import itertools
 import os
 import random
 import sys
+import tempfile
 import time
 from collections import Counter
 
@@ -193,6 +201,47 @@ def pairs(sides: Sides) -> None:
             )
 
 
+def taxonomy(sides: Sides) -> None:
+    """``classify_vertex`` of every vertex and of ids 0 and n + 1,
+    ``pre_leaves``, ``prufer_encode`` and the exit code and bytes of ``arbor
+    check``, on decoded and edge-list trees and on ``adversarial_labels``
+    draws, which are colored at every k of ``KS`` too."""
+    from test_equitable import adversarial_labels
+
+    def report(path, text):
+        def call(eq, tr, rt):
+            t = tr.parse_tree_text(text)
+            classes = [outcome(lambda: tr.classify_vertex(t, v).value) for v in range(t.n + 2)]
+            cli = importlib.import_module(f"{tr.__package__}.cli")
+            status = cli.main(["check", "--in", path, "--out", path + ".json"])
+            with open(path + ".json", "rb") as fh:
+                return ("taxonomy", classes, tr.pre_leaves(t), outcome(rt.prufer_encode, t), status, fh.read())
+
+        return call
+
+    rng = random.Random(2_108)
+    cases = []
+    for n in TREE_SIZES:
+        for trial in range(20 if n <= 40 else 4 if n <= 600 else 2):
+            code = [rng.randint(1, n) for _ in range(n - 2)]
+            cases.append((f"decoded n={n} code {trial}", f"{n}\nP: {' '.join(map(str, code))}\n", False))
+            tree = sides.change[2].prufer_decode(code, n)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in tree.edges()]
+            rng.shuffle(edges)
+            cases.append((f"parsed n={n} text {trial}", tree_text(n, edges), False))
+    for n in (*range(4, 61), 120, 300, 600):
+        tree = adversarial_labels(sides.change[2].prufer_decode([rng.randint(1, n) for _ in range(n - 2)], n))
+        cases.append((f"adversarial n={n}", tree_text(n, tree.edges()), True))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tree.txt")
+        for label, text, colored in cases:
+            with open(path, "w") as fh:
+                fh.write(text)
+            sides.check(f"taxonomy {label}", text, report(path, text))
+            if colored:
+                colorings(sides, label, text, lambda tr, rt: tr.parse_tree_text(text))
+
+
 def mutated(sides: Sides) -> None:
     from test_trees import mutated_edge_lists
 
@@ -238,7 +287,7 @@ def malformed(sides: Sides) -> None:
             sides.check(f"malformed text {text!r}", text, lambda eq, tr, rt: outcome(tr.parse_tree_text, text))
 
 
-SECTIONS = (decoded_and_parsed, paths, constructions, pairs, mutated, graphs, malformed)
+SECTIONS = (decoded_and_parsed, paths, constructions, pairs, taxonomy, mutated, graphs, malformed)
 
 
 def main(argv=None) -> int:
