@@ -298,23 +298,26 @@ def _skeleton_colors(
 
 
 # ---------------------------------------------------------------------------
-# The peeling machine, on a source tree given by its degree list ``deg`` and
-# the XOR ``xr`` of each vertex's neighbors; a failure dumps ``tree``, the
-# caller's input.  It only deletes leaves, and an edge goes only with one of
-# its ends, so the active tree is the source tree on the vertices of active
-# degree ``deg > 0`` (a vertex that the k >= 4 reduction shed has none).  The
-# common routes read no row: a leaf's neighbor is ``xr[w]``.  The rare ones
-# (the special heap, the spine, the hub peel, the base search) read ``adj``,
-# the ascending rows of the active tree as it stood at their first read,
-# rebuilt from ``deg`` and ``xr``.  As peeling only deletes, a later row is
-# that row filtered by ``deg``, and every reader filters it so.  Per vertex it
-# keeps ``deg``, ``xr`` of the active neighbors, the count ``nleaf`` of leaf
-# neighbors and a lazy min-heap ``leaves_at`` of them; besides, a leaf count
-# and lazy min-heaps of leaves and pre-leaves.  A pre-leaf stays one until it
-# is a leaf, so it is pushed once, on becoming one.  A vertex that the special
-# case has met as the maximal-degree vertex v0 also gets a lazy min-heap in
-# ``special_at`` of its special neighbors (degree two with a leaf).  A vertex
-# stays special until it is a leaf, so it enters a neighbor's heap once.
+# The peeling machine, on a source tree given by its degree list ``deg`` and the
+# XOR ``xr`` of each vertex's neighbors; a failure dumps the caller's ``tree``.
+# It only deletes leaves and pendant pairs (a degree-two pre-leaf p, next to u,
+# with its leaf), and an edge goes only with one of its ends, so the active tree
+# is the source tree on the vertices of active degree ``deg > 0`` (none for a
+# vertex that the k >= 4 reduction shed).  The common routes read no row (a
+# leaf's neighbor is ``xr[w]``); the rare ones (the special heap, the spine, the
+# hub peel, the base search) read ``adj``, the ascending rows of the active tree
+# as it stood at their first read, rebuilt from ``deg`` and ``xr``.  As peeling
+# only deletes, a later row is that row filtered by ``deg``, and every reader
+# filters it so.  Per vertex it keeps ``deg``, ``xr`` of the active neighbors,
+# the count ``nleaf`` of leaf neighbors and, from its first leaf on, a lazy
+# min-heap ``leaves_at`` of them; besides, a leaf count and lazy min-heaps of
+# leaves and pre-leaves, filled at set-up from the leaves.  Then ``detach``
+# pushes a vertex that loses a neighbor and so becomes a leaf, a pre-leaf (once:
+# it stays one until it is a leaf) or special (degree two with a leaf; once
+# likewise, into ``special_at[v0]`` for each neighbor v0 the special case has
+# met).  A pendant pair leaves in one step: p, never a leaf, and u, if then a
+# leaf, get no stale entry; no pick moves, as ``_min_leaf``'s invariant never
+# rests on p.
 #
 # ``run3`` runs the levels at n ≡ 0 (mod 3) in one loop over locals.  The
 # pendant case, nearly every level of a random tree, is written out in that
@@ -337,7 +340,6 @@ class _Machine:
         "leaves_at",
         "pre_heap",
         "special_at",
-        "by_degree",
         "records",
         "trace",
         "col",
@@ -351,18 +353,17 @@ class _Machine:
         self.tree, self.deg, self.xr, self.rows = t, deg, xr, None
         self.nleaf = nleaf = [0] * (n + 1)
         self.leaf_heap = [v for v in range(1, n + 1) if deg[v] == 1]  # ascending, so already a heap
-        self.leaves_at = [[] for _ in range(n + 1)]
+        self.leaves_at = leaves_at = [None] * (n + 1)  # a heap from a vertex's first leaf on
+        hosts = sorted(set(map(xr.__getitem__, self.leaf_heap)))  # a pre-leaf has a leaf
+        for z in hosts:
+            leaves_at[z] = []
         for w in self.leaf_heap:
             nleaf[xr[w]] += 1
-            self.leaves_at[xr[w]].append(w)
+            leaves_at[xr[w]].append(w)
         self.n_act = n + 1 - deg.count(0)  # deg[0] is 0
         self.leaves = len(self.leaf_heap)
-        self.pre_heap = [v for v in range(1, n + 1) if deg[v] >= 2 and nleaf[v] >= deg[v] - 1]  # _vertex_classes' rule
+        self.pre_heap = [z for z in hosts if deg[z] >= 2 and nleaf[z] >= deg[z] - 1]  # _vertex_classes' rule
         self.special_at: dict = {}
-        # (source degree, vertex), descending: run3's level loop, its one reader, runs at
-        # n_act >= 12, n_act = 0 (mod 3), so at k = n_act // 3 >= 4, and stops at the first
-        # vertex of source degree < k
-        self.by_degree = sorted([(d, v) for v, d in enumerate(deg) if d >= 4], reverse=True)
         self.records: list = []
         self.trace: list = []
         self.col = [0] * (n + 1)
@@ -373,12 +374,15 @@ class _Machine:
         at the first call, rebuilt by peeling its leaves from copies of
         ``deg`` and ``xr``, and kept: see the header."""
         if self.rows is None:
-            self.rows = rows = [[] if d else () for d in self.deg]
-            for w, z in _leaf_peel(self.deg[:], self.xr[:]):
+            self.rows = rows = [()] * len(self.deg)
+            act = self.active_vertices()
+            for v in act:
+                rows[v] = []
+            for w, z in _leaf_peel(self.deg[:], self.xr[:], act):
                 rows[w].append(z)
                 rows[z].append(w)
-            for row in filter(None, rows):
-                row.sort()
+            for v in act:
+                rows[v].sort()
         return self.rows
 
     adj = property(active_rows)
@@ -387,32 +391,41 @@ class _Machine:
 
     def delete_leaves(self, *ws: int) -> None:
         """Remove active leaves, in order."""
+        deg, xr, detach = self.deg, self.xr, self.detach
+        for w in ws:
+            deg[w] = 0
+            detach(xr[w], w, 1)
+        self.n_act -= len(ws)
+
+    def detach(self, z: int, w: int, leaf: int) -> None:
+        """z loses its neighbor w, just deleted: a leaf (``leaf`` 1) or a pendant
+        pair's p (0).  z may become a leaf, a pre-leaf (only by losing p) or special."""
         heappush = heapq.heappush  # read per call, so a patched heapq sees it
         deg, xr, nleaf, leaves_at, special_at = self.deg, self.xr, self.nleaf, self.leaves_at, self.special_at
-        for w in ws:
-            z = xr[w]
-            deg[w] = 0
-            deg[z] -= 1
-            xr[z] ^= w
-            nleaf[z] -= 1
-            if deg[z] == 1:
-                y = xr[z]
-                heappush(self.leaf_heap, z)
-                heappush(leaves_at[y], z)
-                nleaf[y] += 1
-                if nleaf[y] == deg[y] - 1:  # y just became a pre-leaf
-                    heappush(self.pre_heap, y)
-                    if deg[y] == 2 and special_at:  # and special; z, a leaf, is never v0
-                        x = xr[y] ^ z
-                        if x in special_at:
-                            heappush(special_at[x], y)
-            else:
-                self.leaves -= 1
-                if special_at and deg[z] == 2 and nleaf[z]:  # z just became special
-                    for x in self.adj[z]:
-                        if deg[x] and x in special_at:
-                            heappush(special_at[x], z)
-        self.n_act -= len(ws)
+        deg[z] -= 1
+        xr[z] ^= w
+        nleaf[z] -= leaf
+        if deg[z] == 1:
+            y = xr[z]
+            heappush(self.leaf_heap, z)
+            if leaves_at[y] is None:
+                leaves_at[y] = []
+            heappush(leaves_at[y], z)
+            nleaf[y] += 1
+            if nleaf[y] == deg[y] - 1:  # y just became a pre-leaf
+                heappush(self.pre_heap, y)
+                if deg[y] == 2 and special_at:  # and special; z, a leaf, is never v0
+                    x = xr[y] ^ z
+                    if x in special_at:
+                        heappush(special_at[x], y)
+        else:
+            self.leaves -= 1
+            if not leaf and nleaf[z] == deg[z] - 1:  # z just became a pre-leaf (a lost leaf keeps deg - nleaf)
+                heappush(self.pre_heap, z)
+            if special_at and deg[z] == 2 and nleaf[z]:  # z just became special
+                for x in self.adj[z]:
+                    if deg[x] and x in special_at:
+                        heappush(special_at[x], z)
 
     def _leaf_at(self, z: int) -> Optional[int]:
         """Smallest active leaf next to z, or None."""
@@ -602,7 +615,7 @@ class _Machine:
         when it is None; a pendant level hands the next one None."""
         heappush, heappop = heapq.heappush, heapq.heappop  # read per call, so a patched heapq sees them
         deg, xr, nleaf, leaves_at, pre_heap = self.deg, self.xr, self.nleaf, self.leaves_at, self.pre_heap
-        by_degree, delete = self.by_degree, self.delete_leaves
+        by_degree, top, detach = None, self.tree.max_degree, self.detach
         record, note = self.records.append, self.trace.append
         # a path (two leaves: a vertex of degree >= 3 makes three) goes to _base_path as it is
         done = self.leaves != 2 and any(self._peel_one(pair) for _ in range(self.n_act % 3))
@@ -631,17 +644,20 @@ class _Machine:
                 raise self._fail("constraint pair stopped being pre-leaves")
             if deg[p] > deg[q] or deg[p] == deg[q] and p > q:
                 p, q = q, p
-            # the two smallest vertices of degree k, among those of source degree >= k
+            # the two smallest vertices of degree k: none while k > top >= deg (k >= 4 sheds and joins keep t's cap)
             k = n // 3
             h1 = h2 = 0
-            for d, x in by_degree:
-                if d < k:
-                    break
-                if deg[x] == k:
-                    if not h1 or x < h1:
-                        h1, h2 = x, h1
-                    elif not h2 or x < h2:
-                        h2 = x
+            if k <= top:
+                if by_degree is None:  # (degree, vertex), descending; built once, and here k >= 4
+                    by_degree = sorted([(deg[v], v) for v in self.active_vertices() if deg[v] >= 4], reverse=True)
+                for d, x in by_degree:
+                    if d < k:
+                        break
+                    if deg[x] == k:
+                        if not h1 or x < h1:
+                            h1, h2 = x, h1
+                        elif not h2 or x < h2:
+                            h2 = x
             if h2:
                 note("delegate:hubs")
                 self.lemma_run(h1, h2, p, q)
@@ -666,7 +682,11 @@ class _Machine:
                         raise self._fail("no leaf clear of the pendant pre-leaf and its neighbor")
                 record(("pend3", p, q, u, v1, v2, xr[v2]))
                 note("ext:pendant-capped" if h1 else "ext:pendant")
-                delete(v1, p, v2)
+                deg[v1] = deg[p] = 0  # v1 and p leave together
+                detach(u, p, 0)
+                deg[v2] = 0
+                detach(xr[v2], v2, 1)
+                self.n_act -= 3
                 pair = None
         self._unwind()
 

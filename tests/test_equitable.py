@@ -37,6 +37,9 @@ from arbor.errors import (
 )
 from arbor.random_trees import enumerate_unlabeled_trees, sample_labeled_tree
 from arbor.trees import (
+    VertexClass,
+    _source_lists,
+    _vertex_classes,
     build_graph,
     build_tree,
     double_star,
@@ -238,6 +241,42 @@ class TestPeelingGuards:
         with pytest.raises(InternalInvariant, match="designated pre-leaf is not a pendant-path end") as exc:
             hub_pair_coloring(t, 1, 2, 3, 2)
         assert parse_tree_text(exc.value.dump) == t
+
+    def assert_spine_guard(self, message):
+        """The double broom of ``TestDoubleBroomRegression`` under the pair
+        of its hubs, whose first level is the spine coloring."""
+        t = TestDoubleBroomRegression().make_broom(3, 9, 16)
+        with pytest.raises(InternalInvariant, match=message) as exc:
+            equitable_three(t, (1, 2))
+        assert parse_tree_text(exc.value.dump) == t
+
+    def test_skeleton_decomposition_does_not_cover_the_tree(self, monkeypatch):
+        t = TestDoubleBroomRegression().make_broom(3, 9, 16)
+        assert equitable_three(t, (1, 2)).trace == ("direct:spine",)
+        active = equitable_module._Machine.active_vertices
+
+        def off_tree(m):  # the active vertices and one more, 0, which is off the tree
+            return [0, *active(m)]
+
+        monkeypatch.setattr(equitable_module._Machine, "active_vertices", off_tree)
+        self.assert_spine_guard("skeleton decomposition does not cover the tree")
+
+    def test_hub_bundles_and_skeleton_overlap(self, monkeypatch):
+        spine = equitable_module._Machine._spine_terminal
+
+        def shared_leaf(m, u, v, p, q):  # u's row also lists a pendant leaf of v
+            m.adj[u].append(next(y for y in m.adj[v] if m.deg[y] == 1))
+            spine(m, u, v, p, q)
+
+        monkeypatch.setattr(equitable_module._Machine, "_spine_terminal", shared_leaf)
+        self.assert_spine_guard("hub bundles and skeleton overlap")
+
+    def test_spine_coloring_infeasible(self, monkeypatch, exact_calls):
+        # no split of the hubs' bundles fits any skeleton coloring, so both the
+        # greedy pass and the exact search come back empty
+        monkeypatch.setattr(equitable_module, "_bundle_split", lambda *args: None)
+        self.assert_spine_guard("spine coloring infeasible")
+        assert exact_calls
 
     def test_constraint_pair_shares_a_color_during_unwind(self, monkeypatch):
         t = sample_labeled_tree(30, 24)
@@ -1189,6 +1228,187 @@ class TestPeelOperationCounts:
         # per level would be quadratic
         assert CountedRow.reads[0] <= 8 * n, CountedRow.reads[0] / n
         assert max(entries.values()) == 1  # a vertex enters the pre-leaf heap once
+
+
+def machine_trees():
+    """Decoded random trees, ``hub_arms_tree`` draws (special cases, then
+    pendant steps that leave p's neighbor special) and planted-hub draws
+    (capped levels), each with the k in 3..6 that it admits."""
+    rng = random.Random(25)
+    trees = [sample_labeled_tree(n, seed) for n in (30, 31, 32, 120, 300) for seed in range(1, 13)]
+    trees += [hub_arms_tree(seed, 8) for seed in range(20)] + [planted_hub_tree(rng) for _ in range(40)]
+    return [(t, k) for t in trees for k in range(3, 7) if t.max_degree * k <= t.n]
+
+
+def watch_machines(monkeypatch, made):
+    """Call ``made(m)`` on each ``_Machine`` as soon as it is set up."""
+    real_init = equitable_module._Machine.__init__
+
+    def init(self, tree, deg, xr):
+        real_init(self, tree, deg, xr)
+        made(self)
+
+    monkeypatch.setattr(equitable_module._Machine, "__init__", init)
+
+
+class TestPendantStep:
+    """A pendant level deletes p's leaf v1 and p together, then a leaf v2:
+    p's other neighbor u loses p and gets the bookkeeping of any vertex that
+    loses a neighbor."""
+
+    def test_no_leaf_heap_entry_for_a_vertex_the_step_deletes(self, monkeypatch):
+        machine = None
+        deleting = set()  # the vertices of the newest record, if a pendant one
+        stale = []
+        routes = collections.Counter()
+
+        class Records(list):
+            def append(self, rec):
+                deleting.clear()
+                if rec[0] == "pend3":
+                    _, p, q, u, v1, v2, w = rec
+                    deleting.update((p, v1, v2))
+                list.append(self, rec)
+
+        def made(m):
+            nonlocal machine
+            machine = m
+            m.records = Records()
+            deleting.clear()
+
+        def heappush(heap, item):  # into leaf_heap or a leaves_at heap, unless one of these
+            if heap is not machine.pre_heap and all(heap is not h for h in machine.special_at.values()):
+                if item in deleting:
+                    stale.append(item)
+            heapq.heappush(heap, item)
+
+        watch_machines(monkeypatch, made)
+        monkeypatch.setattr(equitable_module, "heapq", types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+        for t, k in machine_trees():
+            cert = equitable_coloring(t, k)
+            assert_good(t, cert, k)
+            routes.update(cert.trace)
+        assert routes["ext:pendant"] > 1000 and routes["ext:pendant-capped"] > 0, routes
+        assert not stale, stale[:10]
+
+    def test_u_becomes_a_leaf_a_pre_leaf_or_special(self, monkeypatch):
+        seen = collections.Counter()
+        detach = equitable_module._Machine.detach
+
+        def watched(m, z, w, leaf):
+            detach(m, z, w, leaf)
+            if leaf:
+                return
+            deg, xr = m.deg, m.xr
+            assert deg[w] == 0 and deg[z] >= 1
+            assert m.nleaf[z] == sum(1 for x in range(len(deg)) if deg[x] == 1 and xr[x] == z)
+            if deg[z] == 1:
+                seen["leaf"] += 1
+                assert z in m.leaf_heap and z in m.leaves_at[xr[z]]
+                return
+            if m.nleaf[z] == deg[z] - 1:
+                seen["pre-leaf"] += 1
+                assert z in m.pre_heap
+            if m.special_at and deg[z] == 2 and m.nleaf[z]:
+                seen["special"] += 1
+                for x in m.adj[z]:
+                    if deg[x] and x in m.special_at:
+                        assert z in m.special_at[x]
+
+        monkeypatch.setattr(equitable_module._Machine, "detach", watched)
+        for t, k in machine_trees():
+            assert_good(t, equitable_coloring(t, k), k)
+        assert seen["leaf"] and seen["pre-leaf"] and seen["special"], seen
+
+    @pytest.mark.parametrize("u_leaf", [False, True])
+    def test_u_next_to_v0(self, u_leaf):
+        # v0 = 1 has met the special case; the pendant pair 4-8 hangs off u = 2,
+        # which also carries the leaf 3 when ``u_leaf``
+        edges = [(1, 2), (2, 4), (4, 8), (1, 5), (1, 6), (1, 7)] + [(2, 3)] * u_leaf
+        t = build_tree(edges + [(1, 3)] * (not u_leaf), 8)
+        m = equitable_module._Machine(t, *_source_lists(t))
+        m.special_at[1] = []
+        leaves = m.leaves
+        m.deg[8] = m.deg[4] = 0
+        m.n_act -= 2
+        m.detach(2, 4, 0)
+        assert (m.n_act, m.leaves, m.deg[2], m.xr[2]) == (6, leaves - 1 + (not u_leaf), 1 + u_leaf, 1 ^ 3 * u_leaf)
+        if u_leaf:  # a new pre-leaf, and special next to v0
+            assert m.nleaf[2] == 1 and 2 in m.pre_heap and m.special_at[1] == [2]
+        else:  # a leaf of v0
+            assert 2 in m.leaf_heap and 2 in m.leaves_at[1] and m.nleaf[1] == 5 and m.special_at[1] == []
+
+
+class TestMachineSetUp:
+    def test_heaps_are_the_taxonomy_of_the_lists(self, monkeypatch):
+        # the k >= 4 colorings hand over the lists of their last layer, with
+        # the shed vertices at degree 0
+        checked = collections.Counter()
+
+        def made(m):
+            classes = _vertex_classes(m.deg, m.xr)
+            pre = (VertexClass.PRE_LEAF, VertexClass.SPECIAL_PRE_LEAF)
+            assert m.pre_heap == [v for v, c in enumerate(classes) if c in pre]
+            assert m.leaf_heap == [v for v, c in enumerate(classes) if c == VertexClass.LEAF]
+            for v, heap in enumerate(m.leaves_at):
+                assert (heap or []) == [w for w in m.leaf_heap if m.xr[w] == v]
+            checked[m.deg.count(0) > 1] += 1
+
+        watch_machines(monkeypatch, made)
+        for t, k in machine_trees():
+            assert_good(t, equitable_coloring(t, k), k)
+        for n in (200, 2_000):
+            t = sample_labeled_tree(n, 7)
+            assert_good(t, equitable_coloring(t, 3), 3)
+        assert checked[False] > 50 and checked[True] > 50, checked
+
+    def test_level_hubs_are_a_degree_scan(self, monkeypatch):
+        # the cap vertex, the special case's v0 and the delegated hub pair of
+        # a level are the smallest vertices of degree k = n // 3, by a scan
+        levels = collections.Counter()
+        machine = None
+        wanted = []  # per level record: the vertices of degree k at its level
+
+        class Records(list):
+            def append(self, rec):
+                if rec[0] != "leaf" and rec[0] != "hub-peel":
+                    deg = machine.deg
+                    wanted.append([v for v in range(len(deg)) if deg[v] == machine.n_act // 3])
+                list.append(self, rec)
+
+        def made(m):
+            nonlocal machine
+            machine = m
+            m.records = Records()
+
+        lemma_run = equitable_module._Machine.lemma_run
+
+        def delegated(m, u, v, p, q):
+            assert [u, v] == [x for x in range(len(m.deg)) if m.deg[x] == m.n_act // 3][:2]
+            levels["delegate:hubs"] += 1
+            lemma_run(m, u, v, p, q)
+
+        watch_machines(monkeypatch, made)
+        monkeypatch.setattr(equitable_module._Machine, "lemma_run", delegated)
+        rng = random.Random(26)
+        crowded = filter(None, (crowded_tree(rng, hubs) for hubs in (False, True) * 40))
+        for t, k in [(t, 3) for t in crowded if t.max_degree * 3 <= t.n] + machine_trees():
+            del wanted[:]
+            cert = equitable_coloring(t, k)
+            assert_good(t, cert, k)
+            steps = [r for r in machine.records if r[0] not in ("leaf", "hub-peel")]
+            routes = [r for r in cert.trace if r.startswith("ext:") and r != "ext:leaf"]
+            assert len(steps) == len(routes) == len(wanted)
+            for rec, route, scan in zip(steps, routes, wanted):
+                levels[route] += 1
+                assert len(scan) <= 1
+                assert bool(scan) == (route.endswith("capped") or route.startswith("ext:special"))
+                if route == "ext:pendant-capped":
+                    assert rec[-1] == scan[0]  # v2's neighbor
+                elif route.startswith("ext:special"):
+                    assert rec[5] == scan[0]  # v0
+        rare = ("ext:pendant-capped", "ext:triple-capped", "ext:special", "delegate:hubs")
+        assert levels["ext:pendant"] and all(levels[r] for r in rare), levels
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ corpus:
 
 - random trees decoded from Prüfer codes, and the same trees as shuffled,
   flipped edge-list text, at n = 2..2,000, colored at k = 3..8;
+- ``scale``: random trees decoded from Prüfer codes at n = 10^4 and
+  5 * 10^4, colored at k = 3..6;
 - paths on shuffled ids, n = 1..2,000, colored at k = 3..8 and at k = 3 under each
   ordered pair of their pre-leaves;
 - planted-hub and crowded trees (``tests/test_golden.py``): every
@@ -38,8 +40,8 @@ corpus:
 
 It prints a line per section, then the route tokens of perfbench's
 ``ROUTES`` that no coloring of the corpus fired.  The exit code is 0 when
-every case agrees, 1 at the first difference.  A whole run, 183,686 cases,
-took 33 s on a 2-core host.
+every case agrees, 1 at the first difference.  A whole run, 183,710 cases,
+took 53 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TREE_SIZES = (*range(2, 41), 60, 120, 300, 600, 1_000, 2_000)
+SCALE_SIZES = (10_000, 50_000)
 KS = range(3, 9)
 
 
@@ -104,9 +107,9 @@ def tree_text(n: int, edges) -> str:
     return f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
 
 
-def colorings(sides: Sides, label: str, shown: str, build) -> None:
-    """``equitable_coloring`` at every k of ``KS`` on the tree ``build(trees, random_trees)``."""
-    for k in KS:
+def colorings(sides: Sides, label: str, shown: str, build, ks=KS) -> None:
+    """``equitable_coloring`` at every k of ``ks`` on the tree ``build(trees, random_trees)``."""
+    for k in ks:
         sides.check(f"{label} k={k}", shown, lambda eq, tr, rt: outcome(lambda: eq.equitable_coloring(build(tr, rt), k)))
 
 
@@ -122,6 +125,18 @@ def decoded_and_parsed(sides: Sides) -> None:
             rng.shuffle(edges)
             text = tree_text(n, edges)
             colorings(sides, f"parsed n={n} text {trial}", text, lambda tr, rt: tr.parse_tree_text(text))
+
+
+def scale(sides: Sides) -> None:
+    """Decoded random trees at n = 10^4 and 5 * 10^4, colored at k = 3..6:
+    long runs of pendant levels, and the late level where the peeling
+    machine first looks for vertices of degree n // 3."""
+    rng = random.Random(2_109)
+    for n in SCALE_SIZES:
+        for trial in range(3):
+            code = [rng.randint(1, n) for _ in range(n - 2)]
+            shown = f"{n}\nP: {' '.join(map(str, code))}\n"
+            colorings(sides, f"scale n={n} code {trial}", shown, lambda tr, rt: rt.prufer_decode(code, n), range(3, 7))
 
 
 def paths(sides: Sides) -> None:
@@ -287,7 +302,7 @@ def malformed(sides: Sides) -> None:
             sides.check(f"malformed text {text!r}", text, lambda eq, tr, rt: outcome(tr.parse_tree_text, text))
 
 
-SECTIONS = (decoded_and_parsed, paths, constructions, pairs, taxonomy, mutated, graphs, malformed)
+SECTIONS = (decoded_and_parsed, scale, paths, constructions, pairs, taxonomy, mutated, graphs, malformed)
 
 
 def main(argv=None) -> int:
