@@ -4,7 +4,6 @@ Run from the repository root:
 
     python3 bench/layers.py --out BENCH_<n>.json
     python3 bench/layers.py --out BENCH_<n>.json --parent ../parent-checkout
-    python3 bench/layers.py --out BENCH_<n>.json --layers peel3,machine,equitable
 
 Rows (seconds per call; each call's input is made before the timing, so
 only the named layer is timed):
@@ -279,9 +278,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--parent", help="another checkout to time in the same repeats")
-    p.add_argument("--layers", help="comma-separated layers to time (default: every layer)")
     args = p.parse_args(argv)
-    layers = set(args.layers.split(",")) if args.layers else None
 
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
     from test_equitable import PEEL_SHAPES
@@ -294,8 +291,6 @@ def main(argv=None) -> int:
         sides["parent"] = load_side("arbor_parent", os.path.abspath(args.parent))
     rows = []
     for layer, shape, n, k, items in cases(PEEL_SHAPES, sample_labeled_tree, prufer_encode):
-        if layers is not None and layer not in layers:
-            continue
         row = {"shape": shape, **time_row(sides, layer, shape, n, k, items)}
         rows.append(row)
         line = f"{layer:17} {shape:11} n={n:<6} k={k or '-'}  change {row['change']['median'] * 1e3:9.3f} ms"
@@ -309,7 +304,6 @@ def main(argv=None) -> int:
         "change": checkout(ROOT),
         "parent": checkout(args.parent) if args.parent else None,
         "repeats": REPEATS,
-        "layers": sorted(layers) if layers is not None else "all",
         "rows": rows,
     }
     with open(args.out, "w") as fh:

@@ -298,26 +298,27 @@ def _skeleton_colors(
 
 
 # ---------------------------------------------------------------------------
-# The peeling machine, on a source tree given by its degree list ``deg`` and the
-# XOR ``xr`` of each vertex's neighbors; a failure dumps the caller's ``tree``.
-# It only deletes leaves and pendant pairs (a degree-two pre-leaf p, next to u,
-# with its leaf), and an edge goes only with one of its ends, so the active tree
-# is the source tree on the vertices of active degree ``deg > 0`` (none for a
-# vertex that the k >= 4 reduction shed).  The common routes read no row (a
-# leaf's neighbor is ``xr[w]``); the rare ones (the special heap, the spine, the
-# hub peel, the base search) read ``adj``, the ascending rows of the active tree
-# as it stood at their first read, rebuilt from ``deg`` and ``xr``.  As peeling
-# only deletes, a later row is that row filtered by ``deg``, and every reader
-# filters it so.  Per vertex it keeps ``deg``, ``xr`` of the active neighbors,
-# the count ``nleaf`` of leaf neighbors and, from its first leaf on, a lazy
-# min-heap ``leaves_at`` of them; besides, a leaf count and lazy min-heaps of
-# leaves and pre-leaves, filled at set-up from the leaves.  Then ``detach``
-# pushes a vertex that loses a neighbor and so becomes a leaf, a pre-leaf (once:
-# it stays one until it is a leaf) or special (degree two with a leaf; once
-# likewise, into ``special_at[v0]`` for each neighbor v0 the special case has
-# met).  A pendant pair leaves in one step: p, never a leaf, and u, if then a
-# leaf, get no stale entry; no pick moves, as ``_min_leaf``'s invariant never
-# rests on p.
+# The peeling machine, on a source tree given by its degree list ``deg`` and
+# the XOR ``xr`` of each vertex's neighbors; a failure dumps ``tree``, the
+# caller's input.  It only deletes leaves and pendant pairs (a degree-two
+# pre-leaf p with its leaf), and an edge goes only with one of its ends, so
+# the active tree is the source tree on the vertices of active degree
+# ``deg > 0`` (a vertex that the k >= 4 reduction shed has none).  The common
+# routes read no row: a leaf's neighbor is ``xr[w]``.  The rare ones (the
+# special heap, the spine, the hub peel, the base search) read ``adj``, the
+# ascending rows of the active tree as it stood at their first read, rebuilt
+# from ``deg`` and ``xr``.  As peeling only deletes, a later row is that row
+# filtered by ``deg``, and every reader filters it so.  Per vertex it keeps
+# ``deg``, ``xr`` of the active neighbors, the count ``nleaf`` of leaf
+# neighbors and a lazy min-heap ``leaves_at`` of them; besides, a leaf count
+# and lazy min-heaps of leaves and pre-leaves (set-up seeks these among the
+# leaves' neighbors).  A vertex that the special case has met as the
+# maximal-degree vertex v0 also gets a lazy min-heap in ``special_at`` of its
+# special neighbors (degree two with a leaf).  Later, ``detach`` pushes a
+# vertex that loses a neighbor and so becomes a leaf, a pre-leaf or special.  A vertex stays a pre-leaf, or special, until it is a
+# leaf, so it enters each heap once.  A pendant pair leaves in one step: p,
+# never a leaf, gets no entry, nor its other neighbor u one it would lose at
+# once; no pick moves, as ``_min_leaf``'s invariant never rests on p.
 #
 # ``run3`` runs the levels at n ≡ 0 (mod 3) in one loop over locals.  The
 # pendant case, nearly every level of a random tree, is written out in that
@@ -340,6 +341,7 @@ class _Machine:
         "leaves_at",
         "pre_heap",
         "special_at",
+        "by_degree",
         "records",
         "trace",
         "col",
@@ -353,17 +355,19 @@ class _Machine:
         self.tree, self.deg, self.xr, self.rows = t, deg, xr, None
         self.nleaf = nleaf = [0] * (n + 1)
         self.leaf_heap = [v for v in range(1, n + 1) if deg[v] == 1]  # ascending, so already a heap
-        self.leaves_at = leaves_at = [None] * (n + 1)  # a heap from a vertex's first leaf on
-        hosts = sorted(set(map(xr.__getitem__, self.leaf_heap)))  # a pre-leaf has a leaf
-        for z in hosts:
-            leaves_at[z] = []
+        self.leaves_at = [[] for _ in range(n + 1)]
         for w in self.leaf_heap:
             nleaf[xr[w]] += 1
-            leaves_at[xr[w]].append(w)
+            self.leaves_at[xr[w]].append(w)
         self.n_act = n + 1 - deg.count(0)  # deg[0] is 0
         self.leaves = len(self.leaf_heap)
+        hosts = sorted(set(map(xr.__getitem__, self.leaf_heap)))  # a pre-leaf has a leaf
         self.pre_heap = [z for z in hosts if deg[z] >= 2 and nleaf[z] >= deg[z] - 1]  # _vertex_classes' rule
         self.special_at: dict = {}
+        # (source degree, vertex), descending: run3's level loop, its one reader, runs at
+        # n_act >= 12, n_act = 0 (mod 3), so at k = n_act // 3 >= 4, and stops at the first
+        # vertex of source degree < k
+        self.by_degree = sorted([(d, v) for v, d in enumerate(deg) if d >= 4], reverse=True)
         self.records: list = []
         self.trace: list = []
         self.col = [0] * (n + 1)
@@ -374,15 +378,12 @@ class _Machine:
         at the first call, rebuilt by peeling its leaves from copies of
         ``deg`` and ``xr``, and kept: see the header."""
         if self.rows is None:
-            self.rows = rows = [()] * len(self.deg)
-            act = self.active_vertices()
-            for v in act:
-                rows[v] = []
-            for w, z in _leaf_peel(self.deg[:], self.xr[:], act):
+            self.rows = rows = [[] if d else () for d in self.deg]
+            for w, z in _leaf_peel(self.deg[:], self.xr[:]):
                 rows[w].append(z)
                 rows[z].append(w)
-            for v in act:
-                rows[v].sort()
+            for row in filter(None, rows):
+                row.sort()
         return self.rows
 
     adj = property(active_rows)
@@ -408,8 +409,6 @@ class _Machine:
         if deg[z] == 1:
             y = xr[z]
             heappush(self.leaf_heap, z)
-            if leaves_at[y] is None:
-                leaves_at[y] = []
             heappush(leaves_at[y], z)
             nleaf[y] += 1
             if nleaf[y] == deg[y] - 1:  # y just became a pre-leaf
@@ -615,7 +614,7 @@ class _Machine:
         when it is None; a pendant level hands the next one None."""
         heappush, heappop = heapq.heappush, heapq.heappop  # read per call, so a patched heapq sees them
         deg, xr, nleaf, leaves_at, pre_heap = self.deg, self.xr, self.nleaf, self.leaves_at, self.pre_heap
-        by_degree, top, detach = None, self.tree.max_degree, self.detach
+        by_degree, detach = self.by_degree, self.detach
         record, note = self.records.append, self.trace.append
         # a path (two leaves: a vertex of degree >= 3 makes three) goes to _base_path as it is
         done = self.leaves != 2 and any(self._peel_one(pair) for _ in range(self.n_act % 3))
@@ -644,20 +643,17 @@ class _Machine:
                 raise self._fail("constraint pair stopped being pre-leaves")
             if deg[p] > deg[q] or deg[p] == deg[q] and p > q:
                 p, q = q, p
-            # the two smallest vertices of degree k: none while k > top >= deg (k >= 4 sheds and joins keep t's cap)
+            # the two smallest vertices of degree k, among those of source degree >= k
             k = n // 3
             h1 = h2 = 0
-            if k <= top:
-                if by_degree is None:  # (degree, vertex), descending; built once, and here k >= 4
-                    by_degree = sorted([(deg[v], v) for v in self.active_vertices() if deg[v] >= 4], reverse=True)
-                for d, x in by_degree:
-                    if d < k:
-                        break
-                    if deg[x] == k:
-                        if not h1 or x < h1:
-                            h1, h2 = x, h1
-                        elif not h2 or x < h2:
-                            h2 = x
+            for d, x in by_degree:
+                if d < k:
+                    break
+                if deg[x] == k:
+                    if not h1 or x < h1:
+                        h1, h2 = x, h1
+                    elif not h2 or x < h2:
+                        h2 = x
             if h2:
                 note("delegate:hubs")
                 self.lemma_run(h1, h2, p, q)

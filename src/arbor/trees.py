@@ -248,12 +248,12 @@ def _source_lists(g: Graph) -> tuple:
     return [0, *g._degrees], xr
 
 
-def _leaf_peel(deg: list, xr: list, vertices: Iterable[int] | None = None) -> Iterator[tuple]:
-    """Strip the smallest leaf of the forest that the lists ``deg`` and ``xr``
-    describe (degree 0: off it; its first leaves are sought among ``vertices``,
-    ascending, if given), in place, and yield it with its neighbor, its ``xr``,
-    until no edge is left: each edge once, as (leaf, neighbor)."""
-    heap = [v for v, d in enumerate(deg) if d == 1] if vertices is None else [v for v in vertices if deg[v] == 1]
+def _leaf_peel(deg: list, xr: list) -> Iterator[tuple]:
+    """Strip the smallest leaf of the forest that the degree list ``deg`` and
+    neighbor-XOR list ``xr`` describe (vertices of degree 0 are off it), in
+    place, and yield it with its neighbor, its ``xr``, until no edge is left:
+    each edge once, as (leaf, neighbor)."""
+    heap = [v for v, d in enumerate(deg) if d == 1]  # ascending, so already a heap
     while heap:
         v = heapq.heappop(heap)
         w = xr[v]

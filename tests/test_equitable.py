@@ -1351,7 +1351,7 @@ class TestMachineSetUp:
             assert m.pre_heap == [v for v, c in enumerate(classes) if c in pre]
             assert m.leaf_heap == [v for v, c in enumerate(classes) if c == VertexClass.LEAF]
             for v, heap in enumerate(m.leaves_at):
-                assert (heap or []) == [w for w in m.leaf_heap if m.xr[w] == v]
+                assert heap == [w for w in m.leaf_heap if m.xr[w] == v]
             checked[m.deg.count(0) > 1] += 1
 
         watch_machines(monkeypatch, made)

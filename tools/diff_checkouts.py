@@ -129,8 +129,8 @@ def decoded_and_parsed(sides: Sides) -> None:
 
 def scale(sides: Sides) -> None:
     """Decoded random trees at n = 10^4 and 5 * 10^4, colored at k = 3..6:
-    long runs of pendant levels, and the late level where the peeling
-    machine first looks for vertices of degree n // 3."""
+    long runs of pendant levels, and the late levels whose k = n // 3 is
+    at most the tree's maximum degree."""
     rng = random.Random(2_109)
     for n in SCALE_SIZES:
         for trial in range(3):
