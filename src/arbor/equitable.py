@@ -315,10 +315,11 @@ def _skeleton_colors(
 # leaves' neighbors).  A vertex that the special case has met as the
 # maximal-degree vertex v0 also gets a lazy min-heap in ``special_at`` of its
 # special neighbors (degree two with a leaf).  Later, ``detach`` pushes a
-# vertex that loses a neighbor and so becomes a leaf, a pre-leaf or special.  A vertex stays a pre-leaf, or special, until it is a
-# leaf, so it enters each heap once.  A pendant pair leaves in one step: p,
-# never a leaf, gets no entry, nor its other neighbor u one it would lose at
-# once; no pick moves, as ``_min_leaf``'s invariant never rests on p.
+# vertex that loses a neighbor and so becomes a leaf, a pre-leaf or special.
+# A vertex stays a pre-leaf, or special, until it is a leaf, so it enters
+# each heap once.  A pendant pair leaves in one step: p, never a leaf, gets
+# no entry, nor its other neighbor u one it would lose at once; no pick
+# moves, as ``_min_leaf``'s invariant never rests on p.
 #
 # ``run3`` runs the levels at n ≡ 0 (mod 3) in one loop over locals.  The
 # pendant case, nearly every level of a random tree, is written out in that
