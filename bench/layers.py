@@ -12,12 +12,11 @@ only the named layer is timed):
   on one tree of each ``PEEL_SHAPES`` shape of ``tests/test_equitable.py``
   at n = 120, 2,000, 10^4 and 10^5.  The random shape takes trees of
   seeds 1, 2, ...; the others repeat their one tree.  A shape whose maximum
-  degree exceeds n/3 at some n has no row there.  A side with
-  ``_source_lists`` builds its machine from the tree's degree and XOR
-  lists, an older side from the tree's rows.
-- ``machine``: that set-up alone, on random trees at n = 2,000, 10^4 and
-  10^5 decoded before every repeat, untimed, so the rows an older side
-  reads are built in the timed call, as in a coloring of a decoded tree.
+  degree exceeds n/3 at some n has no row there.  The machine is built
+  from the tree's degree and XOR lists.
+- ``machine``: that set-up alone, lists included, on random trees at
+  n = 2,000, 10^4 and 10^5 decoded before every repeat, untimed, as in a
+  coloring of a decoded tree.
 - ``pre_leaves``, ``prufer_encode`` and ``active_rows`` (the machine's
   rows of the whole tree) on random trees at n = 2,000, 10^4 and 10^5,
   decoded before every repeat, untimed, and for ``active_rows`` given a
@@ -124,12 +123,8 @@ def machine() -> dict:
 
 
 def machine_maker(equitable):
-    """One side's k=3 machine of a tree: from its degree and XOR lists, or,
-    on a side without ``_source_lists``, from its rows."""
-    machine = equitable._Machine
-    lists = getattr(equitable, "_source_lists", None)
-    if lists is None:
-        return lambda t: machine(t.adj, t)
+    """One side's k=3 machine of a tree, from its degree and XOR lists."""
+    machine, lists = equitable._Machine, equitable._source_lists
     return lambda t: machine(t, *lists(t))
 
 

@@ -301,7 +301,7 @@ def _skeleton_colors(
 # The peeling machine, on a source tree given by its degree list ``deg`` and
 # the XOR ``xr`` of each vertex's neighbors; a failure dumps ``tree``, the
 # caller's input.  It only deletes leaves and pendant pairs (a degree-two
-# pre-leaf p with its leaf), and an edge goes only with one of its ends, so
+# vertex x with its leaf), and an edge goes only with one of its ends, so
 # the active tree is the source tree on the vertices of active degree
 # ``deg > 0`` (a vertex that the k >= 4 reduction shed has none).  The common
 # routes read no row: a leaf's neighbor is ``xr[w]``.  The rare ones (the
@@ -317,15 +317,21 @@ def _skeleton_colors(
 # special neighbors (degree two with a leaf).  Later, ``detach`` pushes a
 # vertex that loses a neighbor and so becomes a leaf, a pre-leaf or special.
 # A vertex stays a pre-leaf, or special, until it is a leaf, so it enters
-# each heap once.  A pendant pair leaves in one step: p, never a leaf, gets
-# no entry, nor its other neighbor u one it would lose at once; no pick
-# moves, as ``_min_leaf``'s invariant never rests on p.
+# each heap once.
 #
-# ``run3`` runs the levels at n ≡ 0 (mod 3) in one loop over locals.  The
-# pendant case, nearly every level of a random tree, is written out in that
-# loop; the triple, special and hub cases are methods.  Peeling pushes
-# extension records; ``_unwind`` extends the base coloring back up through
-# them, newest first, taking each forced color from ``_PICK``.
+# ``run3`` runs the levels at n ≡ 0 (mod 3) in one loop over locals.  Its
+# pendant, special and special-swap levels are pair steps, all deleted in
+# that loop (``_case_special`` only picks): a degree-two x (the pre-leaf p,
+# or the special vertex next to v0) leaves with its leaf v1, then a far leaf
+# v2 goes.  x, never a leaf, gets no heap entry, nor its other neighbor u
+# one it would lose at once; no pick moves, as ``_min_leaf``'s invariant
+# never rests on x.  Peeling pushes extension records; ``_unwind`` extends
+# the base coloring back up through them, newest first, taking each forced
+# color from ``_PICK``.  A pair step's one record ``("pair", x, a, b, y, c,
+# z)`` reads: x avoids the colors of a and b, y those of c and x, and z
+# takes the third.  A special level's x is v2, which need avoid only its
+# neighbor: b is vertex 0, as ``col[0]`` stays 0 (no step colors it) and
+# ``_PICK`` reads 0 as no color.
 
 # _PICK[a][b]: the smallest color in 1..3 other than a and b
 _PICK = tuple(tuple(min({1, 2, 3} - {a, b}) for b in range(4)) for a in range(4))
@@ -612,7 +618,7 @@ class _Machine:
     def run3(self, pair: Optional[tuple]) -> None:
         """Peel to a base coloring and unwind.  A level at n ≡ 0 (mod 3)
         takes the constraint pair ``pair``, or the two smallest pre-leaves
-        when it is None; a pendant level hands the next one None."""
+        when it is None, as after a pendant or special-swap level."""
         heappush, heappop = heapq.heappush, heapq.heappop  # read per call, so a patched heapq sees them
         deg, xr, nleaf, leaves_at, pre_heap = self.deg, self.xr, self.nleaf, self.leaves_at, self.pre_heap
         by_degree, detach = self.by_degree, self.detach
@@ -660,15 +666,17 @@ class _Machine:
                 self.lemma_run(h1, h2, p, q)
                 break
             if h1 and not nleaf[h1]:
-                pair = self._case_special(p, q, h1)
+                u = h1
+                x, v1, v2, pair = self._case_special(p, q, u)
             elif deg[p] >= 3:
                 pair = self._case_triple(p, q, h1)
                 done = pair is None
-            else:  # p is a degree-two pre-leaf: delete p with its leaf plus one more
+                continue
+            else:  # p is a degree-two pre-leaf: the pendant pair step, x = p
                 heap = leaves_at[p]
                 while deg[heap[0]] != 1:
                     heappop(heap)  # deleted since its push
-                v1 = heap[0]
+                x, v1 = p, heap[0]
                 u = xr[p] ^ v1
                 if h1:
                     v2 = self._leaf_at(h1)
@@ -677,14 +685,14 @@ class _Machine:
                     if v2 is None:
                         # only a broom puts every leaf but p's on u, with deg(u) = n - 2 > n/3
                         raise self._fail("no leaf clear of the pendant pre-leaf and its neighbor")
-                record(("pend3", p, q, u, v1, v2, xr[v2]))
+                record(("pair", p, u, q, v2, xr[v2], v1))
                 note("ext:pendant-capped" if h1 else "ext:pendant")
-                deg[v1] = deg[p] = 0  # v1 and p leave together
-                detach(u, p, 0)
-                deg[v2] = 0
-                detach(xr[v2], v2, 1)
-                self.n_act -= 3
                 pair = None
+            deg[v1] = deg[x] = 0  # the pair step: v1 and x leave together
+            detach(u, x, 0)
+            deg[v2] = 0
+            detach(xr[v2], v2, 1)
+            self.n_act -= 3
         self._unwind()
 
     def _peel_one(self, pair: Optional[tuple]) -> bool:
@@ -731,9 +739,10 @@ class _Machine:
         self.delete_leaves(v1, v2, v3)
         return (p, q)
 
-    def _case_special(self, p: int, q: int, v0: int) -> Optional[tuple]:
-        """The unique maximal-degree vertex has no pendant leaf: remove the
-        special vertex next to it (with its leaf) plus one far leaf."""
+    def _case_special(self, p: int, q: int, v0: int) -> tuple:
+        """The unique maximal-degree vertex v0 has no pendant leaf: pick the
+        special vertex v next to it, its leaf v1 and one far leaf v2 for
+        ``run3``'s pair step; returns them and the next level's pair."""
         deg, nleaf = self.deg, self.nleaf
         heap = self.special_at.get(v0)
         if heap is None:  # a source row is ascending, so already a heap
@@ -749,16 +758,12 @@ class _Machine:
             raise self._fail("no leaf clear of the constraint pair and the special vertex")
         w = self.xr[v2]
         if v in (p, q):
-            other = q if v == p else p
-            self.records.append(("special-swap", v, v1, v2, w, v0, other))
+            self.records.append(("pair", v, v0, q if v == p else p, v2, w, v1))
             self.trace.append("ext:special-swap")
-            nxt = None
-        else:
-            self.records.append(("special", v, v1, v2, w, v0))
-            self.trace.append("ext:special")
-            nxt = (p, q)
-        self.delete_leaves(v1, v, v2)
-        return nxt
+            return v, v1, v2, None
+        self.records.append(("pair", v2, w, 0, v, v0, v1))
+        self.trace.append("ext:special")
+        return v, v1, v2, (p, q)
 
     # -- unwind --------------------------------------------------------------
 
@@ -784,11 +789,11 @@ class _Machine:
                 self.deg[w] = 1
                 self.deg[z] += 1
                 continue
-            if kind == "pend3":
-                _, p, q, u, v1, v2, w = rec
-                cp = pick[col[u]][col[q]]
-                c2 = pick[col[w]][cp]
-                col[p], col[v2], col[v1] = cp, c2, pick[cp][c2]
+            if kind == "pair":
+                _, x, a, b, y, c, z = rec
+                cx = pick[col[a]][col[b]]
+                cy = pick[col[c]][cx]
+                col[x], col[y], col[z] = cx, cy, pick[cx][cy]
             elif kind == "ext3":
                 _, p, q, v1, v2, v3, w = rec
                 cp, cq = col[p], col[q]
@@ -799,16 +804,6 @@ class _Machine:
                     col[v1], col[v2], col[v3] = cq, cp, third
                 else:
                     col[v1], col[v2], col[v3] = third, cp, cq
-            elif kind == "special":
-                _, v, v1, v2, w, v0 = rec
-                c2 = pick[col[w]][0]
-                cv = pick[col[v0]][c2]
-                col[v], col[v2], col[v1] = cv, c2, pick[cv][c2]
-            elif kind == "special-swap":
-                _, v, v1, v2, w, v0, other = rec
-                cv = pick[col[v0]][col[other]]
-                c2 = pick[col[w]][cv]
-                col[v], col[v2], col[v1] = cv, c2, pick[cv][c2]
             else:
                 raise self._fail(f"unknown record {kind}")
             # the three colors of a three-vertex record are distinct

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .balance import is_balanced_graph, verify_balanced
@@ -69,10 +69,10 @@ class ExperimentSummary:
     fraction_success: Optional[float]
     wilson_ci: Optional[tuple]
     counts: dict
-    means: dict
-    variances: dict
-    extras: dict
-    failure_examples: list
+    means: dict = field(default_factory=dict)
+    variances: dict = field(default_factory=dict)
+    extras: dict = field(default_factory=dict)
+    failure_examples: list = field(default_factory=list)
     schema: int = 1
 
     def to_dict(self) -> dict:
@@ -158,9 +158,6 @@ def run_balanced_fraction(cfg: ExperimentConfig) -> ExperimentSummary:
         fraction_success=fraction,
         wilson_ci=wilson_interval(successes, cfg.trials),
         counts={"success": successes, "failure": cfg.trials - successes},
-        means={},
-        variances={},
-        extras={},
         failure_examples=failures[:MAX_FAILURE_EXAMPLES],
     )
 
@@ -192,8 +189,6 @@ def run_equitable_fraction(cfg: ExperimentConfig) -> ExperimentSummary:
         fraction_success=fraction,
         wilson_ci=wilson_interval(counts["hit_ok"], hits) if hits else None,
         counts=counts,
-        means={},
-        variances={},
         extras={"hit_rate": hits / cfg.trials},
         failure_examples=failures[:MAX_FAILURE_EXAMPLES],
     )
@@ -235,7 +230,6 @@ def run_degree_stats(cfg: ExperimentConfig) -> ExperimentSummary:
         means={"x1": m1, "x2": m2},
         variances={"x1": v1, "x2": v2},
         extras=extras,
-        failure_examples=[],
     )
 
 
@@ -276,5 +270,4 @@ def run_max_degree(cfg: ExperimentConfig) -> ExperimentSummary:
         means={"max_degree": m},
         variances={"max_degree": v},
         extras={"histogram": {str(k): hist[k] for k in sorted(hist)}, **bands},
-        failure_examples=[],
     )

@@ -1137,10 +1137,11 @@ class TestSpecialHeap:
         def scanned(m, p, q, v0):
             nonlocal calls
             scan = next(x for x in m.adj[v0] if m.deg[x] == 2 and m.nleaf[x])
-            nxt = special(m, p, q, v0)
-            assert m.records[-1][1] == scan  # the special vertex of the record
+            picked = special(m, p, q, v0)
+            # the special vertex, picked and in the record: x of a swap, else y
+            assert picked[0] == scan == m.records[-1][1 if m.trace[-1] == "ext:special-swap" else 4]
             calls += 1
-            return nxt
+            return picked
 
         def heappush(heap, item):
             nonlocal late
@@ -1252,34 +1253,45 @@ def watch_machines(monkeypatch, made):
 
 
 class TestPendantStep:
-    """A pendant level deletes p's leaf v1 and p together, then a leaf v2:
-    p's other neighbor u loses p and gets the bookkeeping of any vertex that
-    loses a neighbor."""
+    """A pair step (a pendant, special or special-swap level) deletes a
+    degree-two x and its leaf v1 together, then a leaf v2: x's other
+    neighbor u loses x and gets the bookkeeping of any vertex that loses a
+    neighbor."""
 
     def test_no_leaf_heap_entry_for_a_vertex_the_step_deletes(self, monkeypatch):
-        machine = None
-        deleting = set()  # the vertices of the newest record, if a pendant one
+        machine = rec = None  # the newest machine and its newest record
+        before, pushed = [], []  # the active vertices before that record's step, and the step's pushes
         stale = []
         routes = collections.Counter()
 
+        def settle():
+            """Close the newest step: the vertices it deleted, and those of them it pushed."""
+            deleted = {v for v in before if not machine.deg[v]}
+            stale.extend(v for v in pushed if v in deleted)
+            if rec is not None and rec[0] == "pair":  # a pair step deletes x, y and z, and no more
+                _, x, a, b, y, c, z = rec
+                assert deleted == {x, y, z}, rec
+            pushed.clear()
+
         class Records(list):
-            def append(self, rec):
-                deleting.clear()
-                if rec[0] == "pend3":
-                    _, p, q, u, v1, v2, w = rec
-                    deleting.update((p, v1, v2))
-                list.append(self, rec)
+            def append(self, new):
+                nonlocal rec
+                settle()
+                rec = new
+                before[:] = [v for v, d in enumerate(machine.deg) if d]
+                list.append(self, new)
 
         def made(m):
-            nonlocal machine
-            machine = m
+            nonlocal machine, rec
+            if machine is not None:
+                settle()
+            machine, rec = m, None
+            before.clear()
             m.records = Records()
-            deleting.clear()
 
         def heappush(heap, item):  # into leaf_heap or a leaves_at heap, unless one of these
             if heap is not machine.pre_heap and all(heap is not h for h in machine.special_at.values()):
-                if item in deleting:
-                    stale.append(item)
+                pushed.append(item)
             heapq.heappush(heap, item)
 
         watch_machines(monkeypatch, made)
@@ -1288,7 +1300,9 @@ class TestPendantStep:
             cert = equitable_coloring(t, k)
             assert_good(t, cert, k)
             routes.update(cert.trace)
+        settle()
         assert routes["ext:pendant"] > 1000 and routes["ext:pendant-capped"] > 0, routes
+        assert routes["ext:special"] > 0 and routes["ext:special-swap"] > 0, routes
         assert not stale, stale[:10]
 
     def test_u_becomes_a_leaf_a_pre_leaf_or_special(self, monkeypatch):
@@ -1403,11 +1417,11 @@ class TestMachineSetUp:
                 levels[route] += 1
                 assert len(scan) <= 1
                 assert bool(scan) == (route.endswith("capped") or route.startswith("ext:special"))
-                if route == "ext:pendant-capped":
-                    assert rec[-1] == scan[0]  # v2's neighbor
-                elif route.startswith("ext:special"):
-                    assert rec[5] == scan[0]  # v0
-        rare = ("ext:pendant-capped", "ext:triple-capped", "ext:special", "delegate:hubs")
+                if route in ("ext:pendant-capped", "ext:special"):
+                    assert rec[0] == "pair" and rec[5] == scan[0]  # c: v2's neighbor, or v0
+                elif route == "ext:special-swap":
+                    assert rec[0] == "pair" and rec[2] == scan[0]  # a: v0
+        rare = ("ext:pendant-capped", "ext:triple-capped", "ext:special", "ext:special-swap", "delegate:hubs")
         assert levels["ext:pendant"] and all(levels[r] for r in rare), levels
 
 

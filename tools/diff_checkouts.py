@@ -20,6 +20,9 @@ corpus:
   ordered pair of their pre-leaves;
 - planted-hub and crowded trees (``tests/test_golden.py``): every
   construction of ``every_construction``, ``hub_pair_coloring`` included;
+- ``grown``: ``grown_tree`` draws, a hub with arms on shuffled ids grown
+  from the tree of ``TestPendantStep::test_u_next_to_v0``, at k = 3 and
+  under each ordered pair of their three smallest pre-leaves;
 - decoded trees at n = 4..60 and planted-hub trees through
   ``equitable_three`` and ``hub_pair_coloring`` (hubs: the two vertices
   of largest degree) under every ordered pair of some pre-leaves, leaves,
@@ -40,8 +43,18 @@ corpus:
 
 It prints a line per section, then the route tokens of perfbench's
 ``ROUTES`` that no coloring of the corpus fired.  The exit code is 0 when
-every case agrees, 1 at the first difference.  A whole run, 183,710 cases,
-took 53 s on a 2-core host.
+every case agrees, 1 at the first difference.  A whole run, 186,335 cases,
+took 47 s on a 2-core host.
+
+Planted faults in ``equitable.py`` (mutants) that a run reports, each with
+the first section that does:
+
+- ``_Machine.detach`` skips the special-heap push of a vertex that loses
+  a pendant pair's p and is left special (``leaf and`` added to the test
+  before that push): ``grown``.
+- ``_Machine.detach`` skips the special-heap push of a vertex left a
+  special pre-leaf as its other neighbor becomes a leaf
+  (``False and`` added to that test): ``decoded_and_parsed``.
 """
 
 from __future__ import annotations
@@ -186,6 +199,57 @@ def constructions(sides: Sides) -> None:
                 sides.routes.update(run[2])
 
 
+ARM_TIPS = {  # the edges of an arm past the hub, as offsets from its first vertex
+    "u": ((0, 1), (0, 2), (2, 3)),
+    "2-path": ((0, 1),),
+    "3-path": ((0, 1), (1, 2)),
+    "fork": ((0, 1), (0, 2)),
+}
+
+
+def grown_tree(rng: random.Random):
+    """(n, edges) of a tree grown from the one of
+    ``TestPendantStep::test_u_next_to_v0`` (``tests/test_equitable.py``, u
+    with a leaf): hub 1 with an arm 2 that carries the leaf 3 and the
+    pendant pair 4-5, 3..12 more arms (that ``u`` shape again, 2-paths,
+    3-paths and forks) and a tail path that makes n = 3 deg(1), on shuffled
+    ids; None when the arms leave no room for the tail."""
+    edges = [(1, 2), (2, 3), (2, 4), (4, 5)]
+    a = 6  # the next id
+    arms = rng.randint(3, 12)
+    for _ in range(arms):
+        tips = ARM_TIPS[rng.choice(("u", "2-path", "2-path", "2-path", "3-path", "fork"))]
+        edges += [(1, a), *((a + i, a + j) for i, j in tips)]
+        a += 1 + max(j for _, j in tips)
+    n = 3 * (arms + 2)
+    if a > n:
+        return None
+    edges += [(1 if x == a else x - 1, x) for x in range(a, n + 1)]
+    ids = rng.sample(range(1, n + 1), n)
+    return n, [(ids[u - 1], ids[v - 1]) for u, v in edges]
+
+
+def grown(sides: Sides) -> None:
+    """``grown_tree`` draws at k = 3 and under each ordered pair of their
+    three smallest pre-leaves: special levels at the hub v0, then a pendant
+    level that leaves its u special next to v0, whose special heap must get
+    u."""
+    rng = random.Random(2_110)
+    for i in range(400):
+        made = grown_tree(rng)
+        if made is None:
+            continue
+        text = tree_text(*made)
+        colorings(sides, f"grown tree {i}", text, lambda tr, rt: tr.parse_tree_text(text), (3,))
+        pls = sides.change[1].pre_leaves(sides.change[1].parse_tree_text(text))
+        for pair in itertools.permutations(pls[:3], 2):
+            sides.check(
+                f"grown tree {i} constraint {pair}",
+                text,
+                lambda eq, tr, rt: outcome(lambda: eq.equitable_three(tr.parse_tree_text(text), pair)),
+            )
+
+
 def pairs(sides: Sides) -> None:
     """``equitable_three`` and ``hub_pair_coloring`` under pairs that are and
     are not two distinct pre-leaves, on decoded and planted-hub trees."""
@@ -302,7 +366,7 @@ def malformed(sides: Sides) -> None:
             sides.check(f"malformed text {text!r}", text, lambda eq, tr, rt: outcome(tr.parse_tree_text, text))
 
 
-SECTIONS = (decoded_and_parsed, scale, paths, constructions, pairs, taxonomy, mutated, graphs, malformed)
+SECTIONS = (decoded_and_parsed, scale, paths, constructions, grown, pairs, taxonomy, mutated, graphs, malformed)
 
 
 def main(argv=None) -> int:
