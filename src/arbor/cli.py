@@ -21,6 +21,7 @@ from .colorings import KColoring
 from .equitable import equitable_coloring, equitable_three, verify_equitable
 from .errors import ArborError, BadArgument, InternalInvariant, MalformedColoring, PartialColoring
 from .experiments import (
+    SCHEMA,
     ExperimentConfig,
     run_balanced_fraction,
     run_degree_stats,
@@ -45,8 +46,6 @@ from .trees import (
     is_path_graph,
     parse_tree_text,
 )
-
-SCHEMA = 1
 
 
 def _emit(text: str, out: Optional[str]) -> None:

@@ -305,7 +305,7 @@ def _skeleton_colors(
 # the active tree is the source tree on the vertices of active degree
 # ``deg > 0`` (a vertex that the k >= 4 reduction shed has none).  The common
 # routes read no row: a leaf's neighbor is ``xr[w]``.  The rare ones (the
-# special heap, the spine, the hub peel, the base search) read ``adj``, the
+# special heap, the spine, the hub swap, the base search) read ``adj``, the
 # ascending rows of the active tree as it stood at their first read, rebuilt
 # from ``deg`` and ``xr``.  As peeling only deletes, a later row is that row
 # filtered by ``deg``, and every reader filters it so.  Per vertex it keeps
@@ -325,13 +325,12 @@ def _skeleton_colors(
 # or the special vertex next to v0) leaves with its leaf v1, then a far leaf
 # v2 goes.  x, never a leaf, gets no heap entry, nor its other neighbor u
 # one it would lose at once; no pick moves, as ``_min_leaf``'s invariant
-# never rests on x.  Peeling pushes extension records; ``_unwind`` extends
-# the base coloring back up through them, newest first, taking each forced
-# color from ``_PICK``.  A pair step's one record ``("pair", x, a, b, y, c,
-# z)`` reads: x avoids the colors of a and b, y those of c and x, and z
-# takes the third.  A special level's x is v2, which need avoid only its
-# neighbor: b is vertex 0, as ``col[0]`` stays 0 (no step colors it) and
-# ``_PICK`` reads 0 as no color.
+# never rests on x.  Peeling pushes records of three kinds, ``leaf``,
+# ``pair`` and a triple's ``ext3``, that ``_unwind`` reads newest first.  A
+# pair step's one record ``("pair", x, a, b, y, c, z)`` reads: x avoids the
+# colors of a and b, y those of c and x, and z takes the third.  A special
+# level's x is v2, which need avoid only its neighbor: b is vertex 0, as
+# ``col[0]`` stays 0 (no step colors it) and ``_PICK`` reads 0 as no color.
 
 # _PICK[a][b]: the smallest color in 1..3 other than a and b
 _PICK = tuple(tuple(min({1, 2, 3} - {a, b}) for b in range(4)) for a in range(4))
@@ -355,11 +354,12 @@ class _Machine:
         "sizes",
         "rows",
         "tree",
+        "hubs",
     )
 
     def __init__(self, t: Graph, deg: list, xr: list):
         n = len(deg) - 1
-        self.tree, self.deg, self.xr, self.rows = t, deg, xr, None
+        self.tree, self.deg, self.xr, self.rows, self.hubs = t, deg, xr, None, None
         self.nleaf = nleaf = [0] * (n + 1)
         self.leaf_heap = [v for v in range(1, n + 1) if deg[v] == 1]  # ascending, so already a heap
         self.leaves_at = [[] for _ in range(n + 1)]
@@ -500,7 +500,8 @@ class _Machine:
     # distinct colors, two pre-leaves get distinct colors) -----------------
 
     def lemma_run(self, u: int, v: int, p: int, q: int) -> None:
-        self.active_rows()  # now: the hub-peel unwind reads rows of vertices that later peels delete
+        self.active_rows()  # now: the unwind's swap reads rows of vertices that later peels delete
+        self.hubs = u, v, p, q
         while True:
             n = self.n_act
             if n <= 12:
@@ -516,7 +517,7 @@ class _Machine:
             if w is None:
                 self._spine_terminal(u, v, p, q)
                 return
-            self.records.append(("hub-peel", w, self.xr[w], u, v, p, q))
+            self.records.append(("leaf", w, self.xr[w]))
             self.trace.append("peel:hub-safe")
             self.delete_leaves(w)
 
@@ -769,10 +770,14 @@ class _Machine:
 
     def _unwind(self) -> None:
         """Extend the base coloring back up through the records, newest
-        first.  Only a hub-peel reads the active tree, and only through
-        ``deg``; hub-peels are the newest records, so restoring just the
-        degrees of their own edges keeps it exact wherever it is read."""
-        col, sizes, pick = self.col, self.sizes, _PICK
+        first, each forced color from ``_PICK``.  A leaf w takes the lighter
+        class other than its neighbor's class c; if c is lighter still,
+        ``_swap_far_leaf`` moves a far leaf into c and w takes its old color.
+        Only two-hub peels swap: ``run3``'s opening peels, unwound last,
+        meet sizes (q, q, q) or (q + 1, q, q), where no class is that light.
+        A swap reads ``deg``, which each leaf record restores for its edge;
+        swapping records are the newest, so what a swap reads is exact."""
+        col, sizes, deg, pick = self.col, self.sizes, self.deg, _PICK
         for rec in reversed(self.records):
             kind = rec[0]
             if kind == "leaf":
@@ -780,14 +785,13 @@ class _Machine:
                 c = col[z]
                 a = pick[c][c]
                 b = pick[c][a]
-                c = col[w] = a if sizes[a] <= sizes[b] else b  # the lighter class, the smaller on a tie
-                sizes[c] += 1
-                continue
-            if kind == "hub-peel":
-                _, w, z, u, v, p, q = rec
-                self._extend_hub_peel(w, z, u, v, p, q)
-                self.deg[w] = 1
-                self.deg[z] += 1
+                a = a if sizes[a] <= sizes[b] else b  # the lighter class, the smaller on a tie
+                if sizes[c] < sizes[a]:
+                    a = self._swap_far_leaf(c)
+                col[w] = a
+                sizes[a] += 1
+                deg[w] = 1
+                deg[z] += 1
                 continue
             if kind == "pair":
                 _, x, a, b, y, c, z = rec
@@ -811,47 +815,39 @@ class _Machine:
             sizes[2] += 1
             sizes[3] += 1
 
-    def _extend_hub_peel(self, w: int, z: int, u: int, v: int, p: int, q: int) -> None:
+    def _swap_far_leaf(self, c: int) -> int:
+        """Move into class c the smallest leaf of the first branch off the hub
+        u or v not of color c with no vertex of color c; return its old color."""
         col, sizes, deg, src = self.col, self.sizes, self.deg, self.adj
-        col1 = col[z]
-        a = _PICK[col1][col1]
-        b = _PICK[col1][a]
-        col2 = a if sizes[a] <= sizes[b] else b
-        if sizes[col1] >= sizes[col2]:
-            col[w] = col2
-            sizes[col2] += 1
-            return
-        # the class of w's neighbor is strictly smallest: swap a far leaf into
-        # it and give w that leaf's old color
-        r = u if col[u] != col1 else v
-        comp_found = None
+        u, v = self.hubs[:2]
+        r = u if col[u] != c else v
         for nb in filter(deg.__getitem__, src[r]):
             comp = [nb]
             seen = {r, nb}
-            good = col[nb] != col1
+            good = col[nb] != c
             stack = [nb]
             while stack and good:
                 x = stack.pop()
                 for y in src[x]:
                     if deg[y] and y not in seen:
-                        if col[y] == col1:
+                        if col[y] == c:
                             good = False
                             break
                         seen.add(y)
                         comp.append(y)
                         stack.append(y)
             if good:
-                comp_found = comp
                 break
-        if comp_found is None:
+        else:
             raise self._fail("no branch avoids the deficient color class")
-        x = min(y for y in comp_found if deg[y] == 1)  # a branch off r always has a leaf
-        if x in (u, v, p, q):
+        x = min(y for y in comp if deg[y] == 1)  # a branch off r always has a leaf
+        if x in self.hubs:
             raise self._fail("swap leaf collides with a constrained vertex")
         cx = col[x]
-        col[x] = col1
-        col[w] = cx  # w joins cx's class as x leaves it
-        sizes[col1] += 1
+        col[x] = c
+        sizes[c] += 1
+        sizes[cx] -= 1
+        return cx
 
 
 # ---------------------------------------------------------------------------
@@ -871,13 +867,14 @@ def _certify(t: Graph, col: list, k: int, trace: Iterable[str], apart: Iterable[
 
 
 def _path_certificate(t: Graph, k: int, constraint: Optional[tuple] = None) -> EquitableCertificate:
-    """Verified round-robin k-coloring of a path-shaped tree (two or more
-    vertices), which at k = 3 separates the pre-leaf pair ``constraint``."""
+    """Verified round-robin k-coloring of a path-shaped tree (one vertex or
+    more), which at k = 3 separates the pre-leaf pair ``constraint``."""
     order = path_order(t)
     col = [0] * (t.n + 1)
     for v, c in zip(order, _path_colors(order, k, constraint)):
         col[v] = c
-    return _certify(t, col, k, ("direct:path",), () if constraint is None else (constraint,))
+    trace = ("direct:path" if t.n > 1 else "direct:trivial",)
+    return _certify(t, col, k, trace, () if constraint is None else (constraint,))
 
 
 def equitable_three(t: Tree, constraint: Optional[tuple] = None) -> EquitableCertificate:
@@ -895,8 +892,6 @@ def equitable_three(t: Tree, constraint: Optional[tuple] = None) -> EquitableCer
         p, q = constraint
         if not _pre_leaf_pair(*lists, p, q):
             raise NoTwoPreLeaves(f"({p}, {q}) is not a pair of distinct pre-leaf vertices")
-    if n == 1:
-        return _certify(t, [0, 1], 3, ("direct:trivial",))
     if path:
         return _path_certificate(t, 3, constraint)
     m = _Machine(t, *lists)
@@ -969,8 +964,6 @@ def equitable_coloring(t: Tree, k: int) -> EquitableCertificate:
     n = t.n
     if t.max_degree * k > n:
         raise DegreeTooHigh(f"max degree {t.max_degree} exceeds n/k = {n / k:.2f}")
-    if n == 1:
-        return _certify(t, [0, 1], k, ("direct:trivial",))
     if k == 3:
         return equitable_three(t)
     if is_path_graph(t):

@@ -23,16 +23,17 @@ from .trees import format_tree_text
 
 Z95 = 1.959963984540054
 MAX_FAILURE_EXAMPLES = 10
+SCHEMA = 1  # the version of every JSON payload, experiment or not
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple:
-    """Wilson score interval; well behaved for fractions at or near one."""
+def wilson_interval(successes: int, trials: int) -> tuple:
+    """95% Wilson score interval; well behaved for fractions at or near one."""
     if trials == 0:
         return (0.0, 1.0)
     p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
+    denom = 1.0 + Z95 * Z95 / trials
+    center = (p + Z95 * Z95 / (2 * trials)) / denom
+    half = Z95 * math.sqrt(p * (1 - p) / trials + Z95 * Z95 / (4 * trials * trials)) / denom
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return (lo, hi)
@@ -73,11 +74,10 @@ class ExperimentSummary:
     variances: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
     failure_examples: list = field(default_factory=list)
-    schema: int = 1
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": SCHEMA,
             "kind": self.kind,
             "config": self.config,
             "fraction_success": self.fraction_success,

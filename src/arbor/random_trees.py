@@ -15,8 +15,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .errors import BadEntry, TooLarge
 from .trees import Graph, Tree, _leaf_peel, _source_lists, build_tree
 
@@ -81,6 +79,7 @@ def prufer_encode(t: Tree) -> list[int]:
 
 
 def trial_rng(master_seed: int, trial: int = 0) -> np.random.Generator:
+    import numpy as np  # here and in the two functions below: importing arbor loads no numpy
     key = np.zeros(2, dtype=np.uint64)
     key[0] = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF)
     key[1] = np.uint64(trial & 0xFFFFFFFFFFFFFFFF)
@@ -100,6 +99,7 @@ def _trial_generator() -> np.random.Generator:
     costs about a tenth of building a new generator.  It is made on first
     use: loading ``numpy.random`` while arbor is imported raised the peak
     RSS of a ``balanced-fraction`` run by about 0.7 MiB."""
+    import numpy as np
     return np.random.Generator(np.random.Philox(0))
 
 
@@ -153,6 +153,7 @@ def stats_from_prufer(entries: Sequence[int], n: int) -> TreeStats:
 
     deg(v) = multiplicity(v) + 1, so the degree histogram is a bincount.
     """
+    import numpy as np
     counts = np.bincount(np.asarray(entries, dtype=np.int64), minlength=n + 1)
     degs = counts[1 : n + 1] + 1
     return TreeStats(int(degs.max()), int((degs == 1).sum()), int((degs == 2).sum()))

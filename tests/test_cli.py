@@ -1,11 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import arbor
 from arbor import cli
 from arbor.cli import main
 from arbor.colorings import KColoring
@@ -464,3 +468,14 @@ class TestParserCache:
         assert outs[0] == outs[2] != outs[1]
         assert outs[0] == run(capsys, *argv, "--seed", "5")[1]
 
+
+
+class TestImportFootprint:
+    def test_cli_loads_neither_numpy_nor_multiprocessing(self):
+        # only sampling imports numpy, and only a --workers pool multiprocessing,
+        # so check, color, balance and enumerate start without either
+        src = os.path.dirname(os.path.dirname(arbor.__file__))
+        probe = "import sys, arbor.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'multiprocessing'}))"
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert done.stdout == "[]\n"

@@ -141,17 +141,16 @@ def first_special_tree():
 def hub_swap_case(monkeypatch):
     """(tree, hubs, pre-leaf pair) of the first planted-hub draw whose
     ``hub_pair_coloring`` unwind swaps a far leaf into the deficient class."""
-    extend = equitable_module._Machine._extend_hub_peel
+    swap = equitable_module._Machine._swap_far_leaf
     swaps = []
 
-    def watched(m, w, z, u, v, p, q):
-        col = m.col[:]
-        extend(m, w, z, u, v, p, q)
-        swaps.extend(x for x, (a, b) in enumerate(zip(col, m.col)) if a != b and x != w)
+    def watched(m, c):
+        swaps.append(c)
+        return swap(m, c)
 
     rng = random.Random(5)
     with monkeypatch.context() as patched:
-        patched.setattr(equitable_module._Machine, "_extend_hub_peel", watched)
+        patched.setattr(equitable_module._Machine, "_swap_far_leaf", watched)
         for _ in range(100):
             t = planted_hub_tree(rng)
             hubs = [x for x in range(1, t.n + 1) if 3 * t.degree(x) >= t.n][:2]
@@ -291,39 +290,41 @@ class TestPeelingGuards:
         monkeypatch.setattr(equitable_module._Machine, "_commit", merged)
         self.assert_guard(t, "constraint pair shares a color during unwind")
 
-    def assert_hub_guard(self, monkeypatch, extend, message):
-        """Run the first planted-hub case whose hub-peel unwind swaps a far
-        leaf with ``_extend_hub_peel`` patched to ``extend(original)``."""
+    def assert_hub_guard(self, monkeypatch, swap, message):
+        """Run the first planted-hub case whose two-hub unwind swaps a far
+        leaf with ``_swap_far_leaf`` patched to ``swap(original)``."""
         t, hubs, pair = hub_swap_case(monkeypatch)
-        monkeypatch.setattr(equitable_module._Machine, "_extend_hub_peel", extend(equitable_module._Machine._extend_hub_peel))
+        monkeypatch.setattr(equitable_module._Machine, "_swap_far_leaf", swap(equitable_module._Machine._swap_far_leaf))
         with pytest.raises(InternalInvariant, match=message) as exc:
             hub_pair_coloring(t, *hubs, *pair)
         assert parse_tree_text(exc.value.dump) == t
 
     def test_no_branch_avoids_the_deficient_color_class(self, monkeypatch):
-        def extend(original):
-            def no_branches(m, w, z, u, v, p, q):  # the rows show no branch off the hubs
+        def swap(original):
+            def no_branches(m, c):  # the rows show no branch off the hubs
+                u, v, _, _ = m.hubs
                 m.adj[u].clear()
                 m.adj[v].clear()
-                original(m, w, z, u, v, p, q)
+                return original(m, c)
 
             return no_branches
 
-        self.assert_hub_guard(monkeypatch, extend, "no branch avoids the deficient color class")
+        self.assert_hub_guard(monkeypatch, swap, "no branch avoids the deficient color class")
 
     def test_swap_leaf_collides_with_a_constrained_vertex(self, monkeypatch):
-        def extend(original):
-            def named(m, w, z, u, v, p, q):  # the record names the swap leaf as its pre-leaf p
+        def swap(original):
+            def named(m, c):  # the hubs name the swap leaf as their pre-leaf p
                 col, sizes = m.col[:], m.sizes[:]
-                original(m, w, z, u, v, p, q)
-                swapped = [x for x, (a, b) in enumerate(zip(col, m.col)) if a != b and x != w]
-                if swapped:
-                    m.col[:], m.sizes[:] = col, sizes
-                    original(m, w, z, u, v, swapped[0], q)
+                original(m, c)
+                (x,) = [x for x, (a, b) in enumerate(zip(col, m.col)) if a != b]
+                m.col[:], m.sizes[:] = col, sizes
+                u, v, _, q = m.hubs
+                m.hubs = u, v, x, q
+                return original(m, c)
 
             return named
 
-        self.assert_hub_guard(monkeypatch, extend, "swap leaf collides with a constrained vertex")
+        self.assert_hub_guard(monkeypatch, swap, "swap leaf collides with a constrained vertex")
 
     def test_unknown_record(self, monkeypatch):
         commit = equitable_module._Machine._commit
@@ -347,7 +348,12 @@ class TestEquitableThree:
             equitable_three(star(7))
 
     def test_single_vertex(self):
-        assert_good(build_tree([], 1), equitable_three(build_tree([], 1)), 3)
+        t = build_tree([], 1)  # a one-vertex path, colored by the path route
+        for k, cert in [(3, equitable_three(t)), *((k, equitable_coloring(t, k)) for k in range(3, 7))]:
+            assert_good(t, cert, k)
+            assert cert.trace == ("direct:trivial",) and cert.coloring.color(1) == 1
+        with pytest.raises(NoTwoPreLeaves):
+            equitable_three(t, constraint=(1, 1))
 
     def test_bad_constraint(self):
         t = path(9)
@@ -1289,12 +1295,22 @@ class TestPendantStep:
             before.clear()
             m.records = Records()
 
+        unwind = equitable_module._Machine._unwind
+
+        def settled(m):  # the unwind restores the degrees of leaf records: settle the last step first
+            nonlocal rec
+            settle()
+            rec = None
+            before.clear()
+            unwind(m)
+
         def heappush(heap, item):  # into leaf_heap or a leaves_at heap, unless one of these
             if heap is not machine.pre_heap and all(heap is not h for h in machine.special_at.values()):
                 pushed.append(item)
             heapq.heappush(heap, item)
 
         watch_machines(monkeypatch, made)
+        monkeypatch.setattr(equitable_module._Machine, "_unwind", settled)
         monkeypatch.setattr(equitable_module, "heapq", types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
         for t, k in machine_trees():
             cert = equitable_coloring(t, k)
@@ -1385,7 +1401,7 @@ class TestMachineSetUp:
 
         class Records(list):
             def append(self, rec):
-                if rec[0] != "leaf" and rec[0] != "hub-peel":
+                if rec[0] != "leaf":
                     deg = machine.deg
                     wanted.append([v for v in range(len(deg)) if deg[v] == machine.n_act // 3])
                 list.append(self, rec)
@@ -1410,7 +1426,7 @@ class TestMachineSetUp:
             del wanted[:]
             cert = equitable_coloring(t, k)
             assert_good(t, cert, k)
-            steps = [r for r in machine.records if r[0] not in ("leaf", "hub-peel")]
+            steps = [r for r in machine.records if r[0] != "leaf"]
             routes = [r for r in cert.trace if r.startswith("ext:") and r != "ext:leaf"]
             assert len(steps) == len(routes) == len(wanted)
             for rec, route, scan in zip(steps, routes, wanted):
@@ -1423,6 +1439,38 @@ class TestMachineSetUp:
                     assert rec[0] == "pair" and rec[2] == scan[0]  # a: v0
         rare = ("ext:pendant-capped", "ext:triple-capped", "ext:special", "ext:special-swap", "delegate:hubs")
         assert levels["ext:pendant"] and all(levels[r] for r in rare), levels
+
+
+class TestLeafRecords:
+    """``run3``'s opening peels and ``lemma_run``'s two-hub peels push the
+    same ``leaf`` record; only a two-hub peel ever unwinds next to a class
+    lighter than both others, where a far leaf is swapped in."""
+
+    def test_only_a_two_hub_run_swaps(self, monkeypatch):
+        hub_machine = None  # the newest machine that ran lemma_run
+        swaps = collections.Counter()
+        lemma_run = equitable_module._Machine.lemma_run
+        swap = equitable_module._Machine._swap_far_leaf
+
+        def marked(m, u, v, p, q):
+            nonlocal hub_machine
+            hub_machine = m
+            lemma_run(m, u, v, p, q)
+
+        def watched(m, c):
+            assert m is hub_machine and m.hubs is not None
+            swaps["delegated" if "delegate:hubs" in m.trace else "hub_pair_coloring"] += 1
+            return swap(m, c)
+
+        monkeypatch.setattr(equitable_module._Machine, "lemma_run", marked)
+        monkeypatch.setattr(equitable_module._Machine, "_swap_far_leaf", watched)
+        for t, k in machine_trees():
+            assert_good(t, equitable_coloring(t, k), k)
+        rng = random.Random(5)
+        for t in (planted_hub_tree(rng) for _ in range(40)):
+            for _, k, pair, _, cert in every_construction(t):
+                assert_good(t, cert, k, constraint=pair)
+        assert swaps["delegated"] and swaps["hub_pair_coloring"], swaps
 
 
 # ---------------------------------------------------------------------------

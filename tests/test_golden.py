@@ -6,10 +6,10 @@ trace unchanged.  The digest below is the SHA-256 of the (input, coloring,
 trace) lines over a fixed corpus; it was computed before the spine search
 was rewritten and must not move.
 
-That corpus never reaches the hub-peel records of ``hub_pair_coloring``, so
-a second digest covers them: every ordered pre-leaf pair of 80 trees with
-two planted hubs.  It was computed before the peeling machine dropped its
-restore pass and must not move either.
+That corpus never reaches the two-hub peels of ``hub_pair_coloring``, whose
+unwind can swap a far leaf, so a second digest covers them: every ordered
+pre-leaf pair of 80 trees with two planted hubs.  It was computed before the
+peeling machine dropped its restore pass and must not move either.
 
 A third digest covers the exact balance DP: the value F and the traced
 side I of ``balance_exact`` over seeded sequences of every length up to

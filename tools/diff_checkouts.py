@@ -46,8 +46,8 @@ It prints a line per section, then the route tokens of perfbench's
 every case agrees, 1 at the first difference.  A whole run, 186,335 cases,
 took 47 s on a 2-core host.
 
-Planted faults in ``equitable.py`` (mutants) that a run reports, each with
-the first section that does:
+Planted faults (mutants) that a run reports, each with the first section
+that does; each was last checked against a parent without it:
 
 - ``_Machine.detach`` skips the special-heap push of a vertex that loses
   a pendant pair's p and is left special (``leaf and`` added to the test
@@ -55,6 +55,14 @@ the first section that does:
 - ``_Machine.detach`` skips the special-heap push of a vertex left a
   special pre-leaf as its other neighbor becomes a leaf
   (``False and`` added to that test): ``decoded_and_parsed``.
+- ``_Machine._swap_far_leaf`` picks the largest leaf of its branch
+  (``max`` for ``min``): ``constructions``, at planted tree 99.
+- ``join_forest`` attaches a component at its largest leaf
+  (``max(leaves)``): ``decoded_and_parsed``.
+- ``_simple_edges`` checks for a self-loop before an out-of-range id:
+  ``mutated``.
+- ``_pre_leaf_pair`` checks only p, or also accepts a leaf for p and q:
+  ``pairs``.
 """
 
 from __future__ import annotations
